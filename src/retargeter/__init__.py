@@ -7,43 +7,14 @@ respect to the former yields a direct abstract interpreter for the
 target.  This package contains the three languages, the abstract
 domains, the partial evaluator, the retargeting pipeline, and the
 randomized harnesses that check soundness and equivalence.
+
+The names imported here are the public API.  The languages, the domain
+values and the specializer itself are reached through their submodules
+(``retargeter.domains``, ``retargeter.peval``, ...).
 """
 
-from .analyzer import (
-    abstract_target_input,
-    analyze_meta,
-    analyze_meta_abstract,
-    build_abstract_interpreter,
-)
-from .domains import (
-    AbsValue,
-    APair,
-    BOT,
-    Bot,
-    INTERVAL,
-    Interval,
-    Num,
-    NumericDomain,
-    SIGN,
-    Sign,
-    SignSet,
-    TOP,
-    Top,
-    abs_add,
-    abs_eq,
-    abs_mul,
-    contains,
-    eta,
-    filter_nonzero,
-    filter_zero,
-    format_abs,
-    get_domain,
-    join,
-    leq,
-    make_pair,
-    met_value_to_abs,
-    parse_abs,
-)
+from .analyzer import analyze_meta, analyze_meta_abstract
+from .domains import DOMAINS, INTERVAL, SIGN, get_domain
 from .errors import (
     DecodeError,
     FuelExhausted,
@@ -52,11 +23,8 @@ from .errors import (
     RetargeterError,
     StuckError,
 )
-from .met.interp import apply_met_function, eval_met
-from .met.parser import parse_met
-from .met.printer import count_nodes, print_met
-from .met.syntax import EvalBudget, MetExpr, MetValue, PrimOp
-from .peval import PEConfig, ResidualStats, reify, residual_stats, specialize
+from .met.syntax import EvalBudget
+from .peval import PEConfig
 from .retargeting import (
     Report,
     RetargetedAnalyzer,
@@ -67,34 +35,6 @@ from .retargeting import (
     run_specialized,
     run_specialized_abstract,
 )
-from .srclang import (
-    SInt,
-    SPair,
-    SrcExpr,
-    SrcValue,
-    embed_src_expr,
-    embed_src_value,
-    eval_src,
-    gen_random_src_value,
-    parse_src,
-    print_src,
-    unembed_src_expr,
-    unembed_src_value,
-)
-from .tgtlang import (
-    AddN,
-    MulN,
-    Seq2,
-    Single,
-    TgtProgram,
-    decode_tgt_program,
-    decode_tgt_value,
-    encode_tgt_program,
-    encode_tgt_value,
-    eval_tgt,
-    interpreter_fixture,
-    parse_tgt_program,
-    print_tgt_program,
-)
+from .tgtlang import eval_tgt, parse_tgt_program
 
 __version__ = "0.1.0"

@@ -23,15 +23,22 @@ import sys
 from pathlib import Path
 
 from .analyzer import abstract_target_input, analyze_meta, analyze_meta_abstract
-from .domains import format_abs, get_domain, met_value_to_abs, parse_abs
+from .domains import DOMAINS, AbsValue, format_abs, get_domain, parse_abs
 from .errors import FuelExhausted, ParseError, ReifyError, RetargeterError
-from .met.interp import apply_met_function
 from .met.parser import parse_met
 from .met.printer import print_met
-from .met.syntax import DEFAULT_FUEL, EvalBudget, VAbs, VTuple
+from .met.syntax import DEFAULT_FUEL, EvalBudget
 from .peval import PEConfig
-from .retargeting import retarget, check_equivalence, check_soundness, bench_steps
-from .srclang import SPair, embed_src_value
+from .retargeting import (
+    RetargetedAnalyzer,
+    bench_steps,
+    check_equivalence,
+    check_soundness,
+    retarget,
+    run_specialized,
+    run_specialized_abstract,
+)
+from .srclang import SPair
 from .tgtlang import (
     TARGETS,
     encode_tgt_program,
@@ -79,19 +86,19 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _resolve_input(args, domain):
-    """Concrete or abstract analysis input for a target program."""
+def _resolve_input(args, domain) -> int | AbsValue:
+    """The concrete (``int``) or abstract analysis input for a target program."""
     if args.input is not None:
-        return "concrete", args.input
-    return "abstract", parse_abs(args.abs_input, domain)
+        return args.input
+    return parse_abs(args.abs_input, domain)
 
 
 def cmd_analyze(args) -> int:
     domain = get_domain(args.domain)
     program = _load_program(args.program)
     fixture = interpreter_fixture(target_of(program))
-    mode, value = _resolve_input(args, domain)
-    if mode == "concrete":
+    value = _resolve_input(args, domain)
+    if isinstance(value, int):
         src_input = SPair(encode_tgt_program(program), encode_tgt_value(value))
         result = analyze_meta(domain, fixture, src_input, _budget(args))
     else:
@@ -123,12 +130,13 @@ def cmd_analyze_specialized(args) -> int:
     domain = get_domain(args.domain)
     residual = parse_met(_read(args.residual))
     program = _load_program(args.program)
-    mode, value = _resolve_input(args, domain)
-    if mode == "concrete":
-        arg = embed_src_value(SPair(encode_tgt_program(program), encode_tgt_value(value)))
+    # The residual is trusted to have been retargeted to this program's language.
+    analyzer = RetargetedAnalyzer(residual, domain, target_of(program))
+    value = _resolve_input(args, domain)
+    if isinstance(value, int):
+        result = run_specialized(analyzer, program, value, _budget(args))
     else:
-        arg = VTuple(embed_src_value(encode_tgt_program(program)), VAbs(value))
-    result = met_value_to_abs(apply_met_function(residual, arg, domain, _budget(args)))
+        result = run_specialized_abstract(analyzer, program, value, _budget(args))
     print(format_abs(result))
     return EXIT_OK
 
@@ -166,6 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--fuel", type=int, default=None,
                         help="evaluation step budget (default: RETARGETER_FUEL or "
                              f"{DEFAULT_FUEL})")
+    domain_arg = argparse.ArgumentParser(add_help=False)
+    domain_arg.add_argument("--domain", choices=tuple(DOMAINS), required=True)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -180,32 +190,28 @@ def build_parser() -> argparse.ArgumentParser:
         group.add_argument("--abs-input", dest="abs_input",
                            help="abstract input, e.g. '[0,10]' or '{0,+}'")
 
-    p = sub.add_parser("analyze", parents=[common],
+    p = sub.add_parser("analyze", parents=[common, domain_arg],
                        help="analyze a target program meta-level")
     p.add_argument("program")
-    p.add_argument("--domain", choices=("sign", "interval"), required=True)
     add_analysis_inputs(p)
     p.set_defaults(fn=cmd_analyze)
 
-    p = sub.add_parser("retarget", parents=[common],
+    p = sub.add_parser("retarget", parents=[common, domain_arg],
                        help="specialize the abstract interpreter to a target")
     p.add_argument("--target", choices=TARGETS, required=True)
-    p.add_argument("--domain", choices=("sign", "interval"), required=True)
     p.add_argument("--emit", help="write the residual program to this file")
     p.set_defaults(fn=cmd_retarget)
 
-    p = sub.add_parser("analyze-specialized", parents=[common],
+    p = sub.add_parser("analyze-specialized", parents=[common, domain_arg],
                        help="analyze using an emitted residual")
     p.add_argument("residual", help="residual program file (.met)")
     p.add_argument("program")
-    p.add_argument("--domain", choices=("sign", "interval"), required=True)
     add_analysis_inputs(p)
     p.set_defaults(fn=cmd_analyze_specialized)
 
     for name, fn in (("check", cmd_check), ("bench", cmd_bench)):
-        p = sub.add_parser(name, parents=[common])
+        p = sub.add_parser(name, parents=[common, domain_arg])
         p.add_argument("--target", choices=TARGETS, required=True)
-        p.add_argument("--domain", choices=("sign", "interval"), required=True)
         p.add_argument("--trials", type=int, default=1000)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", choices=("text", "json"), default="text")

@@ -227,7 +227,10 @@ NumAbs = SignSet | Interval
 
 @dataclass(frozen=True)
 class NumericDomain:
-    """A numeric abstraction: a name plus the carrier type's operations."""
+    """A numeric abstraction: a name plus its carrier type.
+
+    The lattice operations are methods of the carrier values themselves.
+    """
 
     name: str
     carrier: type
@@ -237,30 +240,6 @@ class NumericDomain:
 
     def top(self) -> NumAbs:
         return self.carrier.top()
-
-    def leq(self, a: NumAbs, b: NumAbs) -> bool:
-        return a.leq(b)
-
-    def join(self, a: NumAbs, b: NumAbs) -> NumAbs:
-        return a.join(b)
-
-    def contains(self, a: NumAbs, n: int) -> bool:
-        return a.contains(n)
-
-    def add(self, a: NumAbs, b: NumAbs) -> NumAbs:
-        return a.add(b)
-
-    def mul(self, a: NumAbs, b: NumAbs) -> NumAbs:
-        return a.mul(b)
-
-    def eq(self, a: NumAbs, b: NumAbs) -> NumAbs:
-        return a.eq(b)
-
-    def may_be_nonzero(self, a: NumAbs) -> bool:
-        return a.may_be_nonzero()
-
-    def may_be_zero(self, a: NumAbs) -> bool:
-        return a.may_be_zero()
 
 
 SIGN = NumericDomain("sign", SignSet)
@@ -546,7 +525,11 @@ def parse_abs(text: str, domain: NumericDomain) -> AbsValue:
             parts = body.split(",")
             if len(parts) != 2:
                 raise ParseError(f"malformed interval [{body}]")
-            return Num(Interval(_parse_bound(parts[0], -1), _parse_bound(parts[1], +1)))
+            lo, hi = _parse_bound(parts[0], -1), _parse_bound(parts[1], +1)
+            try:
+                return Num(Interval(lo, hi))
+            except ValueError:
+                raise ParseError(f"empty interval [{body}]; use 'bot'") from None
         if c == "{":
             end = text.find("}", pos)
             if end < 0:

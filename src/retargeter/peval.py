@@ -16,16 +16,15 @@ with two structured forms that the workload needs:
 
 Projections and matches on known values execute during specialization;
 matches on residual values are themselves residualized with freshly
-named pattern variables.  Concrete arithmetic on known integers folds
-(configurable); abstract primitives are residualized by default, since
-abstract values have no literal syntax to reify into.
+named pattern variables.  Concrete arithmetic on known integers folds;
+abstract primitives are always residualized, since abstract values have
+no literal syntax to reify into.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .domains import NumericDomain
 from .errors import FuelExhausted, ReifyError, StuckError
 from .met.interp import eval_prim, match_pattern
 from .met.printer import count_nodes
@@ -102,28 +101,18 @@ class PEClosure(PEValue):
 
 @dataclass(frozen=True)
 class PEConfig:
-    """Policy knobs of the specializer.
+    """Budget of the specializer.
 
     ``unfold_fuel`` bounds function-call unfoldings (user programs may
     recurse on dynamic data, which cannot terminate under
-    specialization).  ``fold_abstract_prims`` executes abstract
-    primitives on known arguments at specialization time; it requires
-    ``fold_domain`` and the folded values cannot be reified into
-    residual syntax, so it is off by default.  ``name_seed`` offsets the
-    deterministic fresh-name counters.
+    specialization).
     """
 
     unfold_fuel: int = 100_000
-    fold_concrete_arith: bool = True
-    fold_abstract_prims: bool = False
-    name_seed: int = 0
-    fold_domain: NumericDomain | None = None
 
     def __post_init__(self):
         if self.unfold_fuel <= 0:
             raise ValueError("unfold_fuel must be positive")
-        if self.fold_abstract_prims and self.fold_domain is None:
-            raise ValueError("fold_abstract_prims requires fold_domain")
 
 
 def reify(v: MetValue) -> MetExpr:
@@ -156,7 +145,7 @@ class _Specializer:
     # -- fresh names -------------------------------------------------------
 
     def fresh(self, base: str) -> str:
-        count = self._name_counts.get(base, self.cfg.name_seed)
+        count = self._name_counts.get(base, 0)
         while True:
             name = base if count == 0 else f"{base}{count}"
             count += 1
@@ -219,8 +208,9 @@ class _Specializer:
             case Dynamic(r):
                 return Dynamic(Proj1(r) if first else Proj2(r))
             case Static(VAbs()):
-                # Abstract primitives (projections included) never run at
-                # specialization time; residualizing would need a literal.
+                # Reached from an abstract static input.  Abstract primitives
+                # (projections included) never run at specialization time,
+                # and residualizing would need a literal.
                 raise ReifyError("projection of an abstract value at specialization time")
             case _:
                 raise StuckError("projection of a non-tuple")
@@ -254,12 +244,9 @@ class _Specializer:
         self.unfolds_left -= 1
 
     def pe_prim(self, op: PrimOp, vs: list[PEValue]) -> PEValue:
-        all_static = all(isinstance(v, Static) for v in vs)
-        if not op.is_abstract:
-            if all_static and self.cfg.fold_concrete_arith:
-                return Static(eval_prim(op, [v.value for v in vs], self.cfg.fold_domain))
-        elif all_static and self.cfg.fold_abstract_prims:
-            return Static(eval_prim(op, [v.value for v in vs], self.cfg.fold_domain))
+        if not op.is_abstract and all(isinstance(v, Static) for v in vs):
+            # Concrete arithmetic needs no domain.
+            return Static(eval_prim(op, [v.value for v in vs], None))
         return Dynamic(Prim(op, tuple(self.residualize(v) for v in vs)))
 
     # -- match handling ------------------------------------------------------

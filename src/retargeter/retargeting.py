@@ -24,7 +24,7 @@ from .domains import AbsValue, NumericDomain, contains, format_abs, met_value_to
 from .met.interp import apply_met_function
 from .met.syntax import EvalBudget, MetExpr, VAbs, VTuple
 from .peval import PEConfig, residual_stats, specialize
-from .srclang import SPair, embed_src_expr, embed_src_value, print_src
+from .srclang import SPair, embed_src_expr, embed_src_value
 from .tgtlang import (
     TgtProgram,
     check_target,
@@ -43,15 +43,13 @@ class RetargetedAnalyzer:
     """A residual analyzer for one target language.
 
     ``residual`` is a closed one-argument function over the encoded
-    ``(program, input)`` pair; ``interpreter_text`` records which
-    definitional interpreter it was derived from.
+    ``(program, input)`` pair, derived from the definitional interpreter
+    ``interpreter_fixture(target)``.
     """
 
     residual: MetExpr
     domain: NumericDomain
     target: str
-    config: PEConfig
-    interpreter_text: str
 
     def stats(self):
         return residual_stats(self.residual)
@@ -61,10 +59,9 @@ def retarget(target: str, domain: NumericDomain, cfg: PEConfig | None = None) ->
     """Derive an analyzer for ``target`` by specializing the abstract
     interpreter to that target's definitional interpreter."""
     check_target(target)
-    cfg = cfg or PEConfig()
     fixture = interpreter_fixture(target)
     residual = specialize(build_abstract_interpreter(), embed_src_expr(fixture), cfg)
-    return RetargetedAnalyzer(residual, domain, target, cfg, print_src(fixture))
+    return RetargetedAnalyzer(residual, domain, target)
 
 
 def run_specialized(analyzer: RetargetedAnalyzer, p: TgtProgram, i: int,
@@ -147,13 +144,13 @@ class Report:
 
 
 def _harness(kind: str, domain: NumericDomain, target: str, trials: int, seed: int,
-             magnitude: int, cfg: PEConfig | None, judge) -> Report:
+             magnitude: int, judge) -> Report:
     """Shared trial loop: run meta-level and specialized analyses on the
     same random (program, input) pairs and let ``judge`` flag failures."""
     check_target(target)
     if trials < 0:
         raise ValueError("trials must be nonnegative")
-    analyzer = retarget(target, domain, cfg)
+    analyzer = retarget(target, domain)
     fixture = interpreter_fixture(target)
     rng = random.Random(seed)
     report = Report(kind, domain.name, target, trials, seed)
@@ -183,8 +180,7 @@ def _harness(kind: str, domain: NumericDomain, target: str, trials: int, seed: i
 
 
 def check_equivalence(domain: NumericDomain, target: str, trials: int = 1000,
-                      seed: int = 0, magnitude: int = 1000,
-                      cfg: PEConfig | None = None) -> Report:
+                      seed: int = 0, magnitude: int = 1000) -> Report:
     """Specialized and meta-level analyses must agree structurally."""
 
     def judge(program, value, meta, spec, mb, sb):
@@ -192,12 +188,11 @@ def check_equivalence(domain: NumericDomain, target: str, trials: int = 1000,
             return {"meta": format_abs(meta), "specialized": format_abs(spec)}
         return None
 
-    return _harness("equivalence", domain, target, trials, seed, magnitude, cfg, judge)
+    return _harness("equivalence", domain, target, trials, seed, magnitude, judge)
 
 
 def check_soundness(domain: NumericDomain, target: str, trials: int = 1000,
-                    seed: int = 0, magnitude: int = 1000,
-                    cfg: PEConfig | None = None) -> Report:
+                    seed: int = 0, magnitude: int = 1000) -> Report:
     """The concrete result must be a member of the analyzed result."""
 
     def judge(program, value, meta, spec, mb, sb):
@@ -206,12 +201,11 @@ def check_soundness(domain: NumericDomain, target: str, trials: int = 1000,
             return {"concrete": repr(concrete), "specialized": format_abs(spec)}
         return None
 
-    return _harness("soundness", domain, target, trials, seed, magnitude, cfg, judge)
+    return _harness("soundness", domain, target, trials, seed, magnitude, judge)
 
 
 def bench_steps(domain: NumericDomain, target: str, trials: int = 1000,
-                seed: int = 0, magnitude: int = 1000,
-                cfg: PEConfig | None = None) -> Report:
+                seed: int = 0, magnitude: int = 1000) -> Report:
     """The residual must use strictly fewer evaluation steps per trial."""
 
     def judge(program, value, meta, spec, meta_budget, spec_budget):
@@ -220,4 +214,4 @@ def bench_steps(domain: NumericDomain, target: str, trials: int = 1000,
                     "spec_steps": spec_budget.steps_used}
         return None
 
-    return _harness("bench", domain, target, trials, seed, magnitude, cfg, judge)
+    return _harness("bench", domain, target, trials, seed, magnitude, judge)

@@ -95,9 +95,11 @@ class TestAnalyze:
         assert code == 0 and out.strip() == "[47,47]"
 
     def test_bad_abstract_input_exit_2(self, capsys, add42):
-        code, _, _ = run_cli(capsys, "analyze", add42,
-                             "--domain", "interval", "--abs-input", "{0}")
-        assert code == 2
+        # An inverted interval is malformed input, not a property failure.
+        for text in ("{0}", "[5,3]"):
+            code, _, _ = run_cli(capsys, "analyze", add42,
+                                 "--domain", "interval", "--abs-input", text)
+            assert code == 2, text
 
     def test_abstract_seq2(self, capsys, seq):
         # Oracle: hull of (i + 1) * 3 over i in 0..10.
@@ -128,6 +130,14 @@ class TestRetarget:
         code, out, _ = run_cli(capsys, "analyze-specialized", str(emitted), add42,
                                "--domain", "interval", "--abs-input", "[0,10]")
         assert code == 0 and out.strip() == "[42,52]"
+
+    def test_inverted_interval_input_exit_2(self, capsys, tmp_path, add42):
+        emitted = tmp_path / "single.met"
+        run_cli(capsys, "retarget", "--target", "single", "--domain", "interval",
+                "--emit", str(emitted))
+        code, _, err = run_cli(capsys, "analyze-specialized", str(emitted), add42,
+                               "--domain", "interval", "--abs-input", "[5,3]")
+        assert code == 2 and "empty interval" in err
 
     def test_deterministic_emission(self, capsys, tmp_path):
         a, b = tmp_path / "a.met", tmp_path / "b.met"

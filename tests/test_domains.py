@@ -177,6 +177,7 @@ class TestTextualForms:
         for text, domain in [
             ("[1,2]", SIGN), ("{0}", INTERVAL), ("[2,", INTERVAL),
             ("{}", SIGN), ("nope", SIGN), ("[a,b]", INTERVAL), ("(top)", SIGN),
+            ("[5,3]", INTERVAL), ("(top, [1,-1])", INTERVAL),
         ]:
             with pytest.raises(ParseError):
                 parse_abs(text, domain)
