@@ -24,7 +24,6 @@ from .errors import (
     StuckError,
 )
 from .met.syntax import EvalBudget
-from .peval import PEConfig
 from .retargeting import (
     Report,
     RetargetedAnalyzer,

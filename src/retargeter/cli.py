@@ -9,40 +9,35 @@ Subcommands::
     check                randomized soundness + equivalence harnesses
     bench                step-count comparison, specialized vs meta
 
-Exit codes: 0 success, 1 property failure, 2 parse error, 3 fuel
-exhausted, 4 specialization failure.  ``RETARGETER_FUEL`` overrides the
-default evaluation step budget; a ``--fuel`` flag overrides both.
+Exit codes: 0 success, 1 property failure, 2 parse error, 3 step budget
+exhausted.  ``analyze`` and ``analyze-specialized`` take ``--fuel``, the
+evaluation step budget (default 1,000,000); no other subcommand has one.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
-from .analyzer import abstract_target_input, analyze_meta, analyze_meta_abstract
-from .domains import DOMAINS, AbsValue, format_abs, get_domain, parse_abs
-from .errors import FuelExhausted, ParseError, ReifyError, RetargeterError
+from .analyzer import abstract_target_input, analyze_meta_abstract
+from .domains import DOMAINS, AbsValue, Num, format_abs, get_domain, parse_abs
+from .errors import FuelExhausted, ParseError, RetargeterError
 from .met.parser import parse_met
 from .met.printer import print_met
 from .met.syntax import DEFAULT_FUEL, EvalBudget
-from .peval import PEConfig
 from .retargeting import (
     RetargetedAnalyzer,
     bench_steps,
     check_equivalence,
     check_soundness,
     retarget,
-    run_specialized,
     run_specialized_abstract,
 )
-from .srclang import SPair
 from .tgtlang import (
     TARGETS,
     encode_tgt_program,
-    encode_tgt_value,
     eval_tgt,
     interpreter_fixture,
     parse_tgt_program,
@@ -53,23 +48,6 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_PARSE = 2
 EXIT_FUEL = 3
-EXIT_SPECIALIZE = 4
-
-
-def _fuel(args) -> int:
-    if args.fuel is not None:
-        return args.fuel
-    env = os.environ.get("RETARGETER_FUEL")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise RetargeterError(f"RETARGETER_FUEL is not an integer: {env!r}") from None
-    return DEFAULT_FUEL
-
-
-def _budget(args) -> EvalBudget:
-    return EvalBudget(fuel=_fuel(args))
 
 
 def _read(path: str) -> str:
@@ -86,10 +64,13 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _resolve_input(args, domain) -> int | AbsValue:
-    """The concrete (``int``) or abstract analysis input for a target program."""
+def _resolve_input(args, domain) -> AbsValue:
+    """The abstract analysis input for a target program.  A concrete
+    ``--input n`` is its singleton abstraction: the interpreter abstracts
+    its input before anything else, so both analyze to the same result
+    in the same number of steps."""
     if args.input is not None:
-        return args.input
+        return Num(domain.eta_int(args.input))
     return parse_abs(args.abs_input, domain)
 
 
@@ -97,24 +78,15 @@ def cmd_analyze(args) -> int:
     domain = get_domain(args.domain)
     program = _load_program(args.program)
     fixture = interpreter_fixture(target_of(program))
-    value = _resolve_input(args, domain)
-    if isinstance(value, int):
-        src_input = SPair(encode_tgt_program(program), encode_tgt_value(value))
-        result = analyze_meta(domain, fixture, src_input, _budget(args))
-    else:
-        abstract = abstract_target_input(domain, encode_tgt_program(program), value)
-        result = analyze_meta_abstract(domain, fixture, abstract, _budget(args))
+    abstract = abstract_target_input(domain, encode_tgt_program(program),
+                                      _resolve_input(args, domain))
+    result = analyze_meta_abstract(domain, fixture, abstract, EvalBudget(fuel=args.fuel))
     print(format_abs(result))
     return EXIT_OK
 
 
 def cmd_retarget(args) -> int:
-    domain = get_domain(args.domain)
-    try:
-        analyzer = retarget(args.target, domain, PEConfig(unfold_fuel=_fuel(args)))
-    except RetargeterError as err:
-        print(f"error: specialization failed: {err}", file=sys.stderr)
-        return EXIT_SPECIALIZE
+    analyzer = retarget(args.target, get_domain(args.domain))
     text = print_met(analyzer.residual)
     if args.emit:
         Path(args.emit).write_text(text + "\n")
@@ -132,11 +104,8 @@ def cmd_analyze_specialized(args) -> int:
     program = _load_program(args.program)
     # The residual is trusted to have been retargeted to this program's language.
     analyzer = RetargetedAnalyzer(residual, domain, target_of(program))
-    value = _resolve_input(args, domain)
-    if isinstance(value, int):
-        result = run_specialized(analyzer, program, value, _budget(args))
-    else:
-        result = run_specialized_abstract(analyzer, program, value, _budget(args))
+    result = run_specialized_abstract(analyzer, program, _resolve_input(args, domain),
+                                      EvalBudget(fuel=args.fuel))
     print(format_abs(result))
     return EXIT_OK
 
@@ -170,16 +139,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Derive and run static analyzers for small target languages "
                     "by specializing an abstract interpreter.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--fuel", type=int, default=None,
-                        help="evaluation step budget (default: RETARGETER_FUEL or "
-                             f"{DEFAULT_FUEL})")
     domain_arg = argparse.ArgumentParser(add_help=False)
     domain_arg.add_argument("--domain", choices=tuple(DOMAINS), required=True)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run", parents=[common], help="run a target program")
+    p = sub.add_parser("run", help="run a target program")
     p.add_argument("program", help="target program file (e.g. add42.tgt)")
     p.add_argument("--input", type=int, required=True)
     p.set_defaults(fn=cmd_run)
@@ -189,20 +154,22 @@ def build_parser() -> argparse.ArgumentParser:
         group.add_argument("--input", type=int, help="concrete integer input")
         group.add_argument("--abs-input", dest="abs_input",
                            help="abstract input, e.g. '[0,10]' or '{0,+}'")
+        p.add_argument("--fuel", type=int, default=DEFAULT_FUEL,
+                       help=f"evaluation step budget (default: {DEFAULT_FUEL})")
 
-    p = sub.add_parser("analyze", parents=[common, domain_arg],
+    p = sub.add_parser("analyze", parents=[domain_arg],
                        help="analyze a target program meta-level")
     p.add_argument("program")
     add_analysis_inputs(p)
     p.set_defaults(fn=cmd_analyze)
 
-    p = sub.add_parser("retarget", parents=[common, domain_arg],
+    p = sub.add_parser("retarget", parents=[domain_arg],
                        help="specialize the abstract interpreter to a target")
     p.add_argument("--target", choices=TARGETS, required=True)
     p.add_argument("--emit", help="write the residual program to this file")
     p.set_defaults(fn=cmd_retarget)
 
-    p = sub.add_parser("analyze-specialized", parents=[common, domain_arg],
+    p = sub.add_parser("analyze-specialized", parents=[domain_arg],
                        help="analyze using an emitted residual")
     p.add_argument("residual", help="residual program file (.met)")
     p.add_argument("program")
@@ -210,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_analyze_specialized)
 
     for name, fn in (("check", cmd_check), ("bench", cmd_bench)):
-        p = sub.add_parser(name, parents=[common, domain_arg])
+        p = sub.add_parser(name, parents=[domain_arg])
         p.add_argument("--target", choices=TARGETS, required=True)
         p.add_argument("--trials", type=int, default=1000)
         p.add_argument("--seed", type=int, default=0)
@@ -230,9 +197,6 @@ def main(argv: list[str] | None = None) -> int:
     except FuelExhausted as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FUEL
-    except ReifyError as err:
-        print(f"error: specialization failed: {err}", file=sys.stderr)
-        return EXIT_SPECIALIZE
     except (RetargeterError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAILURE

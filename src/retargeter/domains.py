@@ -550,7 +550,10 @@ def parse_abs(text: str, domain: NumericDomain) -> AbsValue:
             return Num(SignSet(frozenset(signs)))
         raise ParseError(f"unexpected character {c!r} in abstract value")
 
-    result = parse_value()
+    try:
+        result = parse_value()
+    except RecursionError:
+        raise ParseError("input nested too deeply") from None
     skip_ws()
     if pos != len(text):
         raise ParseError(f"trailing input in abstract value: {text[pos:]!r}")

@@ -31,7 +31,7 @@ a tag-to-arity signature, and match patterns must be linear.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from ..errors import ParseError
 from .syntax import (
@@ -114,10 +114,9 @@ def tokenize(text: str) -> Iterator[Token]:
 
 
 class _Parser:
-    def __init__(self, text: str, constructors: Mapping[str, int]):
+    def __init__(self, text: str):
         self.tokens = list(tokenize(text))
         self.pos = 0
-        self.constructors = constructors
 
     # -- token helpers ----------------------------------------------------
 
@@ -139,6 +138,14 @@ class _Parser:
         if tok.text != text or tok.kind == "EOF":
             raise self.error(f"expected {text!r}, found {tok.text!r}")
         return self.advance()
+
+    def int_literal(self) -> int:
+        tok = self.advance()
+        try:
+            return int(tok.text)
+        except ValueError:    # more digits than int() converts
+            raise self.error(f"integer literal too long ({len(tok.text)} characters)",
+                             tok) from None
 
     def expect_name(self) -> str:
         tok = self.cur
@@ -246,8 +253,7 @@ class _Parser:
     def parse_atom(self) -> MetExpr:
         tok = self.cur
         if tok.kind == "INT":
-            self.advance()
-            return IntLit(int(tok.text))
+            return IntLit(self.int_literal())
         if tok.kind == "LIDENT" and tok.text in PRIM_NAMES:
             self.advance()
             op = PRIM_NAMES[tok.text]
@@ -286,7 +292,7 @@ class _Parser:
         return items
 
     def check_tag(self, tok: Token, arity: int) -> None:
-        expected = self.constructors.get(tok.text)
+        expected = SRC_SIGNATURE.get(tok.text)
         if expected is None:
             raise self.error(f"unknown constructor {tok.text!r}", tok)
         if expected != arity:
@@ -299,8 +305,7 @@ class _Parser:
     def parse_pattern(self) -> Pattern:
         tok = self.cur
         if tok.kind == "INT":
-            self.advance()
-            return PInt(int(tok.text))
+            return PInt(self.int_literal())
         if tok.text == "_":
             self.advance()
             return PWild()
@@ -326,14 +331,17 @@ class _Parser:
         raise self.error(f"expected a pattern, found {tok.text!r}")
 
 
-def parse_met(text: str, constructors: Mapping[str, int] | None = None) -> MetExpr:
+def parse_met(text: str) -> MetExpr:
     """Parse meta-language source text into an AST.
 
-    ``constructors`` maps allowed constructor tags to their arities and
-    defaults to the embedded source-language signature.
+    Constructor tags are those of the embedded source-language AST
+    (``SRC_SIGNATURE``).
     """
-    parser = _Parser(text, SRC_SIGNATURE if constructors is None else constructors)
-    expr = parser.parse_expr()
+    parser = _Parser(text)
+    try:
+        expr = parser.parse_expr()
+    except RecursionError:
+        raise ParseError("input nested too deeply") from None
     tok = parser.cur
     if tok.kind != "EOF":
         raise parser.error(f"trailing input starting at {tok.text!r}")

@@ -265,8 +265,7 @@ class EvalBudget:
 
 
 # Constructor signature of the embedded source-language AST: tag -> arity.
-# Parsers check constructor applications against this (callers may extend
-# it with fixture-specific tags).
+# The meta-language parser checks constructor applications against this.
 SRC_SIGNATURE: dict[str, int] = {
     "X": 0,
     "Num": 1,

@@ -99,22 +99,6 @@ class PEClosure(PEValue):
     self_name: str | None = None
 
 
-@dataclass(frozen=True)
-class PEConfig:
-    """Budget of the specializer.
-
-    ``unfold_fuel`` bounds function-call unfoldings (user programs may
-    recurse on dynamic data, which cannot terminate under
-    specialization).
-    """
-
-    unfold_fuel: int = 100_000
-
-    def __post_init__(self):
-        if self.unfold_fuel <= 0:
-            raise ValueError("unfold_fuel must be positive")
-
-
 def reify(v: MetValue) -> MetExpr:
     """Literal expression evaluating to ``v`` in the empty environment."""
     match v:
@@ -131,14 +115,19 @@ def reify(v: MetValue) -> MetExpr:
     raise TypeError(f"not a meta-language value: {v!r}")
 
 
+# Bound on function-call unfoldings per specialization.  Unfolding is
+# driven by static data, so a fixed interpreter needs a fixed number of
+# them (tens here); the bound only stops recursion on unknown data.
+UNFOLD_LIMIT = 100_000
+
 _NO_MATCH = object()
 _UNKNOWN = object()
 
 
 class _Specializer:
-    def __init__(self, cfg: PEConfig):
-        self.cfg = cfg
-        self.unfolds_left = cfg.unfold_fuel
+    def __init__(self):
+        self.limit = UNFOLD_LIMIT
+        self.unfolds_left = self.limit
         self._name_counts: dict[str, int] = {}
         self._used_names: set[str] = set()
 
@@ -239,7 +228,7 @@ class _Specializer:
     def spend_unfold(self) -> None:
         if self.unfolds_left <= 0:
             raise FuelExhausted(
-                f"specialization exceeded {self.cfg.unfold_fuel} call unfoldings"
+                f"specialization exceeded {self.limit} call unfoldings"
             )
         self.unfolds_left -= 1
 
@@ -344,19 +333,17 @@ def rename_pattern(pat: Pattern, renaming: dict[str, str]) -> Pattern:
     raise TypeError(f"not a pattern: {pat!r}")
 
 
-def specialize(e: MetExpr, static_input: MetValue, cfg: PEConfig | None = None) -> MetExpr:
+def specialize(e: MetExpr, static_input: MetValue) -> MetExpr:
     """Specialize function ``e`` to a known first tuple component.
 
     ``e`` must be closed and denote a function over a pair; the result
     is a one-argument function over the remaining component.
 
     Unfolding recursion that is controlled by unknown data cannot
-    terminate; it ends in :class:`FuelExhausted`, either from the
-    configured unfold budget or from the host stack, whichever is hit
-    first.
+    terminate; it ends in :class:`FuelExhausted`, either from
+    ``UNFOLD_LIMIT`` or from the host stack, whichever is hit first.
     """
-    cfg = cfg or PEConfig()
-    spec = _Specializer(cfg)
+    spec = _Specializer()
     try:
         fn = spec.pe(e, {})
         param = spec.fresh("i")

@@ -15,7 +15,6 @@ strictly cheaper to run (``bench_steps``).
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 
@@ -23,7 +22,7 @@ from .analyzer import analyze_meta, build_abstract_interpreter
 from .domains import AbsValue, NumericDomain, contains, format_abs, met_value_to_abs
 from .met.interp import apply_met_function
 from .met.syntax import EvalBudget, MetExpr, VAbs, VTuple
-from .peval import PEConfig, residual_stats, specialize
+from .peval import residual_stats, specialize
 from .srclang import SPair, embed_src_expr, embed_src_value
 from .tgtlang import (
     TgtProgram,
@@ -55,12 +54,12 @@ class RetargetedAnalyzer:
         return residual_stats(self.residual)
 
 
-def retarget(target: str, domain: NumericDomain, cfg: PEConfig | None = None) -> RetargetedAnalyzer:
+def retarget(target: str, domain: NumericDomain) -> RetargetedAnalyzer:
     """Derive an analyzer for ``target`` by specializing the abstract
     interpreter to that target's definitional interpreter."""
     check_target(target)
     fixture = interpreter_fixture(target)
-    residual = specialize(build_abstract_interpreter(), embed_src_expr(fixture), cfg)
+    residual = specialize(build_abstract_interpreter(), embed_src_expr(fixture))
     return RetargetedAnalyzer(residual, domain, target)
 
 
@@ -123,9 +122,6 @@ class Report:
             "mean_spec_steps": self.mean_spec_steps,
             "ratio": self.ratio,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2)
 
     def to_text(self) -> str:
         status = "ok" if self.ok else f"{len(self.failures)} failure(s)"

@@ -135,7 +135,10 @@ def parse_src(text: str) -> SrcExpr:
         except ValueError:
             raise ParseError(f"unexpected token {tok!r}") from None
 
-    expr = parse()
+    try:
+        expr = parse()
+    except RecursionError:
+        raise ParseError("input nested too deeply") from None
     if pos != len(tokens):
         raise ParseError(f"trailing input starting at {tokens[pos]!r}")
     return expr

@@ -84,15 +84,11 @@ class TestAnalyze:
                                "--input", "5", "--fuel", "4")
         assert code == 3 and "steps" in err
 
-    def test_env_var_fuel(self, capsys, add42, monkeypatch):
-        monkeypatch.setenv("RETARGETER_FUEL", "4")
-        code, _, _ = run_cli(capsys, "analyze", add42, "--domain", "interval",
-                             "--input", "5")
-        assert code == 3
-        # The flag wins over the environment.
-        code, out, _ = run_cli(capsys, "analyze", add42, "--domain", "interval",
-                               "--input", "5", "--fuel", "100000")
-        assert code == 0 and out.strip() == "[47,47]"
+    def test_deeply_nested_abstract_input_exit_2(self, capsys, add42):
+        nested = "(" * 2000 + "top" + ", top)" * 2000
+        code, _, err = run_cli(capsys, "analyze", add42, "--domain", "interval",
+                               "--abs-input", nested)
+        assert code == 2 and "nested too deeply" in err
 
     def test_bad_abstract_input_exit_2(self, capsys, add42):
         # An inverted interval is malformed input, not a property failure.
@@ -147,18 +143,46 @@ class TestRetarget:
                 "--emit", str(b))
         assert a.read_text() == b.read_text()
 
-    def test_pe_failure_exit_4(self, capsys, tmp_path):
-        code, _, err = run_cli(capsys, "retarget", "--target", "seq2",
-                               "--domain", "sign", "--fuel", "3",
-                               "--emit", str(tmp_path / "x.met"))
-        assert code == 4 and "specialization failed" in err
-
     def test_invalid_residual_file_exit_2(self, capsys, tmp_path, add42):
         bad = tmp_path / "bad.met"
         bad.write_text("let x = in")
         code, _, _ = run_cli(capsys, "analyze-specialized", str(bad), add42,
                              "--domain", "interval", "--input", "1")
         assert code == 2
+
+    def test_deeply_nested_residual_file_exit_2(self, capsys, tmp_path, add42):
+        deep = tmp_path / "deep.met"
+        deep.write_text("(" * 400 + "fun i -> eta(snd i)" + ")" * 400)
+        code, _, err = run_cli(capsys, "analyze-specialized", str(deep), add42,
+                               "--domain", "interval", "--input", "1")
+        assert code == 2 and "nested too deeply" in err
+
+
+class TestInputsAndFlags:
+    @pytest.mark.parametrize("domain,abstract", [("interval", "[5,5]"), ("sign", "{+}")])
+    def test_concrete_input_is_its_singleton_abstraction(self, capsys, tmp_path, seq,
+                                                         domain, abstract):
+        emitted = tmp_path / "seq2.met"
+        run_cli(capsys, "retarget", "--target", "seq2", "--domain", domain,
+                "--emit", str(emitted))
+        for command in (["analyze"], ["analyze-specialized", str(emitted)]):
+            lines = [run_cli(capsys, *command, seq, "--domain", domain, *flags)[1]
+                     for flags in (["--input", "5"], ["--abs-input", abstract])]
+            assert lines[0] == lines[1], command
+        assert lines[0].strip() == ("[18,18]" if domain == "interval" else "{+}")
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "PROGRAM", "--input", "5"],
+        ["retarget", "--target", "single", "--domain", "sign"],
+        ["check", "--target", "single", "--domain", "sign", "--trials", "1"],
+        ["bench", "--target", "single", "--domain", "sign", "--trials", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_fuel_is_rejected_where_no_steps_are_budgeted(self, capsys, add42, argv):
+        argv = [add42 if a == "PROGRAM" else a for a in argv]
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--fuel", "5"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --fuel" in capsys.readouterr().err
 
 
 class TestCheckAndBench:

@@ -182,6 +182,10 @@ class TestTextualForms:
             with pytest.raises(ParseError):
                 parse_abs(text, domain)
 
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_abs("(" * 2000 + "top" + ", top)" * 2000, INTERVAL)
+
     def test_get_domain(self):
         assert get_domain("sign") is SIGN
         assert get_domain("interval") is INTERVAL

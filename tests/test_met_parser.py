@@ -100,9 +100,16 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="trailing"):
             parse_met("1 2)")
 
-    def test_custom_signature(self):
-        expr = parse_met("Cons(1, Nil)", constructors={"Cons": 2, "Nil": 0})
-        assert expr == Construct("Cons", (IntLit(1), Construct("Nil", ())))
+    def test_overlong_integer_literal_has_position(self):
+        digits = "9" * 5000
+        for text, column in ((digits, 1), (f"match x with | {digits} -> 0", 16)):
+            with pytest.raises(ParseError, match="integer literal too long") as err:
+                parse_met(text)
+            assert (err.value.line, err.value.column) == (1, column)
+
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_met("(" * 400 + "x" + ")" * 400)
 
 
 class TestRoundTrip:

@@ -25,16 +25,17 @@ from retargeter.met.syntax import (
     VTuple,
     Var,
 )
-from retargeter.peval import PEConfig, reify, residual_stats, specialize
+from retargeter import peval
+from retargeter.peval import reify, residual_stats, specialize
 from retargeter.srclang import embed_src_expr
 from retargeter.tgtlang import interpreter_fixture
 
 from corpus import CORPUS
 
 
-def eq3_holds(expr, i1, i2, domain=INTERVAL, cfg=None):
+def eq3_holds(expr, i1, i2, domain=INTERVAL):
     """Specialize-then-run equals run-unspecialized (both defined here)."""
-    residual = specialize(expr, i1, cfg)
+    residual = specialize(expr, i1)
     specialized = apply_met_function(residual, i2, domain, EvalBudget())
     direct = apply_met_function(expr, VTuple(i1, i2), domain, EvalBudget())
     return specialized == direct, specialized, direct, residual
@@ -67,11 +68,8 @@ class TestSpecializeExamples:
         assert residual == Lambda("i", Prim(PrimOp.ADD, (IntLit(3), Var("i"))))
 
     def test_static_branch_selection_removes_match(self):
-        expr = parse_met(
-            "fun x -> match fst x with | Add(n) -> n | Mul(n) -> 0",
-            constructors={"Add": 1, "Mul": 1},
-        )
-        residual = specialize(expr, VConstruct("Add", (VInt(7),)))
+        expr = parse_met("fun x -> match fst x with | Num(n) -> n | X -> 0")
+        residual = specialize(expr, VConstruct("Num", (VInt(7),)))
         assert count_nodes(residual).get("Match", 0) == 0
         assert apply_met_function(residual, VInt(123), INTERVAL) == VInt(7)
 
@@ -154,20 +152,22 @@ class TestSpecializeProperties:
         i1 = embed_src_expr(interpreter_fixture("single"))
         assert specialize(expr, i1) == specialize(expr, i1)
 
-    def test_fuel_monotonicity(self):
-        expr = parse_met(
-            "fun x -> let rec len l = match l with | X -> 0 | Pair(h, t) -> 1 + len t "
-            "in len (fst x) + snd x"
-        )
-        chain = VConstruct("Pair", (VInt(1), VConstruct("Pair", (VInt(2), VConstruct("X", ())))))
-        small = specialize(expr, chain, PEConfig(unfold_fuel=50))
-        large = specialize(expr, chain, PEConfig(unfold_fuel=100_000))
-        assert small == large
-
-    def test_unfold_fuel_exhaustion(self):
+    def test_unfold_fuel_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(peval, "UNFOLD_LIMIT", 100)
         expr = parse_met("fun x -> let rec spin y = spin y in spin (snd x)")
-        with pytest.raises(FuelExhausted):
-            specialize(expr, VInt(0), PEConfig(unfold_fuel=100))
+        with pytest.raises(FuelExhausted, match="100 call unfoldings"):
+            specialize(expr, VInt(0))
+
+    def test_exponential_static_unfolding_hits_the_unfold_limit(self, monkeypatch):
+        # Static data drives the recursion, so it terminates, but only
+        # after 2^31 - 1 unfoldings at a host depth of 31.
+        monkeypatch.setattr(peval, "UNFOLD_LIMIT", 1000)
+        expr = parse_met(
+            "fun x -> let rec f n = match n with | 0 -> snd x "
+            "| m -> f (m + -1) + f (m + -1) in f (fst x)"
+        )
+        with pytest.raises(FuelExhausted, match="exceeded 1000 call unfoldings"):
+            specialize(expr, VInt(30))
 
     def test_recursion_on_dynamic_data_exhausts_rather_than_crashing(self):
         # Monovariant unfolding cannot close a loop over unknown data;

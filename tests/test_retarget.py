@@ -224,7 +224,7 @@ class TestHarnesses:
 
     def test_report_serialization(self):
         report = bench_steps(SIGN, "seq2", trials=10, seed=0)
-        payload = json.loads(report.to_json())
+        payload = json.loads(json.dumps(report.as_dict()))
         assert set(payload) == {
             "kind", "domain", "target", "trials", "seed", "failures",
             "mean_meta_steps", "mean_spec_steps", "ratio",

@@ -48,6 +48,10 @@ class TestParse:
             with pytest.raises(ParseError):
                 parse_src(bad)
 
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_src("(fst " * 2000 + "x" + ")" * 2000)
+
     def test_round_trip(self):
         rng = random.Random(5)
         for _ in range(300):
