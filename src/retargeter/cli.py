@@ -9,9 +9,11 @@ Subcommands::
     check                randomized soundness + equivalence harnesses
     bench                step-count comparison, specialized vs meta
 
-Exit codes: 0 success, 1 property failure, 2 parse error, 3 step budget
-exhausted.  ``analyze`` and ``analyze-specialized`` take ``--fuel``, the
-evaluation step budget (default 1,000,000); no other subcommand has one.
+Exit codes: 0 success, 1 property failure, 2 malformed input (a parse
+error, a bad flag value, or a residual that gets stuck instead of
+analyzing), 3 step budget exhausted.  ``analyze`` and
+``analyze-specialized`` take ``--fuel``, the evaluation step budget (a
+positive integer, default 1,000,000); no other subcommand has one.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from pathlib import Path
 
 from .analyzer import abstract_target_input, analyze_meta_abstract
 from .domains import DOMAINS, AbsValue, Num, format_abs, get_domain, parse_abs
-from .errors import FuelExhausted, ParseError, RetargeterError
+from .errors import FuelExhausted, ParseError, RetargeterError, StuckError
 from .met.parser import parse_met
 from .met.printer import print_met
 from .met.syntax import DEFAULT_FUEL, EvalBudget
@@ -104,8 +106,13 @@ def cmd_analyze_specialized(args) -> int:
     program = _load_program(args.program)
     # The residual is trusted to have been retargeted to this program's language.
     analyzer = RetargetedAnalyzer(residual, domain, target_of(program))
-    result = run_specialized_abstract(analyzer, program, _resolve_input(args, domain),
-                                      EvalBudget(fuel=args.fuel))
+    try:
+        result = run_specialized_abstract(analyzer, program, _resolve_input(args, domain),
+                                          EvalBudget(fuel=args.fuel))
+    except StuckError as err:
+        # The residual is user input: one that gets stuck is not an analyzer.
+        print(f"error: {args.residual} is not an analyzer: {err}", file=sys.stderr)
+        return EXIT_PARSE
     print(format_abs(result))
     return EXIT_OK
 
@@ -133,6 +140,13 @@ def cmd_bench(args) -> int:
     return _emit_reports(args, [bench_steps(domain, args.target, args.trials, args.seed)])
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="retargeter",
@@ -154,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
         group.add_argument("--input", type=int, help="concrete integer input")
         group.add_argument("--abs-input", dest="abs_input",
                            help="abstract input, e.g. '[0,10]' or '{0,+}'")
-        p.add_argument("--fuel", type=int, default=DEFAULT_FUEL,
+        p.add_argument("--fuel", type=positive_int, default=DEFAULT_FUEL,
                        help=f"evaluation step budget (default: {DEFAULT_FUEL})")
 
     p = sub.add_parser("analyze", parents=[domain_arg],

@@ -157,6 +157,19 @@ class TestRetarget:
                                "--domain", "interval", "--input", "1")
         assert code == 2 and "nested too deeply" in err
 
+    @pytest.mark.parametrize("text,message", [
+        ("5", "program did not evaluate to a function"),
+        ("fun i -> fst fst fst i", "fst of a non-tuple"),
+    ], ids=["not-a-function", "stuck-projection"])
+    def test_residual_that_is_not_an_analyzer_exit_2(self, capsys, tmp_path, add42,
+                                                     text, message):
+        residual = tmp_path / "bogus.met"
+        residual.write_text(text + "\n")
+        code, out, err = run_cli(capsys, "analyze-specialized", str(residual), add42,
+                                 "--domain", "interval", "--input", "5")
+        assert code == 2 and out == ""
+        assert "not an analyzer" in err and message in err
+
 
 class TestInputsAndFlags:
     @pytest.mark.parametrize("domain,abstract", [("interval", "[5,5]"), ("sign", "{+}")])
@@ -183,6 +196,18 @@ class TestInputsAndFlags:
             main([*argv, "--fuel", "5"])
         assert exit_.value.code == 2
         assert "unrecognized arguments: --fuel" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fuel", ["0", "-3"])
+    def test_fuel_must_be_a_positive_integer(self, capsys, tmp_path, add42, fuel):
+        emitted = tmp_path / "single.met"
+        run_cli(capsys, "retarget", "--target", "single", "--domain", "interval",
+                "--emit", str(emitted))
+        for command in (["analyze"], ["analyze-specialized", str(emitted)]):
+            with pytest.raises(SystemExit) as exit_:
+                main([*command, add42, "--domain", "interval", "--input", "5",
+                      "--fuel", fuel])
+            assert exit_.value.code == 2, command
+            assert "must be a positive integer" in capsys.readouterr().err
 
 
 class TestCheckAndBench:
