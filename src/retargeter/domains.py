@@ -3,8 +3,12 @@
 An abstract value mirrors the shape of source-language values: ``Bot``
 (no concrete value), ``Num`` (an abstraction of a set of integers),
 ``APair`` (componentwise abstraction of pairs), and ``Top`` (anything,
-including shape mismatches).  The numeric layer is parametric; two
-instances ship: sign sets and intervals.
+including shape mismatches).  The numeric layer is parametric: a
+numeric domain is its carrier class, and two ship, sign sets
+(:class:`SignSet`) and intervals (:class:`Interval`).  Everything the
+rest of the package needs from a domain (its name, ``eta_int``, ``top``,
+the lattice and arithmetic operators, its literal syntax and sampling)
+is a method or class attribute of the carrier.
 
 Concretization is exposed as a membership test (:func:`contains`) rather
 than as a set constructor, which is what the soundness harnesses need.
@@ -13,8 +17,11 @@ than as a set constructor, which is what the soundness harnesses need.
 from __future__ import annotations
 
 import enum
+import itertools
+import operator
 import random
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .errors import ParseError, StuckError
 from .met.syntax import MetValue, VAbs, VInt, VTuple
@@ -40,32 +47,12 @@ def _sign_of(n: int) -> Sign:
     return Sign.POS
 
 
-_SIGN_ADD = {
-    (Sign.NEG, Sign.NEG): {Sign.NEG},
-    (Sign.NEG, Sign.ZERO): {Sign.NEG},
-    (Sign.NEG, Sign.POS): {Sign.NEG, Sign.ZERO, Sign.POS},
-    (Sign.ZERO, Sign.ZERO): {Sign.ZERO},
-    (Sign.ZERO, Sign.POS): {Sign.POS},
-    (Sign.POS, Sign.POS): {Sign.POS},
-}
-
-_SIGN_MUL = {
-    (Sign.NEG, Sign.NEG): {Sign.POS},
-    (Sign.NEG, Sign.ZERO): {Sign.ZERO},
-    (Sign.NEG, Sign.POS): {Sign.NEG},
-    (Sign.ZERO, Sign.ZERO): {Sign.ZERO},
-    (Sign.ZERO, Sign.POS): {Sign.ZERO},
-    (Sign.POS, Sign.POS): {Sign.POS},
-}
-
-
-def _sign_table(table, a: Sign, b: Sign) -> set[Sign]:
-    return table.get((a, b)) or table[(b, a)]
-
-
 @dataclass(frozen=True)
 class SignSet:
     """A nonempty subset of {negative, zero, positive}."""
+
+    name: ClassVar[str] = "sign"
+    delimiters: ClassVar[str] = "{}"
 
     signs: frozenset[Sign]
 
@@ -85,6 +72,25 @@ class SignSet:
     def top(cls) -> "SignSet":
         return cls.of(Sign.NEG, Sign.ZERO, Sign.POS)
 
+    @classmethod
+    def parse(cls, body: str) -> "SignSet":
+        """The sign set written ``{body}``, e.g. ``-,0``."""
+        signs = set()
+        for part in body.split(","):
+            part = part.strip()
+            try:
+                signs.add(Sign(part))
+            except ValueError:
+                raise ParseError(f"unknown sign {part!r}") from None
+        return cls(frozenset(signs))
+
+    def sample(self, rng: random.Random, magnitude: int) -> int:
+        sign = rng.choice(sorted(self.signs, key=lambda s: s.value))
+        if sign is Sign.ZERO:
+            return 0
+        n = rng.randint(1, magnitude)
+        return -n if sign is Sign.NEG else n
+
     def leq(self, other: "SignSet") -> bool:
         return self.signs <= other.signs
 
@@ -95,30 +101,13 @@ class SignSet:
         return _sign_of(n) in self.signs
 
     def add(self, other: "SignSet") -> "SignSet":
-        out: set[Sign] = set()
-        for a in self.signs:
-            for b in other.signs:
-                out |= _sign_table(_SIGN_ADD, a, b)
-        return SignSet(frozenset(out))
+        return _SIGN_ADD_TABLE[self.signs, other.signs]
 
     def mul(self, other: "SignSet") -> "SignSet":
-        out: set[Sign] = set()
-        for a in self.signs:
-            for b in other.signs:
-                out |= _sign_table(_SIGN_MUL, a, b)
-        return SignSet(frozenset(out))
+        return _SIGN_MUL_TABLE[self.signs, other.signs]
 
     def eq(self, other: "SignSet") -> "SignSet":
-        # Only {0} has a singleton concretization, so definite equality
-        # needs both sides to be exactly {0}.
-        may_equal = bool(self.signs & other.signs)
-        definitely_equal = self.signs == other.signs == frozenset({Sign.ZERO})
-        out: set[Sign] = set()
-        if may_equal:
-            out.add(Sign.POS)
-        if not definitely_equal:
-            out.add(Sign.ZERO)
-        return SignSet(frozenset(out))
+        return _SIGN_EQ_TABLE[self.signs, other.signs]
 
     def may_be_nonzero(self) -> bool:
         return bool(self.signs & {Sign.NEG, Sign.POS})
@@ -131,9 +120,22 @@ class SignSet:
         return "{" + ",".join(s.value for s in order if s in self.signs) + "}"
 
 
+def _parse_bound(s: str, sign: int) -> int | None:
+    s = s.strip()
+    if (sign < 0 and s == "-inf") or (sign > 0 and s in ("+inf", "inf")):
+        return None
+    try:
+        return int(s)
+    except ValueError:
+        raise ParseError(f"malformed interval bound {s!r}") from None
+
+
 @dataclass(frozen=True)
 class Interval:
     """Integer interval; ``None`` bounds mean unbounded on that side."""
+
+    name: ClassVar[str] = "interval"
+    delimiters: ClassVar[str] = "[]"
 
     lo: int | None
     hi: int | None
@@ -149,6 +151,28 @@ class Interval:
     @classmethod
     def top(cls) -> "Interval":
         return cls(None, None)
+
+    @classmethod
+    def parse(cls, body: str) -> "Interval":
+        """The interval written ``[body]``, e.g. ``-inf,3``."""
+        parts = body.split(",")
+        if len(parts) != 2:
+            raise ParseError(f"malformed interval [{body}]")
+        lo, hi = _parse_bound(parts[0], -1), _parse_bound(parts[1], +1)
+        try:
+            return cls(lo, hi)
+        except ValueError:
+            raise ParseError(f"empty interval [{body}]; use 'bot'") from None
+
+    def sample(self, rng: random.Random, magnitude: int) -> int:
+        lo, hi = self.lo, self.hi
+        if lo is None and hi is None:
+            return rng.randint(-magnitude, magnitude)
+        if lo is None:
+            return rng.randint(hi - 2 * magnitude, hi)
+        if hi is None:
+            return rng.randint(lo, lo + 2 * magnitude)
+        return rng.randint(lo, hi)
 
     def leq(self, other: "Interval") -> bool:
         lo_ok = other.lo is None or (self.lo is not None and other.lo <= self.lo)
@@ -225,25 +249,30 @@ class Interval:
 NumAbs = SignSet | Interval
 
 
-@dataclass(frozen=True)
-class NumericDomain:
-    """A numeric abstraction: a name plus its carrier type.
-
-    The lattice operations are methods of the carrier values themselves.
-    """
-
-    name: str
-    carrier: type
-
-    def eta_int(self, n: int) -> NumAbs:
-        return self.carrier.eta_int(n)
-
-    def top(self) -> NumAbs:
-        return self.carrier.top()
+# Each sign operator is its best transformer alpha . op . gamma (Cousot &
+# Cousot 1979), tabulated at import for every pair of nonempty sign sets.
+# Two members per sign give the same result signs as all of them: opposite
+# signs add up to each sign (-2+1, -1+1, -1+2), the sign of a product
+# depends only on the signs of its factors, and two members of NEG or of
+# POS can be equal or not, while two members of ZERO are always equal.
+_REPRESENTATIVES = {Sign.NEG: (-2, -1), Sign.ZERO: (0,), Sign.POS: (1, 2)}
 
 
-SIGN = NumericDomain("sign", SignSet)
-INTERVAL = NumericDomain("interval", Interval)
+def _tabulate(op) -> dict[tuple[frozenset[Sign], frozenset[Sign]], SignSet]:
+    sets = [frozenset(c) for r in range(1, 4) for c in itertools.combinations(Sign, r)]
+    return {(a, b): SignSet(frozenset(_sign_of(op(x, y))
+                                      for s in a for x in _REPRESENTATIVES[s]
+                                      for t in b for y in _REPRESENTATIVES[t]))
+            for a in sets for b in sets}
+
+
+_SIGN_ADD_TABLE = _tabulate(operator.add)
+_SIGN_MUL_TABLE = _tabulate(operator.mul)
+_SIGN_EQ_TABLE = _tabulate(lambda x, y: int(x == y))
+
+# A numeric domain is its carrier class.
+NumericDomain = type[SignSet] | type[Interval]
+SIGN, INTERVAL = SignSet, Interval
 DOMAINS = {d.name: d for d in (SIGN, INTERVAL)}
 
 
@@ -514,41 +543,17 @@ def parse_abs(text: str, domain: NumericDomain) -> AbsValue:
                 raise ParseError("expected ')' to close abstract pair")
             pos += 1
             return make_pair(first, second)
-        if c == "[":
-            end = text.find("]", pos)
-            if end < 0:
-                raise ParseError("expected ']' to close interval")
-            body = text[pos + 1 : end]
-            pos = end + 1
-            if domain is not INTERVAL:
-                raise ParseError(f"interval literal not valid in domain {domain.name!r}")
-            parts = body.split(",")
-            if len(parts) != 2:
-                raise ParseError(f"malformed interval [{body}]")
-            lo, hi = _parse_bound(parts[0], -1), _parse_bound(parts[1], +1)
-            try:
-                return Num(Interval(lo, hi))
-            except ValueError:
-                raise ParseError(f"empty interval [{body}]; use 'bot'") from None
-        if c == "{":
-            end = text.find("}", pos)
-            if end < 0:
-                raise ParseError("expected '}' to close sign set")
-            body = text[pos + 1 : end]
-            pos = end + 1
-            if domain is not SIGN:
-                raise ParseError(f"sign-set literal not valid in domain {domain.name!r}")
-            signs = set()
-            for part in body.split(","):
-                part = part.strip()
-                try:
-                    signs.add(Sign(part))
-                except ValueError:
-                    raise ParseError(f"unknown sign {part!r}") from None
-            if not signs:
-                raise ParseError("empty sign set; use 'bot'")
-            return Num(SignSet(frozenset(signs)))
-        raise ParseError(f"unexpected character {c!r} in abstract value")
+        carrier = next((d for d in DOMAINS.values() if c == d.delimiters[0]), None)
+        if carrier is None:
+            raise ParseError(f"unexpected character {c!r} in abstract value")
+        if carrier is not domain:
+            raise ParseError(f"{carrier.name} literal not valid in domain {domain.name!r}")
+        end = text.find(carrier.delimiters[1], pos)
+        if end < 0:
+            raise ParseError(f"expected {carrier.delimiters[1]!r} to close {carrier.name} literal")
+        body = text[pos + 1 : end]
+        pos = end + 1
+        return Num(carrier.parse(body))
 
     try:
         result = parse_value()
@@ -558,16 +563,6 @@ def parse_abs(text: str, domain: NumericDomain) -> AbsValue:
     if pos != len(text):
         raise ParseError(f"trailing input in abstract value: {text[pos:]!r}")
     return result
-
-
-def _parse_bound(s: str, sign: int) -> int | None:
-    s = s.strip()
-    if (sign < 0 and s == "-inf") or (sign > 0 and s in ("+inf", "inf")):
-        return None
-    try:
-        return int(s)
-    except ValueError:
-        raise ParseError(f"malformed interval bound {s!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -583,27 +578,10 @@ def sample_member(a: AbsValue, rng: random.Random, magnitude: int = 1000) -> Src
         case Top():
             return random_src_value(rng, 2, magnitude)
         case Num(num):
-            return SInt(_sample_num(num, rng, magnitude))
+            return SInt(num.sample(rng, magnitude))
         case APair(fst, snd):
             left = sample_member(fst, rng, magnitude)
             right = sample_member(snd, rng, magnitude)
             assert left is not None and right is not None
             return SPair(left, right)
     raise TypeError(f"not an abstract value: {a!r}")
-
-
-def _sample_num(num: NumAbs, rng: random.Random, magnitude: int) -> int:
-    if isinstance(num, SignSet):
-        sign = rng.choice(sorted(num.signs, key=lambda s: s.value))
-        if sign is Sign.ZERO:
-            return 0
-        n = rng.randint(1, magnitude)
-        return -n if sign is Sign.NEG else n
-    lo, hi = num.lo, num.hi
-    if lo is None and hi is None:
-        return rng.randint(-magnitude, magnitude)
-    if lo is None:
-        return rng.randint(hi - 2 * magnitude, hi)
-    if hi is None:
-        return rng.randint(lo, lo + 2 * magnitude)
-    return rng.randint(lo, hi)

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from ..errors import ParseError
+from ..srclang import SRC_SIGNATURE
 from .syntax import (
     App,
     Construct,
@@ -53,7 +54,6 @@ from .syntax import (
     PrimOp,
     Proj1,
     Proj2,
-    SRC_SIGNATURE,
     Tuple,
     Var,
     is_linear,
@@ -334,8 +334,8 @@ class _Parser:
 def parse_met(text: str) -> MetExpr:
     """Parse meta-language source text into an AST.
 
-    Constructor tags are those of the embedded source-language AST
-    (``SRC_SIGNATURE``).
+    Constructor tags and their arities are those of the embedded
+    source-language AST (``srclang.SRC_SIGNATURE``).
     """
     parser = _Parser(text)
     try:

@@ -263,17 +263,3 @@ class EvalBudget:
             raise FuelExhausted(f"evaluation exceeded {self.fuel} steps")
         self.steps_used += 1
 
-
-# Constructor signature of the embedded source-language AST: tag -> arity.
-# The meta-language parser checks constructor applications against this.
-SRC_SIGNATURE: dict[str, int] = {
-    "X": 0,
-    "Num": 1,
-    "Add": 2,
-    "Mul": 2,
-    "Eq": 2,
-    "Pair": 2,
-    "Fst": 1,
-    "Snd": 1,
-    "If": 3,
-}

@@ -369,19 +369,6 @@ class ResidualStats:
     has_match: bool
     abstract_ops: dict[str, int]
 
-    def as_dict(self) -> dict:
-        return {
-            "counts": dict(self.counts),
-            "has_match": self.has_match,
-            "abstract_ops": dict(self.abstract_ops),
-        }
-
-    def to_text(self) -> str:
-        width = max((len(k) for k in self.counts), default=1)
-        lines = [f"{k:<{width}}  {self.counts[k]}" for k in sorted(self.counts)]
-        lines.append(f"{'has_match':<{width}}  {self.has_match}")
-        return "\n".join(lines)
-
 
 def residual_stats(e: MetExpr) -> ResidualStats:
     counts = count_nodes(e)

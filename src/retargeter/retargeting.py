@@ -16,7 +16,7 @@ strictly cheaper to run (``bench_steps``).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .analyzer import analyze_meta, build_abstract_interpreter
 from .domains import AbsValue, NumericDomain, contains, format_abs, met_value_to_abs
@@ -111,17 +111,7 @@ class Report:
         return not self.failures
 
     def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "domain": self.domain,
-            "target": self.target,
-            "trials": self.trials,
-            "seed": self.seed,
-            "failures": self.failures,
-            "mean_meta_steps": self.mean_meta_steps,
-            "mean_spec_steps": self.mean_spec_steps,
-            "ratio": self.ratio,
-        }
+        return asdict(self)
 
     def to_text(self) -> str:
         status = "ok" if self.ok else f"{len(self.failures)} failure(s)"

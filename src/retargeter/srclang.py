@@ -13,7 +13,7 @@ property harnesses.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ParseError, StuckError
 from .met.syntax import MetValue, VConstruct, VInt, VTuple
@@ -90,11 +90,29 @@ class SPair(SrcValue):
 
 
 # ---------------------------------------------------------------------------
-# Concrete syntax
+# The constructor table
 # ---------------------------------------------------------------------------
 
-_FORMS = {"+": (Add, 2), "*": (Mul, 2), "=": (Eq, 2), "pair": (Pair, 2),
-          "fst": (Fst, 1), "snd": (Snd, 1), "if": (If, 3)}
+# The surface keyword of each compound form.  With the atoms ``X`` and
+# ``Num`` this is the whole list of constructors: a class's name is its tag
+# in the embedding into meta-language data, and its dataclass fields are its
+# arguments, in order.
+_KEYWORDS: dict[type[SrcExpr], str] = {
+    Add: "+", Mul: "*", Eq: "=", Pair: "pair", Fst: "fst", Snd: "snd", If: "if",
+}
+
+_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in (X, Num, *_KEYWORDS)}
+_FORMS = {keyword: cls for cls, keyword in _KEYWORDS.items()}
+_TAGS = {cls.__name__: cls for cls in _FIELDS}
+
+# Constructor signature of the embedded source-language AST: tag -> arity.
+# The meta-language parser checks constructor applications against this.
+SRC_SIGNATURE: dict[str, int] = {cls.__name__: len(names) for cls, names in _FIELDS.items()}
+
+
+# ---------------------------------------------------------------------------
+# Concrete syntax
+# ---------------------------------------------------------------------------
 
 
 def _tokenize_sexpr(text: str) -> list[str]:
@@ -117,11 +135,10 @@ def parse_src(text: str) -> SrcExpr:
                 raise ParseError("unexpected end of input after '('")
             head = tokens[pos]
             pos += 1
-            form = _FORMS.get(head)
-            if form is None:
+            ctor = _FORMS.get(head)
+            if ctor is None:
                 raise ParseError(f"unknown form {head!r}")
-            ctor, arity = form
-            args = [parse() for _ in range(arity)]
+            args = [parse() for _ in _FIELDS[ctor]]
             if pos >= len(tokens) or tokens[pos] != ")":
                 raise ParseError(f"expected ')' to close {head!r}")
             pos += 1
@@ -150,21 +167,15 @@ def print_src(e: SrcExpr) -> str:
             return "x"
         case Num(n):
             return str(n)
-        case Add(a, b):
-            return f"(+ {print_src(a)} {print_src(b)})"
-        case Mul(a, b):
-            return f"(* {print_src(a)} {print_src(b)})"
-        case Eq(a, b):
-            return f"(= {print_src(a)} {print_src(b)})"
-        case Pair(a, b):
-            return f"(pair {print_src(a)} {print_src(b)})"
-        case Fst(a):
-            return f"(fst {print_src(a)})"
-        case Snd(a):
-            return f"(snd {print_src(a)})"
-        case If(p, t, o):
-            return f"(if {print_src(p)} {print_src(t)} {print_src(o)})"
-    raise TypeError(f"not a source expression: {e!r}")
+    keyword = _KEYWORDS.get(type(e))
+    if keyword is None:
+        raise TypeError(f"not a source expression: {e!r}")
+    # A loop, not a generator, so that each level of the tree takes one
+    # frame of the host stack (likewise in embed_src_expr).
+    parts = [keyword]
+    for name in _FIELDS[type(e)]:
+        parts.append(print_src(getattr(e, name)))
+    return "(" + " ".join(parts) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -224,42 +235,27 @@ def eval_src(e: SrcExpr, input_value: SrcValue) -> SrcValue:
 
 def embed_src_expr(e: SrcExpr) -> MetValue:
     """Embed a source-language AST as a meta-language constructor tree."""
-    match e:
-        case X():
-            return VConstruct("X", ())
-        case Num(n):
-            return VConstruct("Num", (VInt(n),))
-        case Add(a, b):
-            return VConstruct("Add", (embed_src_expr(a), embed_src_expr(b)))
-        case Mul(a, b):
-            return VConstruct("Mul", (embed_src_expr(a), embed_src_expr(b)))
-        case Eq(a, b):
-            return VConstruct("Eq", (embed_src_expr(a), embed_src_expr(b)))
-        case Pair(a, b):
-            return VConstruct("Pair", (embed_src_expr(a), embed_src_expr(b)))
-        case Fst(a):
-            return VConstruct("Fst", (embed_src_expr(a),))
-        case Snd(a):
-            return VConstruct("Snd", (embed_src_expr(a),))
-        case If(p, t, o):
-            return VConstruct("If", (embed_src_expr(p), embed_src_expr(t), embed_src_expr(o)))
-    raise TypeError(f"not a source expression: {e!r}")
-
-
-_UNEMBED = {"X": X, "Num": None, "Add": Add, "Mul": Mul, "Eq": Eq,
-            "Pair": Pair, "Fst": Fst, "Snd": Snd, "If": If}
+    cls = type(e)
+    if cls is Num:
+        return VConstruct("Num", (VInt(e.value),))
+    names = _FIELDS.get(cls)
+    if names is None:
+        raise TypeError(f"not a source expression: {e!r}")
+    args = []
+    for name in names:
+        args.append(embed_src_expr(getattr(e, name)))
+    return VConstruct(cls.__name__, tuple(args))
 
 
 def unembed_src_expr(v: MetValue) -> SrcExpr:
     """Inverse of :func:`embed_src_expr` on its range."""
-    if not isinstance(v, VConstruct) or v.tag not in _UNEMBED:
-        raise StuckError(f"not an embedded source expression: {v!r}")
-    if v.tag == "Num":
-        if len(v.args) != 1 or not isinstance(v.args[0], VInt):
-            raise StuckError(f"not an embedded source expression: {v!r}")
-        return Num(v.args[0].value)
-    ctor = _UNEMBED[v.tag]
-    return ctor(*(unembed_src_expr(a) for a in v.args))
+    cls = _TAGS.get(v.tag) if isinstance(v, VConstruct) else None
+    if cls is Num:
+        if len(v.args) == 1 and isinstance(v.args[0], VInt):
+            return Num(v.args[0].value)
+    elif cls is not None and len(v.args) == len(_FIELDS[cls]):
+        return cls(*map(unembed_src_expr, v.args))
+    raise StuckError(f"not an embedded source expression: {v!r}")
 
 
 def embed_src_value(v: SrcValue) -> MetValue:

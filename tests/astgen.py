@@ -28,10 +28,10 @@ from retargeter.met.syntax import (
     PrimOp,
     Proj1,
     Proj2,
-    SRC_SIGNATURE,
     Tuple,
     Var,
 )
+from retargeter.srclang import SRC_SIGNATURE
 
 NAMES = ["a", "b", "c", "f", "g", "h", "acc", "tmp", "v1", "p2"]
 TAGS = list(SRC_SIGNATURE.items())

@@ -35,12 +35,19 @@ class TestRun:
         assert code == 0 and out.strip() == "47"
 
     def test_module_entry_point(self, add42):
+        import os
         import subprocess
         import sys
+        from pathlib import Path
 
+        import retargeter
+
+        # The child finds the package where this process found it, whether
+        # that is an installed copy or the checkout's ``src``.
+        package_root = str(Path(retargeter.__file__).resolve().parent.parent)
         proc = subprocess.run(
             [sys.executable, "-m", "retargeter", "run", add42, "--input", "5"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": package_root},
         )
         assert proc.returncode == 0 and proc.stdout.strip() == "47"
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import operator
 import random
 
 import pytest
@@ -159,11 +161,18 @@ class TestExamples:
             APair(BOT, TOP)
 
 
+ROUND_TRIP_CASES = [
+    ("bot", INTERVAL), ("top", SIGN), ("[0,10]", INTERVAL),
+    ("[-inf,+inf]", INTERVAL), ("{-,0,+}", SIGN), ("{0}", SIGN),
+    ("([1,2], top)", INTERVAL), ("(bot, top)", SIGN),
+]
+
+
 class TestTextualForms:
-    @pytest.mark.parametrize("text,domain", [
-        ("bot", INTERVAL), ("top", SIGN), ("[0,10]", INTERVAL),
-        ("[-inf,+inf]", INTERVAL), ("{-,0,+}", SIGN), ("{0}", SIGN),
-        ("([1,2], top)", INTERVAL), ("(bot, top)", SIGN),
+    # Each case is named by its text and its position, which keeps the
+    # test ids stable whatever the domain objects' names are.
+    @pytest.mark.parametrize("text,domain", ROUND_TRIP_CASES, ids=[
+        f"{text}-domain{i}" for i, (text, _) in enumerate(ROUND_TRIP_CASES)
     ])
     def test_round_trip(self, text, domain):
         value = parse_abs(text, domain)
@@ -303,3 +312,26 @@ class TestOperatorSoundness:
                 assert contains(filter_zero(pred, v), member)
 
         law()
+
+
+# ---------------------------------------------------------------------------
+# Exactness of the sign operators (exhaustive)
+# ---------------------------------------------------------------------------
+
+CONCRETE_OPS = {"add": operator.add, "mul": operator.mul, "eq": lambda x, y: int(x == y)}
+
+
+@pytest.mark.parametrize("op", CONCRETE_OPS)
+def test_sign_operators_are_exact(op):
+    # Exactness, not just soundness: the result holds the sign of op(x, y)
+    # for some members x, y, and no other sign.  The members -3..3 reach
+    # every sign any pair of sign sets can produce.
+    def sign(n):
+        return Sign.NEG if n < 0 else Sign.ZERO if n == 0 else Sign.POS
+
+    nonempty = [frozenset(c) for r in range(1, 4) for c in itertools.combinations(Sign, r)]
+    for a, b in itertools.product(nonempty, repeat=2):
+        reached = frozenset(sign(CONCRETE_OPS[op](x, y))
+                            for x in range(-3, 4) if sign(x) in a
+                            for y in range(-3, 4) if sign(y) in b)
+        assert getattr(SignSet(a), op)(SignSet(b)) == SignSet(reached), (a, b)

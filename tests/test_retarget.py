@@ -65,6 +65,39 @@ SEQ2_CENSUS = {
     "ETA": 4,
 }
 
+# The printed residuals, which do not depend on the domain, and the mean
+# residual and meta-level steps per analysis that ``bench_steps`` reports
+# at 200 trials, seed 0.  Any change to either is a semantic change.
+GOLDEN_RESIDUALS = {
+    "single": (
+        "fun i -> let iabs = eta(i) in let p = aeq(fst fst iabs, eta(0)) in "
+        "ajoin(fne0(p, aadd(snd fst iabs, snd iabs)), feq0(p, amul(snd fst iabs, snd iabs)))"
+    ),
+    "seq2": (
+        "fun i -> let iabs = eta(i) in let p = aeq(fst snd fst iabs, eta(0)) in "
+        "ajoin(fne0(p, aadd(snd snd fst iabs, let p1 = aeq(fst fst fst iabs, eta(0)) in "
+        "ajoin(fne0(p1, aadd(snd fst fst iabs, snd iabs)), "
+        "feq0(p1, amul(snd fst fst iabs, snd iabs))))), "
+        "feq0(p, amul(snd snd fst iabs, let p2 = aeq(fst fst fst iabs, eta(0)) in "
+        "ajoin(fne0(p2, aadd(snd fst fst iabs, snd iabs)), "
+        "feq0(p2, amul(snd fst fst iabs, snd iabs))))))"
+    ),
+}
+GOLDEN_MEAN_STEPS = {"single": (29, 198), "seq2": (82, 628)}
+
+
+class TestGolden:
+    @pytest.mark.parametrize("domain", [INTERVAL, SIGN], ids=["interval", "sign"])
+    @pytest.mark.parametrize("target", ["single", "seq2"])
+    def test_residual_text(self, target, domain):
+        assert print_met(retarget(target, domain).residual) == GOLDEN_RESIDUALS[target]
+
+    @pytest.mark.parametrize("domain", [INTERVAL, SIGN], ids=["interval", "sign"])
+    @pytest.mark.parametrize("target", ["single", "seq2"])
+    def test_mean_steps(self, target, domain):
+        report = bench_steps(domain, target, trials=200, seed=0)
+        assert (report.mean_spec_steps, report.mean_meta_steps) == GOLDEN_MEAN_STEPS[target]
+
 
 class TestResidualShape:
     def test_golden_single_census(self):

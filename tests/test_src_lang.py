@@ -111,9 +111,23 @@ class TestEmbedding:
             v = random_src_value(rng, 3, 10**6)
             assert unembed_src_value(embed_src_value(v)) == v
 
+    def test_deep_expression_round_trips(self):
+        e = X()
+        for _ in range(600):
+            e = Add(Num(1), e)
+        # Compared as text: dataclass equality itself recurses too deeply.
+        text = print_src(e)
+        assert text.count("(+ 1 ") == 600
+        assert print_src(unembed_src_expr(embed_src_expr(e))) == text
+
     def test_unembed_rejects_junk(self):
-        with pytest.raises(StuckError):
-            unembed_src_expr(VInt(3))
+        for junk in [
+            VInt(3),
+            VConstruct("Add", (VConstruct("X", ()),)),
+            VConstruct("X", (VInt(1),)),
+        ]:
+            with pytest.raises(StuckError, match="not an embedded source expression"):
+                unembed_src_expr(junk)
 
 
 class TestGenerators:
