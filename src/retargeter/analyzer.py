@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .domains import AbsValue, NumericDomain, eta, make_pair, met_value_to_abs
+from .domains import AbsValue, NumericDomain, eta_met_value, make_pair, met_value_to_abs
 from .met.interp import apply_met_function
 from .met.parser import parse_met
 from .met.syntax import EvalBudget, MetExpr, VAbs, VTuple
@@ -84,4 +84,4 @@ def abstract_target_input(domain: NumericDomain, encoded_program: SrcValue,
                           abstract_value: AbsValue) -> AbsValue:
     """Abstract input pairing an exactly-known encoded program with an
     abstract target value, for analyzing a target program meta-level."""
-    return make_pair(eta(encoded_program, domain), abstract_value)
+    return make_pair(eta_met_value(embed_src_value(encoded_program), domain), abstract_value)

@@ -10,10 +10,15 @@ Subcommands::
     bench                step-count comparison, specialized vs meta
 
 Exit codes: 0 success, 1 property failure, 2 malformed input (a parse
-error, a bad flag value, or a residual that gets stuck instead of
-analyzing), 3 step budget exhausted.  ``analyze`` and
-``analyze-specialized`` take ``--fuel``, the evaluation step budget (a
-positive integer, default 1,000,000); no other subcommand has one.
+error, a bad flag value, a file that cannot be read or written, a
+residual whose header names another target than the program's, or a
+residual that gets stuck instead of analyzing), 3 step budget exhausted.
+
+``retarget`` writes the header ``# target: <name>`` above the residual;
+``analyze-specialized`` checks it, and trusts a residual without one.
+``analyze`` and ``analyze-specialized`` take ``--fuel``, the evaluation
+step budget (a positive integer, default 1,000,000); no other subcommand
+has one.
 """
 
 from __future__ import annotations
@@ -50,6 +55,9 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_PARSE = 2
 EXIT_FUEL = 3
+
+# The first line of an emitted residual, a comment the .met parser skips.
+HEADER = "# target: "
 
 
 def _read(path: str) -> str:
@@ -89,7 +97,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_retarget(args) -> int:
     analyzer = retarget(args.target, get_domain(args.domain))
-    text = print_met(analyzer.residual)
+    text = f"{HEADER}{args.target}\n{print_met(analyzer.residual)}"
     if args.emit:
         Path(args.emit).write_text(text + "\n")
     else:
@@ -102,10 +110,17 @@ def cmd_retarget(args) -> int:
 
 def cmd_analyze_specialized(args) -> int:
     domain = get_domain(args.domain)
-    residual = parse_met(_read(args.residual))
+    text = _read(args.residual)
+    residual = parse_met(text)
     program = _load_program(args.program)
-    # The residual is trusted to have been retargeted to this program's language.
-    analyzer = RetargetedAnalyzer(residual, domain, target_of(program))
+    target = target_of(program)
+    if text.startswith(HEADER):
+        named = text.partition("\n")[0][len(HEADER):].strip()
+        if named != target:
+            print(f"error: {args.residual} is a residual for target {named!r}, "
+                  f"but {args.program} is a {target!r} program", file=sys.stderr)
+            return EXIT_PARSE
+    analyzer = RetargetedAnalyzer(residual, domain, target)
     try:
         result = run_specialized_abstract(analyzer, program, _resolve_input(args, domain),
                                           EvalBudget(fuel=args.fuel))
@@ -140,11 +155,19 @@ def cmd_bench(args) -> int:
     return _emit_reports(args, [bench_steps(domain, args.target, args.trials, args.seed)])
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, not {value}")
-    return value
+def _int_at_least(least: int, kind: str):
+    """An argparse type for integers no smaller than ``least``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, not {value}")
+        return value
+    parse.__name__ = f"{kind} integer"
+    return parse
+
+
+positive_int = _int_at_least(1, "positive")
+nonnegative_int = _int_at_least(0, "nonnegative")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -193,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("check", cmd_check), ("bench", cmd_bench)):
         p = sub.add_parser(name, parents=[domain_arg])
         p.add_argument("--target", choices=TARGETS, required=True)
-        p.add_argument("--trials", type=int, default=1000)
+        p.add_argument("--trials", type=nonnegative_int, default=1000)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", choices=("text", "json"), default="text")
         p.set_defaults(fn=fn)
@@ -205,13 +228,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as err:
+    except (ParseError, OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
     except FuelExhausted as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FUEL
-    except (RetargeterError, OSError, ValueError) as err:
+    except (RetargeterError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -336,16 +336,6 @@ def make_pair(a: AbsValue, b: AbsValue) -> AbsValue:
     return APair(a, b)
 
 
-def eta(v: SrcValue, domain: NumericDomain) -> AbsValue:
-    """Most precise abstraction of a single concrete value."""
-    match v:
-        case SInt(n):
-            return Num(domain.eta_int(n))
-        case SPair(a, b):
-            return APair(eta(a, domain), eta(b, domain))
-    raise TypeError(f"not a source value: {v!r}")
-
-
 def contains(a: AbsValue, v: SrcValue) -> bool:
     """Concretization membership: is ``v`` described by ``a``?"""
     match a:
@@ -439,26 +429,16 @@ def filter_zero(pred: AbsValue, v: AbsValue) -> AbsValue:
             return BOT
 
 
-def abs_proj1(a: AbsValue) -> AbsValue:
-    """Abstract first projection; numbers project to Bot (stuck concretely)."""
+def abs_proj(a: AbsValue, first: bool) -> AbsValue:
+    """Abstract first (or second) projection; numbers project to Bot
+    (stuck concretely)."""
     match a:
         case Bot() | Num():
             return BOT
         case Top():
             return TOP
-        case APair(fst, _):
-            return fst
-    raise TypeError(f"not an abstract value: {a!r}")
-
-
-def abs_proj2(a: AbsValue) -> AbsValue:
-    match a:
-        case Bot() | Num():
-            return BOT
-        case Top():
-            return TOP
-        case APair(_, snd):
-            return snd
+        case APair(fst, snd):
+            return fst if first else snd
     raise TypeError(f"not an abstract value: {a!r}")
 
 

@@ -15,6 +15,10 @@ children, in the order the evaluation rules name them; step counts, the
 step at which the budget runs out and every ``StuckError`` are therefore
 the same as for a direct tree walk.
 
+Each primitive operator has one implementation, in :data:`PRIMITIVES`;
+compiled ``Prim`` nodes call it, and so does the specializer when it
+folds concrete arithmetic on known operands.
+
 Compiled code is cached on the node it was compiled from, keyed by
 domain, so it lives exactly as long as the node.  Only the nodes the
 evaluator is entered at are cached: the expression given to
@@ -24,6 +28,7 @@ compiled the first time the closure is applied.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Mapping
 
 from .. import domains
@@ -151,22 +156,13 @@ _PATTERN_COMPILERS: dict[type, Callable[..., Matcher]] = {
 # ---------------------------------------------------------------------------
 
 
-def _add(a, b, domain):
-    if isinstance(a, VInt) and isinstance(b, VInt):
-        return VInt(a.value + b.value)
-    raise StuckError("+ requires integer operands")
-
-
-def _mul(a, b, domain):
-    if isinstance(a, VInt) and isinstance(b, VInt):
-        return VInt(a.value * b.value)
-    raise StuckError("* requires integer operands")
-
-
-def _eq(a, b, domain):
-    if isinstance(a, VInt) and isinstance(b, VInt):
-        return VInt(1 if a.value == b.value else 0)
-    raise StuckError("= requires integer operands")
+def _int_rule(symbol: str, fn) -> Callable[..., MetValue]:
+    """The concrete integer operator ``symbol``, computing with ``fn``."""
+    def rule(a, b, domain):
+        if isinstance(a, VInt) and isinstance(b, VInt):
+            return VInt(fn(a.value, b.value))
+        raise StuckError(f"{symbol} requires integer operands")
+    return rule
 
 
 # Domain functions are looked up through the ``domains`` module on every
@@ -208,9 +204,9 @@ def _afilter_eq0(a, b, domain):
 
 # The one implementation of each primitive: ``PRIMITIVES[op](*args, domain)``.
 PRIMITIVES: dict[PrimOp, Callable[..., MetValue]] = {
-    PrimOp.ADD: _add,
-    PrimOp.MUL: _mul,
-    PrimOp.EQ: _eq,
+    PrimOp.ADD: _int_rule("+", operator.add),
+    PrimOp.MUL: _int_rule("*", operator.mul),
+    PrimOp.EQ: _int_rule("=", lambda x, y: 1 if x == y else 0),
     PrimOp.ETA: _eta,
     PrimOp.AADD: _aadd,
     PrimOp.AMUL: _amul,
@@ -219,15 +215,6 @@ PRIMITIVES: dict[PrimOp, Callable[..., MetValue]] = {
     PrimOp.AFILTER_NE0: _afilter_ne0,
     PrimOp.AFILTER_EQ0: _afilter_eq0,
 }
-
-
-def eval_prim(op: PrimOp, args: list[MetValue], domain: NumericDomain) -> MetValue:
-    """Apply a primitive operator to already-evaluated arguments."""
-    try:
-        implementation = PRIMITIVES[op]
-    except KeyError:
-        raise TypeError(f"unknown primitive {op!r}") from None
-    return implementation(*args, domain)
 
 
 # ---------------------------------------------------------------------------
@@ -288,31 +275,19 @@ def _compile_tuple(node: Tuple, domain) -> Code:
     return code
 
 
-def _compile_proj1(node: Proj1, domain) -> Code:
+def _compile_proj(node: Proj1 | Proj2, domain) -> Code:
+    first = isinstance(node, Proj1)
+    stuck = "fst of a non-tuple" if first else "snd of a non-tuple"
     arg = _COMPILERS[type(node.arg)](node.arg, domain)
 
     def code(env, budget):
         budget.tick()
         v = arg(env, budget)
         if isinstance(v, VTuple):
-            return v.fst
+            return v.fst if first else v.snd
         if isinstance(v, VAbs):
-            return VAbs(domains.abs_proj1(v.value))
-        raise StuckError("fst of a non-tuple")
-    return code
-
-
-def _compile_proj2(node: Proj2, domain) -> Code:
-    arg = _COMPILERS[type(node.arg)](node.arg, domain)
-
-    def code(env, budget):
-        budget.tick()
-        v = arg(env, budget)
-        if isinstance(v, VTuple):
-            return v.snd
-        if isinstance(v, VAbs):
-            return VAbs(domains.abs_proj2(v.value))
-        raise StuckError("snd of a non-tuple")
+            return VAbs(domains.abs_proj(v.value, first))
+        raise StuckError(stuck)
     return code
 
 
@@ -421,8 +396,8 @@ _COMPILERS = _Compilers({
     Var: _compile_var,
     IntLit: _compile_int,
     Tuple: _compile_tuple,
-    Proj1: _compile_proj1,
-    Proj2: _compile_proj2,
+    Proj1: _compile_proj,
+    Proj2: _compile_proj,
     Construct: _compile_construct,
     Match: _compile_match,
     Let: _compile_let,

@@ -22,6 +22,7 @@ Grammar (precedence from loosest to tightest; ``e`` is ``expr``)::
               | "(" pattern "," pattern ")" | "(" pattern ")"
 
 Variables are lowercase identifiers, constructor tags are capitalized.
+A ``#`` starts a comment that runs to the end of the line.
 A ``match`` extends as far to the right as possible, so a match that is
 not the final branch of an enclosing match must be parenthesized; the
 printer takes care of that.  Constructor applications are checked against
@@ -60,7 +61,7 @@ from .syntax import (
 )
 
 KEYWORDS = {"let", "rec", "in", "fun", "match", "with", "fst", "snd"}
-PRIM_NAMES = {op.value: op for op in PrimOp if not op.is_infix}
+PRIM_NAMES = {op.value: op for op in PrimOp if op.is_abstract}
 
 
 @dataclass(frozen=True)
@@ -81,6 +82,11 @@ def tokenize(text: str) -> Iterator[Token]:
             continue
         if c in " \t\r":
             i, col = i + 1, col + 1
+            continue
+        if c == "#":
+            end = text.find("\n", i)
+            end = n if end < 0 else end
+            i, col = end, col + end - i
             continue
         start_line, start_col = line, col
         if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):

@@ -46,10 +46,6 @@ class PrimOp(enum.Enum):
         """True for operators that compute over abstract values."""
         return self not in (PrimOp.ADD, PrimOp.MUL, PrimOp.EQ)
 
-    @property
-    def is_infix(self) -> bool:
-        return self in (PrimOp.ADD, PrimOp.MUL, PrimOp.EQ)
-
 
 # ---------------------------------------------------------------------------
 # Expressions

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FuelExhausted, ReifyError, StuckError
-from .met.interp import eval_prim, match_pattern
+from .met.interp import PRIMITIVES, match_pattern
 from .met.printer import count_nodes
 from .met.syntax import (
     App,
@@ -235,7 +235,7 @@ class _Specializer:
     def pe_prim(self, op: PrimOp, vs: list[PEValue]) -> PEValue:
         if not op.is_abstract and all(isinstance(v, Static) for v in vs):
             # Concrete arithmetic needs no domain.
-            return Static(eval_prim(op, [v.value for v in vs], None))
+            return Static(PRIMITIVES[op](*[v.value for v in vs], None))
         return Dynamic(Prim(op, tuple(self.residualize(v) for v in vs)))
 
     # -- match handling ------------------------------------------------------

@@ -19,7 +19,7 @@ import random
 from dataclasses import asdict, dataclass, field
 
 from .analyzer import analyze_meta, build_abstract_interpreter
-from .domains import AbsValue, NumericDomain, contains, format_abs, met_value_to_abs
+from .domains import AbsValue, Num, NumericDomain, contains, format_abs, met_value_to_abs
 from .met.interp import apply_met_function
 from .met.syntax import EvalBudget, MetExpr, VAbs, VTuple
 from .peval import residual_stats, specialize
@@ -65,10 +65,10 @@ def retarget(target: str, domain: NumericDomain) -> RetargetedAnalyzer:
 
 def run_specialized(analyzer: RetargetedAnalyzer, p: TgtProgram, i: int,
                     budget: EvalBudget | None = None) -> AbsValue:
-    """Analyze a concrete (program, input) pair with the residual."""
-    _check_program(analyzer, p)
-    arg = embed_src_value(SPair(encode_tgt_program(p), encode_tgt_value(i)))
-    return met_value_to_abs(apply_met_function(analyzer.residual, arg, analyzer.domain, budget))
+    """Analyze a program on a concrete input with the residual.  The input
+    is its singleton abstraction: the residual abstracts its argument
+    before anything else, so both give the same result in the same steps."""
+    return run_specialized_abstract(analyzer, p, Num(analyzer.domain.eta_int(i)), budget)
 
 
 def run_specialized_abstract(analyzer: RetargetedAnalyzer, p: TgtProgram,

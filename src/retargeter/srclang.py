@@ -138,7 +138,11 @@ def parse_src(text: str) -> SrcExpr:
             ctor = _FORMS.get(head)
             if ctor is None:
                 raise ParseError(f"unknown form {head!r}")
-            args = [parse() for _ in _FIELDS[ctor]]
+            # A loop, not a comprehension, so that each level of nesting
+            # takes one frame of the host stack, as in print_src.
+            args = []
+            for _ in _FIELDS[ctor]:
+                args.append(parse())
             if pos >= len(tokens) or tokens[pos] != ")":
                 raise ParseError(f"expected ')' to close {head!r}")
             pos += 1

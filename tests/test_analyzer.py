@@ -21,7 +21,6 @@ from retargeter.domains import (
     Sign,
     SignSet,
     contains,
-    eta,
     leq,
 )
 from retargeter.errors import FuelExhausted, StuckError
@@ -193,6 +192,7 @@ class TestAnalyzeMetaAbstract:
 
     def test_eta_of_encoded_program_matches_structural_eta(self):
         encoded = encode_tgt_program(Single(AddN(42)))
+        # add 42 encodes as (0, 42).
         assert abstract_target_input(INTERVAL, encoded, Num(Interval(0, 10))) == APair(
-            eta(encoded, INTERVAL), Num(Interval(0, 10))
+            APair(Num(Interval(0, 0)), Num(Interval(42, 42))), Num(Interval(0, 10))
         )

@@ -150,6 +150,34 @@ class TestRetarget:
                 "--emit", str(b))
         assert a.read_text() == b.read_text()
 
+    def test_residual_names_its_target(self, capsys, tmp_path):
+        emitted = tmp_path / "seq2.met"
+        run_cli(capsys, "retarget", "--target", "seq2", "--domain", "sign", "--emit", str(emitted))
+        assert emitted.read_text().splitlines()[0] == "# target: seq2"
+        code, out, _ = run_cli(capsys, "retarget", "--target", "seq2", "--domain", "sign")
+        assert code == 0 and out.splitlines()[0] == "# target: seq2"
+
+    @pytest.mark.parametrize("header", ["# target: seq2", "# target: cobol"])
+    def test_residual_for_another_target_exit_2(self, capsys, tmp_path, add42, header):
+        emitted = tmp_path / "seq2.met"
+        run_cli(capsys, "retarget", "--target", "seq2", "--domain", "interval",
+                "--emit", str(emitted))
+        text = emitted.read_text().replace("# target: seq2", header)
+        emitted.write_text(text)
+        code, out, err = run_cli(capsys, "analyze-specialized", str(emitted), add42,
+                                 "--domain", "interval", "--input", "5")
+        assert code == 2 and out == ""
+        assert repr(header.split()[-1]) in err and "'single'" in err
+
+    def test_residual_without_header_is_trusted(self, capsys, tmp_path, add42):
+        emitted = tmp_path / "single.met"
+        run_cli(capsys, "retarget", "--target", "single", "--domain", "interval",
+                "--emit", str(emitted))
+        emitted.write_text(emitted.read_text().split("\n", 1)[1])
+        code, out, _ = run_cli(capsys, "analyze-specialized", str(emitted), add42,
+                               "--domain", "interval", "--input", "5")
+        assert code == 0 and out.strip() == "[47,47]"
+
     def test_invalid_residual_file_exit_2(self, capsys, tmp_path, add42):
         bad = tmp_path / "bad.met"
         bad.write_text("let x = in")
@@ -216,6 +244,31 @@ class TestInputsAndFlags:
             assert exit_.value.code == 2, command
             assert "must be a positive integer" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("command", ["check", "bench"])
+    def test_trials_must_be_nonnegative(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--target", "single", "--domain", "sign", "--trials", "-1"])
+        assert exit_.value.code == 2
+        assert "must be a nonnegative integer" in capsys.readouterr().err
+
+    def test_unusable_file_argument_exit_2(self, capsys, tmp_path, add42):
+        emitted = tmp_path / "single.met"
+        run_cli(capsys, "retarget", "--target", "single", "--domain", "sign",
+                "--emit", str(emitted))
+        binary = tmp_path / "binary.tgt"
+        binary.write_bytes(b"\xff\xfe")
+        missing = str(tmp_path / "missing")
+        for argv in (
+            ["analyze", missing + ".tgt", "--domain", "sign", "--input", "1"],
+            ["analyze-specialized", missing + ".met", add42, "--domain", "sign", "--input", "1"],
+            ["run", str(tmp_path), "--input", "1"],
+            ["run", str(binary), "--input", "1"],
+            ["retarget", "--target", "single", "--domain", "sign",
+             "--emit", str(tmp_path / "no-such-dir" / "single.met")],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == "" and err.startswith("error: "), argv
 
 class TestCheckAndBench:
     def test_check_ok(self, capsys):

@@ -24,7 +24,6 @@ from retargeter import domains, retarget
 from retargeter.analyzer import build_abstract_interpreter
 from retargeter.domains import DOMAINS, INTERVAL, SIGN, TOP, Interval, Num, SignSet
 from retargeter.errors import FuelExhausted
-from retargeter.met import interp
 from retargeter.met.interp import PRIMITIVES, apply_met_function, compiled, eval_met
 from retargeter.met.parser import parse_met
 from retargeter.met.syntax import (
@@ -230,4 +229,4 @@ class TestCompiledForm:
 
     def test_one_primitive_table(self):
         assert set(PRIMITIVES) == set(PrimOp)
-        assert interp.eval_prim(PrimOp.ADD, [VInt(2), VInt(3)], None) == VInt(5)
+        assert PRIMITIVES[PrimOp.ADD](VInt(2), VInt(3), None) == VInt(5)

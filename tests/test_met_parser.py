@@ -111,6 +111,25 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="nested too deeply"):
             parse_met("(" * 400 + "x" + ")" * 400)
 
+    def test_error_position_counts_comment_lines(self):
+        with pytest.raises(ParseError) as err:
+            parse_met("# target: single\nfun i -> @")
+        assert (err.value.line, err.value.column) == (2, 10)
+
+
+class TestComments:
+    def test_comments_are_skipped(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            printed = print_met(random_met_expr(rng, rng.randint(0, 5)))
+            # Every space separates two tokens, so each can end a line
+            # with a comment.
+            commented = "# header\n" + printed.replace(" ", " # (a, b) -> fst\n") + "  # end"
+            assert parse_met(commented) == parse_met(printed), commented
+
+    def test_a_comment_may_end_the_text(self):
+        assert parse_met("1 #") == parse_met("1") == IntLit(1)
+
 
 class TestRoundTrip:
     def test_fixture_corpus(self):

@@ -3,6 +3,7 @@ top-level API and the "Command line" block through ``cli.main``."""
 
 from __future__ import annotations
 
+import itertools
 import re
 import shlex
 from pathlib import Path
@@ -27,11 +28,13 @@ def test_command_line_examples_print_documented_output(capsys, tmp_path, monkeyp
     monkeypatch.chdir(tmp_path)
     lines = code_block("## Command line", "sh").splitlines()
     compared = []
-    for line, below in zip(lines, lines[1:] + [""]):
+    for k, line in enumerate(lines):
         argv = shlex.split(line, comments=True)
         if not argv:
             continue
-        documented = below[2:] if below.startswith("# ") else None
+        # A command's output is the run of "# " lines right below it.
+        below = list(itertools.takewhile(lambda s: s.startswith("# "), lines[k + 1:]))
+        documented = "\n".join(s[2:] for s in below) if below else None
         if argv[0] == "printf":
             assert argv[2] == ">", line
             Path(argv[3]).write_text(argv[1])

@@ -52,6 +52,14 @@ class TestParse:
         with pytest.raises(ParseError, match="nested too deeply"):
             parse_src("(fst " * 2000 + "x" + ")" * 2000)
 
+    def test_parses_what_print_src_prints_600_deep(self):
+        e = X()
+        for _ in range(600):
+            e = Add(Num(1), e)
+        # Compared as text: dataclass equality itself recurses too deeply.
+        text = print_src(e)
+        assert print_src(parse_src(text)) == text
+
     def test_round_trip(self):
         rng = random.Random(5)
         for _ in range(300):

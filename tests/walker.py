@@ -144,14 +144,14 @@ def eval_met(e: MetExpr, env: Env, domain: NumericDomain,
                 if isinstance(v, VTuple):
                     return v.fst
                 if isinstance(v, VAbs):
-                    return VAbs(domains.abs_proj1(v.value))
+                    return VAbs(domains.abs_proj(v.value, True))
                 raise StuckError("fst of a non-tuple")
             case Proj2(a):
                 v = ev(a, env)
                 if isinstance(v, VTuple):
                     return v.snd
                 if isinstance(v, VAbs):
-                    return VAbs(domains.abs_proj2(v.value))
+                    return VAbs(domains.abs_proj(v.value, False))
                 raise StuckError("snd of a non-tuple")
             case Construct(tag, args):
                 return VConstruct(tag, tuple(ev(a, env) for a in args))
