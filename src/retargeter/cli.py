@@ -11,25 +11,31 @@ Subcommands::
 
 Exit codes: 0 success, 1 property failure, 2 malformed input (a parse
 error, a bad flag value, a file that cannot be read or written, a
-residual whose header names another target than the program's, or a
-residual that gets stuck instead of analyzing), 3 step budget exhausted.
+residual whose header names another target than the program's, a
+residual that gets stuck instead of analyzing, or a result with an
+integer of more digits than ``str`` converts, 4300 by default: see
+``sys.get_int_max_str_digits``), 3 step budget exhausted.
 
 ``retarget`` writes the header ``# target: <name>`` above the residual;
 ``analyze-specialized`` checks it, and trusts a residual without one.
 ``analyze`` and ``analyze-specialized`` take ``--fuel``, the evaluation
 step budget (a positive integer, default 1,000,000); no other subcommand
 has one.
+
+The argument parser is built on the first ``main`` call and reused by
+every later call in the process; parsing leaves no state in it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
 
 from .analyzer import abstract_target_input, analyze_meta_abstract
-from .domains import DOMAINS, AbsValue, Num, format_abs, get_domain, parse_abs
+from .domains import DOMAINS, AbsValue, Num, get_domain, parse_abs
 from .errors import FuelExhausted, ParseError, RetargeterError, StuckError
 from .met.parser import parse_met
 from .met.printer import print_met
@@ -68,10 +74,22 @@ def _load_program(path: str):
     return parse_tgt_program(_read(path))
 
 
+def _print_result(value) -> int:
+    """Print an analysis or run result, which may hold integers of any size."""
+    try:
+        text = str(value)
+    except ValueError:    # an integer with more digits than str() converts
+        print(f"error: the result has an integer of more than "
+              f"{sys.get_int_max_str_digits()} digits, the limit set by "
+              f"sys.set_int_max_str_digits()", file=sys.stderr)
+        return EXIT_PARSE
+    print(text)
+    return EXIT_OK
+
+
 def cmd_run(args) -> int:
     program = _load_program(args.program)
-    print(eval_tgt(program, args.input))
-    return EXIT_OK
+    return _print_result(eval_tgt(program, args.input))
 
 
 def _resolve_input(args, domain) -> AbsValue:
@@ -91,8 +109,7 @@ def cmd_analyze(args) -> int:
     abstract = abstract_target_input(domain, encode_tgt_program(program),
                                       _resolve_input(args, domain))
     result = analyze_meta_abstract(domain, fixture, abstract, EvalBudget(fuel=args.fuel))
-    print(format_abs(result))
-    return EXIT_OK
+    return _print_result(result)
 
 
 def cmd_retarget(args) -> int:
@@ -128,8 +145,7 @@ def cmd_analyze_specialized(args) -> int:
         # The residual is user input: one that gets stuck is not an analyzer.
         print(f"error: {args.residual} is not an analyzer: {err}", file=sys.stderr)
         return EXIT_PARSE
-    print(format_abs(result))
-    return EXIT_OK
+    return _print_result(result)
 
 
 def _emit_reports(args, reports) -> int:
@@ -170,7 +186,9 @@ positive_int = _int_at_least(1, "positive")
 nonnegative_int = _int_at_least(0, "nonnegative")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="retargeter",
         description="Derive and run static analyzers for small target languages "

@@ -27,12 +27,24 @@ A ``match`` extends as far to the right as possible, so a match that is
 not the final branch of an enclosing match must be parenthesized; the
 printer takes care of that.  Constructor applications are checked against
 a tag-to-arity signature, and match patterns must be linear.
+
+Lexing is one pass of one regular expression over the whole text, done
+before any parsing, so a character that starts no token is reported
+before any syntax error, at its own position.  An integer literal is
+ASCII digits with an optional leading ``-`` (``-?[0-9]+``).  An
+identifier starts with a letter (``str.isalpha``) or ``_`` and goes on
+with letters, ASCII digits, ``_`` and ``'``.  Layout is space, tab,
+carriage return and newline.  Any other character outside the
+punctuation ``( ) + * = , | ->`` is an "unexpected character", and so is a
+``-`` that starts neither ``->`` nor a literal.  A token is a pair
+``(kind, text)``; positions are not kept.  When a ``ParseError`` is
+raised, the text is scanned again for the offending token's offset, and
+the 1-based line and column are computed from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+import re
 
 from ..errors import ParseError
 from ..srclang import SRC_SIGNATURE
@@ -63,278 +75,267 @@ from .syntax import (
 KEYWORDS = {"let", "rec", "in", "fun", "match", "with", "fst", "snd"}
 PRIM_NAMES = {op.value: op for op in PrimOp if op.is_abstract}
 
+_TOKEN = re.compile(
+    r"[ \t\r\n]*("              # layout, then the token:
+    r"[^\W\d][\w']*"            # an identifier (a non-ASCII one is checked)
+    r"|[()+*=,|]|->|-?[0-9]+"   # punctuation, an integer literal
+    r"|#[^\n]*"                 # a comment
+    r"|\Z|.)",                  # the end of the text, any other character
+    re.S,
+)
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # INT LIDENT UIDENT PUNCT EOF
-    text: str
-    line: int
-    column: int
+# A token is a pair (kind, text).  Its kind is "INT", "NAME" (a variable),
+# "TAG" (a constructor), "PRIM" or "EOF"; for a keyword, a punctuation mark
+# or "_" it is the token's text.
+_KINDS = {**{k: k for k in KEYWORDS}, **{p: "PRIM" for p in PRIM_NAMES},
+          **{p: p for p in ("(", ")", "+", "*", "=", ",", "|", "->", "_")}, "": "EOF"}
+_ATOM_START = frozenset({"INT", "NAME", "TAG", "PRIM", "(", "_"})
+_INT_START = frozenset("-0123456789")
+_IDENT_CHARS = frozenset("0123456789_'")
+
+_ADD, _MUL, _EQ = PrimOp.ADD, PrimOp.MUL, PrimOp.EQ
 
 
-def tokenize(text: str) -> Iterator[Token]:
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if c in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if c == "#":
-            end = text.find("\n", i)
-            end = n if end < 0 else end
-            i, col = end, col + end - i
-            continue
-        start_line, start_col = line, col
-        if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            yield Token("INT", text[i:j], start_line, start_col)
-            col += j - i
-            i = j
-            continue
-        if c == "-" and i + 1 < n and text[i + 1] == ">":
-            yield Token("PUNCT", "->", start_line, start_col)
-            i, col = i + 2, col + 2
-            continue
-        if c.isalpha() or c == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            word = text[i:j]
-            kind = "UIDENT" if word[0].isupper() else "LIDENT"
-            yield Token(kind, word, start_line, start_col)
-            col += j - i
-            i = j
-            continue
-        if c in "()+*=,|":
-            yield Token("PUNCT", c, start_line, start_col)
-            i, col = i + 1, col + 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    yield Token("EOF", "", line, col)
+def _error(source: str, message: str, index: int, skip: int = 0) -> ParseError:
+    """An error at character ``skip`` of token number ``index``."""
+    starts = [m.start(1) for m in _TOKEN.finditer(source) if m[1][:1] != "#"]
+    offset = starts[index] + skip
+    line = source.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - source.rfind("\n", 0, offset))
+
+
+def tokenize(source: str) -> list[tuple[str, str]]:
+    """The tokens of ``source``, ending with an ``EOF`` token."""
+    tokens = []
+    append = tokens.append
+    kinds = _KINDS
+    for text in _TOKEN.findall(source):
+        kind = kinds.get(text)
+        if kind is None:
+            c = text[0]
+            if c.isalpha() or c == "_":
+                if not text.isascii():
+                    for k, ch in enumerate(text):
+                        if not (ch.isalpha() or ch in _IDENT_CHARS):
+                            raise _error(source, f"unexpected character {ch!r}",
+                                         len(tokens), k)
+                kind = "TAG" if text[0].isupper() else "NAME"
+            elif c in _INT_START and text != "-":
+                kind = "INT"
+            elif c == "#":
+                continue
+            else:
+                raise _error(source, f"unexpected character {c!r}", len(tokens))
+        append((kind, text))
+    return tokens
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.tokens = list(tokenize(text))
+    """Recursive descent over the token list; ``kind`` and ``text`` are the
+    current token's, and ``pos`` its index."""
+
+    def __init__(self, source: str):
+        self.source = source
+        self.tokens = tokenize(source)
         self.pos = 0
+        self.kind, self.text = self.tokens[0]
 
-    # -- token helpers ----------------------------------------------------
-
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.cur
+    def advance(self) -> None:
         self.pos += 1
-        return tok
+        self.kind, self.text = self.tokens[self.pos]
 
-    def error(self, message: str, tok: Token | None = None) -> ParseError:
-        tok = tok or self.cur
-        return ParseError(message, tok.line, tok.column)
+    def error(self, message: str, pos: int | None = None) -> ParseError:
+        return _error(self.source, message, self.pos if pos is None else pos)
 
-    def expect(self, text: str) -> Token:
-        tok = self.cur
-        if tok.text != text or tok.kind == "EOF":
-            raise self.error(f"expected {text!r}, found {tok.text!r}")
-        return self.advance()
+    def expect(self, kind: str) -> None:
+        if self.kind != kind:
+            raise self.error(f"expected {kind!r}, found {self.text!r}")
+        self.advance()
 
     def int_literal(self) -> int:
-        tok = self.advance()
-        try:
-            return int(tok.text)
-        except ValueError:    # more digits than int() converts
-            raise self.error(f"integer literal too long ({len(tok.text)} characters)",
-                             tok) from None
-
-    def expect_name(self) -> str:
-        tok = self.cur
-        if tok.kind != "LIDENT" or tok.text in KEYWORDS or tok.text in PRIM_NAMES:
-            raise self.error(f"expected a variable name, found {tok.text!r}")
-        if tok.text == "_":
-            raise self.error("'_' is only valid as a pattern")
+        text, pos = self.text, self.pos
         self.advance()
-        return tok.text
+        try:
+            return int(text)
+        except ValueError:    # more digits than int() converts
+            raise self.error(f"integer literal too long ({len(text)} characters)",
+                             pos) from None
 
-    def starts_atom(self) -> bool:
-        tok = self.cur
-        if tok.kind in ("INT", "UIDENT"):
-            return True
-        if tok.kind == "PUNCT" and tok.text == "(":
-            return True
-        if tok.kind == "LIDENT":
-            return tok.text in PRIM_NAMES or tok.text not in KEYWORDS
-        return False
+    def name(self) -> str:
+        if self.kind != "NAME":
+            if self.kind == "_":
+                raise self.error("'_' is only valid as a pattern")
+            raise self.error(f"expected a variable name, found {self.text!r}")
+        name = self.text
+        self.advance()
+        return name
+
+    def check_tag(self, tag: str, arity: int, pos: int) -> None:
+        expected = SRC_SIGNATURE.get(tag)
+        if expected is None:
+            raise self.error(f"unknown constructor {tag!r}", pos)
+        if expected != arity:
+            raise self.error(
+                f"constructor {tag!r} takes {expected} argument(s), got {arity}", pos
+            )
 
     # -- expressions ------------------------------------------------------
 
-    def parse_expr(self) -> MetExpr:
-        tok = self.cur
-        if tok.text == "let":
+    def expr(self) -> MetExpr:
+        kind = self.kind
+        if kind == "let":
             self.advance()
-            if self.cur.text == "rec":
+            if self.kind == "rec":
                 self.advance()
-                fname = self.expect_name()
-                param = self.expect_name()
+                fname = self.name()
+                param = self.name()
                 self.expect("=")
-                fbody = self.parse_expr()
+                fbody = self.expr()
                 self.expect("in")
-                body = self.parse_expr()
-                return LetRecFun(fname, param, fbody, body)
-            name = self.expect_name()
+                return LetRecFun(fname, param, fbody, self.expr())
+            name = self.name()
             self.expect("=")
-            bound = self.parse_expr()
+            bound = self.expr()
             self.expect("in")
-            body = self.parse_expr()
-            return Let(name, bound, body)
-        if tok.text == "fun":
+            return Let(name, bound, self.expr())
+        if kind == "fun":
             self.advance()
-            param = self.expect_name()
+            param = self.name()
             self.expect("->")
-            return Lambda(param, self.parse_expr())
-        if tok.text == "match":
+            return Lambda(param, self.expr())
+        if kind == "match":
             self.advance()
-            scrutinee = self.parse_expr()
+            scrutinee = self.expr()
             self.expect("with")
-            if self.cur.text == "|":
+            if self.kind == "|":
                 self.advance()
-            branches = [self.parse_branch()]
-            while self.cur.text == "|":
+            branches = [self.branch()]
+            while self.kind == "|":
                 self.advance()
-                branches.append(self.parse_branch())
+                branches.append(self.branch())
             return Match(scrutinee, tuple(branches))
-        return self.parse_cmp()
-
-    def parse_branch(self) -> tuple[Pattern, MetExpr]:
-        tok = self.cur
-        pat = self.parse_pattern()
-        if not is_linear(pat):
-            raise self.error("pattern binds the same variable twice", tok)
-        self.expect("->")
-        return pat, self.parse_expr()
-
-    def parse_cmp(self) -> MetExpr:
-        left = self.parse_add()
-        if self.cur.text == "=":
+        left = self.add()
+        if self.kind == "=":
             self.advance()
-            right = self.parse_add()
-            return Prim(PrimOp.EQ, (left, right))
+            return Prim(_EQ, (left, self.add()))
         return left
 
-    def parse_add(self) -> MetExpr:
-        e = self.parse_mul()
-        while self.cur.text == "+":
-            self.advance()
-            e = Prim(PrimOp.ADD, (e, self.parse_mul()))
-        return e
+    def branch(self) -> tuple[Pattern, MetExpr]:
+        pos = self.pos
+        pat = self.pattern()
+        if not is_linear(pat):
+            raise self.error("pattern binds the same variable twice", pos)
+        self.expect("->")
+        return pat, self.expr()
 
-    def parse_mul(self) -> MetExpr:
-        e = self.parse_proj()
-        while self.cur.text == "*":
+    def add(self) -> MetExpr:
+        """``add``, with ``mul`` folded in."""
+        e = self.proj()
+        while self.kind == "*":
             self.advance()
-            e = Prim(PrimOp.MUL, (e, self.parse_proj()))
-        return e
-
-    def parse_proj(self) -> MetExpr:
-        if self.cur.text == "fst":
+            e = Prim(_MUL, (e, self.proj()))
+        while self.kind == "+":
             self.advance()
-            return Proj1(self.parse_proj())
-        if self.cur.text == "snd":
-            self.advance()
-            return Proj2(self.parse_proj())
-        return self.parse_app()
-
-    def parse_app(self) -> MetExpr:
-        e = self.parse_atom()
-        while self.starts_atom():
-            e = App(e, self.parse_atom())
-        return e
-
-    def parse_atom(self) -> MetExpr:
-        tok = self.cur
-        if tok.kind == "INT":
-            return IntLit(self.int_literal())
-        if tok.kind == "LIDENT" and tok.text in PRIM_NAMES:
-            self.advance()
-            op = PRIM_NAMES[tok.text]
-            args = self.parse_paren_list(self.parse_expr)
-            if len(args) != op.arity:
-                raise self.error(f"{tok.text} takes {op.arity} argument(s), got {len(args)}", tok)
-            return Prim(op, tuple(args))
-        if tok.kind == "LIDENT":
-            return Var(self.expect_name())
-        if tok.kind == "UIDENT":
-            self.advance()
-            args: list[MetExpr] = []
-            if self.cur.text == "(":
-                args = self.parse_paren_list(self.parse_expr)
-            self.check_tag(tok, len(args))
-            return Construct(tok.text, tuple(args))
-        if tok.text == "(":
-            self.advance()
-            first = self.parse_expr()
-            if self.cur.text == ",":
+            right = self.proj()
+            while self.kind == "*":
                 self.advance()
-                second = self.parse_expr()
+                right = Prim(_MUL, (right, self.proj()))
+            e = Prim(_ADD, (e, right))
+        return e
+
+    def proj(self) -> MetExpr:
+        """``proj``, with ``app`` folded in."""
+        kind = self.kind
+        if kind == "fst":
+            self.advance()
+            return Proj1(self.proj())
+        if kind == "snd":
+            self.advance()
+            return Proj2(self.proj())
+        e = self.atom()
+        while self.kind in _ATOM_START:
+            e = App(e, self.atom())
+        return e
+
+    def atom(self) -> MetExpr:
+        kind = self.kind
+        if kind == "NAME":
+            e = Var(self.text)
+            self.advance()
+            return e
+        if kind == "INT":
+            return IntLit(self.int_literal())
+        if kind == "(":
+            self.advance()
+            first = self.expr()
+            if self.kind == ",":
+                self.advance()
+                second = self.expr()
                 self.expect(")")
                 return Tuple(first, second)
             self.expect(")")
             return first
-        raise self.error(f"expected an expression, found {tok.text!r}")
+        if kind == "PRIM":
+            name, pos = self.text, self.pos
+            self.advance()
+            args = self.items(self.expr)
+            op = PRIM_NAMES[name]
+            if len(args) != op.arity:
+                raise self.error(f"{name} takes {op.arity} argument(s), got {len(args)}",
+                                 pos)
+            return Prim(op, args)
+        if kind == "TAG":
+            tag, pos = self.text, self.pos
+            self.advance()
+            args = self.items(self.expr) if self.kind == "(" else ()
+            self.check_tag(tag, len(args), pos)
+            return Construct(tag, args)
+        if kind == "_" or kind in KEYWORDS:
+            self.name()    # raises the error a misplaced name gets
+        raise self.error(f"expected an expression, found {self.text!r}")
 
-    def parse_paren_list(self, parse_item) -> list:
+    def items(self, parse_item) -> tuple:
+        """``"(" item { "," item } ")"``"""
         self.expect("(")
         items = [parse_item()]
-        while self.cur.text == ",":
+        while self.kind == ",":
             self.advance()
             items.append(parse_item())
         self.expect(")")
-        return items
-
-    def check_tag(self, tok: Token, arity: int) -> None:
-        expected = SRC_SIGNATURE.get(tok.text)
-        if expected is None:
-            raise self.error(f"unknown constructor {tok.text!r}", tok)
-        if expected != arity:
-            raise self.error(
-                f"constructor {tok.text!r} takes {expected} argument(s), got {arity}", tok
-            )
+        return tuple(items)
 
     # -- patterns ---------------------------------------------------------
 
-    def parse_pattern(self) -> Pattern:
-        tok = self.cur
-        if tok.kind == "INT":
-            return PInt(self.int_literal())
-        if tok.text == "_":
+    def pattern(self) -> Pattern:
+        kind = self.kind
+        if kind == "NAME":
+            p = PVar(self.text)
+            self.advance()
+            return p
+        if kind == "_":
             self.advance()
             return PWild()
-        if tok.kind == "LIDENT":
-            return PVar(self.expect_name())
-        if tok.kind == "UIDENT":
+        if kind == "INT":
+            return PInt(self.int_literal())
+        if kind == "TAG":
+            tag, pos = self.text, self.pos
             self.advance()
-            args: list[Pattern] = []
-            if self.cur.text == "(":
-                args = self.parse_paren_list(self.parse_pattern)
-            self.check_tag(tok, len(args))
-            return PConstruct(tok.text, tuple(args))
-        if tok.text == "(":
+            args = self.items(self.pattern) if self.kind == "(" else ()
+            self.check_tag(tag, len(args), pos)
+            return PConstruct(tag, args)
+        if kind == "(":
             self.advance()
-            first = self.parse_pattern()
-            if self.cur.text == ",":
+            first = self.pattern()
+            if self.kind == ",":
                 self.advance()
-                second = self.parse_pattern()
+                second = self.pattern()
                 self.expect(")")
                 return PTuple(first, second)
             self.expect(")")
             return first
-        raise self.error(f"expected a pattern, found {tok.text!r}")
+        if kind == "PRIM" or kind in KEYWORDS:
+            self.name()    # raises the error a misplaced name gets
+        raise self.error(f"expected a pattern, found {self.text!r}")
 
 
 def parse_met(text: str) -> MetExpr:
@@ -345,10 +346,9 @@ def parse_met(text: str) -> MetExpr:
     """
     parser = _Parser(text)
     try:
-        expr = parser.parse_expr()
+        expr = parser.expr()
     except RecursionError:
         raise ParseError("input nested too deeply") from None
-    tok = parser.cur
-    if tok.kind != "EOF":
-        raise parser.error(f"trailing input starting at {tok.text!r}")
+    if parser.kind != "EOF":
+        raise parser.error(f"trailing input starting at {parser.text!r}")
     return expr

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
 import json
+import sys
 
 import pytest
 
-from retargeter.cli import main
+from retargeter.cli import build_parser, main
 
 
 @pytest.fixture
@@ -269,6 +271,66 @@ class TestInputsAndFlags:
         ):
             code, out, err = run_cli(capsys, *argv)
             assert code == 2 and out == "" and err.startswith("error: "), argv
+
+
+class TestResultTooLargeToPrint:
+    """A result with more digits than ``str`` converts is malformed input
+    (exit 2), not a property failure."""
+
+    @pytest.fixture
+    def bigmul(self, tmp_path):
+        path = tmp_path / "bigmul.tgt"
+        path.write_text("mul " + "9" * 4000 + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["run", "analyze", "analyze-specialized"])
+    def test_exit_2_naming_the_limit(self, capsys, tmp_path, bigmul, command):
+        argv = [command, bigmul, "--input", "9" * 4000]
+        if command != "run":
+            argv += ["--domain", "interval"]
+        if command == "analyze-specialized":
+            emitted = tmp_path / "single.met"
+            run_cli(capsys, "retarget", "--target", "single", "--domain", "interval",
+                    "--emit", str(emitted))
+            argv.insert(1, str(emitted))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"more than {sys.get_int_max_str_digits()} digits" in err
+
+
+class TestOneParserPerProcess:
+    def test_later_requests_construct_no_parser(self, capsys, monkeypatch, add42):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        build_parser.cache_clear()
+        counts = []
+        for _ in range(3):
+            code, out, _ = run_cli(capsys, "run", add42, "--input", "5")
+            assert code == 0 and out.strip() == "47"
+            counts.append(len(built))
+        assert counts[0] > 0 and counts == [counts[0]] * 3
+
+    def test_no_state_carries_between_requests(self, capsys, seq):
+        lines = [run_cli(capsys, "analyze", seq, "--domain", "interval", *flags)
+                 for flags in (["--input", "5"], ["--abs-input", "[5,5]"])]
+        assert lines[0] == lines[1] == (0, "[18,18]\n", "")
+
+    def test_a_rejected_request_leaves_the_parser_usable(self, capsys, add42):
+        with pytest.raises(SystemExit) as exit_:
+            main(["analyze", add42, "--domain", "interval", "--input", "1",
+                  "--abs-input", "top"])
+        assert exit_.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        code, out, _ = run_cli(capsys, "analyze", add42, "--domain", "interval",
+                               "--input", "1")
+        assert code == 0 and out.strip() == "[43,43]"
+
 
 class TestCheckAndBench:
     def test_check_ok(self, capsys):

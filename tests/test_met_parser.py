@@ -13,6 +13,7 @@ from retargeter.met.syntax import (
     App,
     Construct,
     IntLit,
+    Lambda,
     Let,
     LetRecFun,
     Match,
@@ -110,6 +111,17 @@ class TestParseErrors:
     def test_deep_nesting_is_a_parse_error(self):
         with pytest.raises(ParseError, match="nested too deeply"):
             parse_met("(" * 400 + "x" + ")" * 400)
+
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"], ids=["superscript-two", "arabic-three"])
+    def test_non_ascii_digit_is_an_unexpected_character(self, digit):
+        # Integer literals are ASCII: neither a digit int() rejects nor one
+        # it accepts starts a literal.
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            parse_met(f"fun i -> {digit}")
+        assert (err.value.line, err.value.column) == (1, 10)
+
+    def test_identifiers_keep_unicode_letters(self):
+        assert parse_met("fun \u00e9 -> \u00e9") == Lambda("\u00e9", Var("\u00e9"))
 
     def test_error_position_counts_comment_lines(self):
         with pytest.raises(ParseError) as err:
