@@ -48,6 +48,7 @@ from .retargeting import (
     retarget,
     run_specialized_abstract,
 )
+from .srclang import parse_int
 from .tgtlang import (
     TARGETS,
     encode_tgt_program,
@@ -171,10 +172,16 @@ def cmd_bench(args) -> int:
     return _emit_reports(args, [bench_steps(domain, args.target, args.trials, args.seed)])
 
 
+def integer(text: str) -> int:
+    """An argparse type for integers in the syntax of every front end
+    (``srclang.parse_int``); usage errors call it by this name."""
+    return parse_int(text)
+
+
 def _int_at_least(least: int, kind: str):
     """An argparse type for integers no smaller than ``least``."""
     def parse(text: str) -> int:
-        value = int(text)
+        value = integer(text)
         if value < least:
             raise argparse.ArgumentTypeError(f"must be a {kind} integer, not {value}")
         return value
@@ -201,12 +208,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run a target program")
     p.add_argument("program", help="target program file (e.g. add42.tgt)")
-    p.add_argument("--input", type=int, required=True)
+    p.add_argument("--input", type=integer, required=True)
     p.set_defaults(fn=cmd_run)
 
     def add_analysis_inputs(p):
         group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--input", type=int, help="concrete integer input")
+        group.add_argument("--input", type=integer, help="concrete integer input")
         group.add_argument("--abs-input", dest="abs_input",
                            help="abstract input, e.g. '[0,10]' or '{0,+}'")
         p.add_argument("--fuel", type=positive_int, default=DEFAULT_FUEL,
@@ -235,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, parents=[domain_arg])
         p.add_argument("--target", choices=TARGETS, required=True)
         p.add_argument("--trials", type=nonnegative_int, default=1000)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=integer, default=0)
         p.add_argument("--output", choices=("text", "json"), default="text")
         p.set_defaults(fn=fn)
 

@@ -12,6 +12,17 @@ is a method or class attribute of the carrier.
 
 Concretization is exposed as a membership test (:func:`contains`) rather
 than as a set constructor, which is what the soundness harnesses need.
+
+Values are checked where they enter from outside: the public
+constructors ``Interval(lo, hi)``, ``SignSet(signs)`` and ``APair(a, b)``
+reject empty intervals, empty sign sets and pairs with a ``Bot``
+component, and :func:`parse_abs` reports those as parse errors.  No
+operator can produce such a value, so operator results are built with
+the unchecked builders ``_interval``, ``_num`` and ``_pair``.  The
+operators run on every step of a derived analyzer: they dispatch on
+``type(x) is C`` with the common case first, sign operators return one
+of seven shared sign sets, and ``Interval.eq`` one of three shared
+intervals.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ from typing import ClassVar
 
 from .errors import ParseError, StuckError
 from .met.syntax import MetValue, VAbs, VInt, VTuple
-from .srclang import SInt, SPair, SrcValue, random_src_value
+from .srclang import SInt, SPair, SrcValue, parse_int, random_src_value
 
 
 # ---------------------------------------------------------------------------
@@ -39,12 +50,22 @@ class Sign(enum.Enum):
     POS = "+"
 
 
+# The operators use these: looking a member up on an enum class (``Sign.NEG``)
+# costs a descriptor call, several times a module global lookup.
+_NEG, _ZERO, _POS = Sign.NEG, Sign.ZERO, Sign.POS
+
+
 def _sign_of(n: int) -> Sign:
     if n < 0:
-        return Sign.NEG
+        return _NEG
     if n == 0:
-        return Sign.ZERO
-    return Sign.POS
+        return _ZERO
+    return _POS
+
+
+# Operator results skip the checks of the public constructors.
+_new = object.__new__
+_setattr = object.__setattr__
 
 
 @dataclass(frozen=True)
@@ -66,11 +87,15 @@ class SignSet:
 
     @classmethod
     def eta_int(cls, n: int) -> "SignSet":
-        return cls.of(_sign_of(n))
+        if n < 0:
+            return _SIGN_NEG
+        if n == 0:
+            return _SIGN_ZERO
+        return _SIGN_POS
 
     @classmethod
     def top(cls) -> "SignSet":
-        return cls.of(Sign.NEG, Sign.ZERO, Sign.POS)
+        return _SIGN_TOP
 
     @classmethod
     def parse(cls, body: str) -> "SignSet":
@@ -95,7 +120,7 @@ class SignSet:
         return self.signs <= other.signs
 
     def join(self, other: "SignSet") -> "SignSet":
-        return SignSet(self.signs | other.signs)
+        return _SIGN_JOIN_TABLE[self.signs, other.signs]
 
     def contains(self, n: int) -> bool:
         return _sign_of(n) in self.signs
@@ -110,10 +135,10 @@ class SignSet:
         return _SIGN_EQ_TABLE[self.signs, other.signs]
 
     def may_be_nonzero(self) -> bool:
-        return bool(self.signs & {Sign.NEG, Sign.POS})
+        return _NEG in self.signs or _POS in self.signs
 
     def may_be_zero(self) -> bool:
-        return Sign.ZERO in self.signs
+        return _ZERO in self.signs
 
     def __str__(self) -> str:
         order = [Sign.NEG, Sign.ZERO, Sign.POS]
@@ -125,7 +150,7 @@ def _parse_bound(s: str, sign: int) -> int | None:
     if (sign < 0 and s == "-inf") or (sign > 0 and s in ("+inf", "inf")):
         return None
     try:
-        return int(s)
+        return parse_int(s)
     except ValueError:
         raise ParseError(f"malformed interval bound {s!r}") from None
 
@@ -146,11 +171,11 @@ class Interval:
 
     @classmethod
     def eta_int(cls, n: int) -> "Interval":
-        return cls(n, n)
+        return _interval(n, n)
 
     @classmethod
     def top(cls) -> "Interval":
-        return cls(None, None)
+        return _INTERVAL_TOP
 
     @classmethod
     def parse(cls, body: str) -> "Interval":
@@ -182,7 +207,7 @@ class Interval:
     def join(self, other: "Interval") -> "Interval":
         lo = None if self.lo is None or other.lo is None else min(self.lo, other.lo)
         hi = None if self.hi is None or other.hi is None else max(self.hi, other.hi)
-        return Interval(lo, hi)
+        return _interval(lo, hi)
 
     def contains(self, n: int) -> bool:
         if self.lo is not None and n < self.lo:
@@ -194,38 +219,28 @@ class Interval:
     def add(self, other: "Interval") -> "Interval":
         lo = None if self.lo is None or other.lo is None else self.lo + other.lo
         hi = None if self.hi is None or other.hi is None else self.hi + other.hi
-        return Interval(lo, hi)
+        return _interval(lo, hi)
 
     def mul(self, other: "Interval") -> "Interval":
-        def ext(bound: int | None, sign: int) -> float | int:
-            return sign * float("inf") if bound is None else bound
-
-        def pmul(a: float | int, b: float | int) -> float | int:
-            if a == 0 or b == 0:
-                return 0
-            if isinstance(a, float) or isinstance(b, float):
-                positive = (a > 0) == (b > 0)
-                return float("inf") if positive else float("-inf")
-            return a * b
-
-        bounds_a = (ext(self.lo, -1), ext(self.hi, +1))
-        bounds_b = (ext(other.lo, -1), ext(other.hi, +1))
-        products = [pmul(a, b) for a in bounds_a for b in bounds_b]
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
+        if a is not None and b is not None and c is not None and d is not None:
+            ac, ad, bc, bd = a * c, a * d, b * c, b * d
+            return _interval(min(ac, ad, bc, bd), max(ac, ad, bc, bd))
+        products = [_bound_mul(x, y) for x in (_extend(a, -1), _extend(b, +1))
+                    for y in (_extend(c, -1), _extend(d, +1))]
         lo, hi = min(products), max(products)
-        return Interval(
-            None if isinstance(lo, float) else lo,
-            None if isinstance(hi, float) else hi,
-        )
+        return _interval(None if isinstance(lo, float) else lo,
+                         None if isinstance(hi, float) else hi)
 
     def eq(self, other: "Interval") -> "Interval":
-        if self.is_singleton() and self == other:
-            return Interval(1, 1)
+        lo = self.lo
+        # Equal only when both are the same singleton.
+        if (lo is not None and lo == self.hi and type(other) is Interval
+                and other.lo == lo and other.hi == lo):
+            return _INTERVAL_TRUE
         if self.disjoint_from(other):
-            return Interval(0, 0)
-        return Interval(0, 1)
-
-    def is_singleton(self) -> bool:
-        return self.lo is not None and self.lo == self.hi
+            return _INTERVAL_FALSE
+        return _INTERVAL_BOOL
 
     def disjoint_from(self, other: "Interval") -> bool:
         if self.hi is not None and other.lo is not None and self.hi < other.lo:
@@ -246,6 +261,32 @@ class Interval:
         return f"[{lo},{hi}]"
 
 
+def _extend(bound: int | None, sign: int) -> float | int:
+    """A bound, with a missing one read as infinity of the given sign."""
+    return sign * float("inf") if bound is None else bound
+
+
+def _bound_mul(a: float | int, b: float | int) -> float | int:
+    """Product of two extended bounds, with 0 * inf = 0."""
+    if a == 0 or b == 0:
+        return 0
+    if isinstance(a, float) or isinstance(b, float):
+        positive = (a > 0) == (b > 0)
+        return float("inf") if positive else float("-inf")
+    return a * b
+
+
+def _interval(lo: int | None, hi: int | None) -> Interval:
+    iv = _new(Interval)
+    _setattr(iv, "lo", lo)
+    _setattr(iv, "hi", hi)
+    return iv
+
+
+_INTERVAL_TOP = _interval(None, None)
+# The three results of ``Interval.eq``: equal, unequal, either.
+_INTERVAL_TRUE, _INTERVAL_FALSE, _INTERVAL_BOOL = _interval(1, 1), _interval(0, 0), _interval(0, 1)
+
 NumAbs = SignSet | Interval
 
 
@@ -258,17 +299,24 @@ NumAbs = SignSet | Interval
 _REPRESENTATIVES = {Sign.NEG: (-2, -1), Sign.ZERO: (0,), Sign.POS: (1, 2)}
 
 
+# Every sign operator returns one of the seven shared nonempty sign sets.
+_SIGN_SETS = {s: SignSet(s) for s in (frozenset(c) for r in range(1, 4)
+                                      for c in itertools.combinations(Sign, r))}
+_SIGN_NEG, _SIGN_ZERO, _SIGN_POS = (_SIGN_SETS[frozenset({s})] for s in (_NEG, _ZERO, _POS))
+_SIGN_TOP = _SIGN_SETS[frozenset(Sign)]
+
+
 def _tabulate(op) -> dict[tuple[frozenset[Sign], frozenset[Sign]], SignSet]:
-    sets = [frozenset(c) for r in range(1, 4) for c in itertools.combinations(Sign, r)]
-    return {(a, b): SignSet(frozenset(_sign_of(op(x, y))
-                                      for s in a for x in _REPRESENTATIVES[s]
-                                      for t in b for y in _REPRESENTATIVES[t]))
-            for a in sets for b in sets}
+    return {(a, b): _SIGN_SETS[frozenset(_sign_of(op(x, y))
+                                         for s in a for x in _REPRESENTATIVES[s]
+                                         for t in b for y in _REPRESENTATIVES[t])]
+            for a in _SIGN_SETS for b in _SIGN_SETS}
 
 
 _SIGN_ADD_TABLE = _tabulate(operator.add)
 _SIGN_MUL_TABLE = _tabulate(operator.mul)
 _SIGN_EQ_TABLE = _tabulate(lambda x, y: int(x == y))
+_SIGN_JOIN_TABLE = {(a, b): _SIGN_SETS[a | b] for a in _SIGN_SETS for b in _SIGN_SETS}
 
 # A numeric domain is its carrier class.
 NumericDomain = type[SignSet] | type[Interval]
@@ -329,116 +377,119 @@ BOT = Bot()
 TOP = Top()
 
 
+def _num(n: NumAbs) -> Num:
+    v = _new(Num)
+    _setattr(v, "num", n)
+    return v
+
+
+def _pair(a: AbsValue, b: AbsValue) -> APair:
+    v = _new(APair)
+    _setattr(v, "fst", a)
+    _setattr(v, "snd", b)
+    return v
+
+
 def make_pair(a: AbsValue, b: AbsValue) -> AbsValue:
     """Pair constructor normalizing Bot components to Bot."""
-    if isinstance(a, Bot) or isinstance(b, Bot):
+    if type(a) is Bot or type(b) is Bot:
         return BOT
-    return APair(a, b)
+    return _pair(a, b)
 
 
 def contains(a: AbsValue, v: SrcValue) -> bool:
     """Concretization membership: is ``v`` described by ``a``?"""
-    match a:
-        case Bot():
-            return False
-        case Top():
-            return True
-        case Num(num):
-            return isinstance(v, SInt) and num.contains(v.value)
-        case APair(fst, snd):
-            return isinstance(v, SPair) and contains(fst, v.fst) and contains(snd, v.snd)
+    t = type(a)
+    if t is Num:
+        return isinstance(v, SInt) and a.num.contains(v.value)
+    if t is APair:
+        return isinstance(v, SPair) and contains(a.fst, v.fst) and contains(a.snd, v.snd)
+    if t is Top:
+        return True
+    if t is Bot:
+        return False
     raise TypeError(f"not an abstract value: {a!r}")
 
 
 def leq(a: AbsValue, b: AbsValue) -> bool:
     """Approximation order; Bot is least and Top greatest."""
-    match (a, b):
-        case (Bot(), _) | (_, Top()):
-            return True
-        case (Top(), _) | (_, Bot()):
-            return False
-        case (Num(x), Num(y)):
-            return type(x) is type(y) and x.leq(y)
-        case (APair(a1, a2), APair(b1, b2)):
-            return leq(a1, b1) and leq(a2, b2)
-        case _:
-            return False
+    ta, tb = type(a), type(b)
+    if ta is Bot or tb is Top:
+        return True
+    if ta is Top or tb is Bot:
+        return False
+    if ta is Num:
+        return tb is Num and type(a.num) is type(b.num) and a.num.leq(b.num)
+    if ta is APair and tb is APair:
+        return leq(a.fst, b.fst) and leq(a.snd, b.snd)
+    return False
 
 
 def join(a: AbsValue, b: AbsValue) -> AbsValue:
     """Least upper bound within the implemented lattice."""
-    match (a, b):
-        case (Bot(), _):
-            return b
-        case (_, Bot()):
-            return a
-        case (Top(), _) | (_, Top()):
-            return TOP
-        case (Num(x), Num(y)) if type(x) is type(y):
-            return Num(x.join(y))
-        case (APair(a1, a2), APair(b1, b2)):
-            return make_pair(join(a1, b1), join(a2, b2))
-        case _:
-            # Mismatched shapes are only related through Top.
-            return TOP
+    ta, tb = type(a), type(b)
+    if ta is Bot:
+        return b
+    if tb is Bot:
+        return a
+    if ta is Num and tb is Num and type(a.num) is type(b.num):
+        return _num(a.num.join(b.num))
+    if ta is APair and tb is APair:
+        return make_pair(join(a.fst, b.fst), join(a.snd, b.snd))
+    # Top, and mismatched shapes, which are only related through Top.
+    return TOP
 
 
 def _binary_arith(a: AbsValue, b: AbsValue, domain: NumericDomain, op) -> AbsValue:
-    if isinstance(a, Bot) or isinstance(b, Bot):
+    if type(a) is Num and type(b) is Num:
+        return _num(op(a.num, b.num))
+    if type(a) is Bot or type(b) is Bot:
         return BOT
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(op(a.num, b.num))
     # The concrete operator is only defined on integers, so numeric top
     # covers every defined outcome even when an operand might be a pair.
-    return Num(domain.top())
+    return _num(domain.top())
 
 
 def abs_add(a: AbsValue, b: AbsValue, domain: NumericDomain) -> AbsValue:
-    return _binary_arith(a, b, domain, lambda x, y: x.add(y))
+    return _binary_arith(a, b, domain, domain.add)
 
 
 def abs_mul(a: AbsValue, b: AbsValue, domain: NumericDomain) -> AbsValue:
-    return _binary_arith(a, b, domain, lambda x, y: x.mul(y))
+    return _binary_arith(a, b, domain, domain.mul)
 
 
 def abs_eq(a: AbsValue, b: AbsValue, domain: NumericDomain) -> AbsValue:
-    return _binary_arith(a, b, domain, lambda x, y: x.eq(y))
+    return _binary_arith(a, b, domain, domain.eq)
 
 
 def filter_nonzero(pred: AbsValue, v: AbsValue) -> AbsValue:
     """Keep ``v`` if the predicate may be nonzero, else Bot."""
-    match pred:
-        case Top():
-            return v
-        case Num(num) if num.may_be_nonzero():
-            return v
-        case _:
-            # Bot, a definitely-zero number, or a pair (on which the
-            # concrete conditional is stuck).
-            return BOT
+    t = type(pred)
+    if t is Num:
+        return v if pred.num.may_be_nonzero() else BOT
+    # Top keeps ``v``; Bot and a pair (on which the concrete conditional
+    # is stuck) give Bot.
+    return v if t is Top else BOT
 
 
 def filter_zero(pred: AbsValue, v: AbsValue) -> AbsValue:
     """Keep ``v`` if the predicate may be zero, else Bot."""
-    match pred:
-        case Top():
-            return v
-        case Num(num) if num.may_be_zero():
-            return v
-        case _:
-            return BOT
+    t = type(pred)
+    if t is Num:
+        return v if pred.num.may_be_zero() else BOT
+    return v if t is Top else BOT
 
 
 def abs_proj(a: AbsValue, first: bool) -> AbsValue:
     """Abstract first (or second) projection; numbers project to Bot
     (stuck concretely)."""
-    match a:
-        case Bot() | Num():
-            return BOT
-        case Top():
-            return TOP
-        case APair(fst, snd):
-            return fst if first else snd
+    t = type(a)
+    if t is APair:
+        return a.fst if first else a.snd
+    if t is Top:
+        return TOP
+    if t is Num or t is Bot:
+        return BOT
     raise TypeError(f"not an abstract value: {a!r}")
 
 
@@ -454,11 +505,11 @@ def met_value_to_abs(v: MetValue) -> AbsValue:
     (the abstract interpreter builds pairs with the concrete tuple
     constructor).
     """
-    match v:
-        case VAbs(a):
-            return a
-        case VTuple(a, b):
-            return make_pair(met_value_to_abs(a), met_value_to_abs(b))
+    t = type(v)
+    if t is VAbs:
+        return v.value
+    if t is VTuple:
+        return make_pair(met_value_to_abs(v.fst), met_value_to_abs(v.snd))
     raise StuckError(f"not an abstract result: {v!r}")
 
 
@@ -468,13 +519,13 @@ def eta_met_value(v: MetValue, domain: NumericDomain) -> AbsValue:
     Integers and tuples abstract pointwise; already-abstract values pass
     through unchanged, so mixed concrete/abstract tuples work too.
     """
-    match v:
-        case VInt(n):
-            return Num(domain.eta_int(n))
-        case VTuple(a, b):
-            return make_pair(eta_met_value(a, domain), eta_met_value(b, domain))
-        case VAbs(a):
-            return a
+    t = type(v)
+    if t is VInt:
+        return _num(domain.eta_int(v.value))
+    if t is VTuple:
+        return make_pair(eta_met_value(v.fst, domain), eta_met_value(v.snd, domain))
+    if t is VAbs:
+        return v.value
     raise StuckError(f"cannot abstract {v!r}")
 
 

@@ -13,6 +13,7 @@ property harnesses.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, fields
 
 from .errors import ParseError, StuckError
@@ -115,6 +116,19 @@ SRC_SIGNATURE: dict[str, int] = {cls.__name__: len(names) for cls, names in _FIE
 # ---------------------------------------------------------------------------
 
 
+_INT_LITERAL = re.compile(r"-?[0-9]+")
+
+
+def parse_int(text: str) -> int:
+    """An integer literal, as every front end writes one: ASCII digits with
+    an optional leading minus.  Python's ``int`` alone would also take
+    other scripts' digits, ``_`` separators, a ``+`` sign and surrounding
+    white space; here each is a ``ValueError``."""
+    if _INT_LITERAL.fullmatch(text) is None:
+        raise ValueError(f"invalid integer literal {text!r}")
+    return int(text)
+
+
 def _tokenize_sexpr(text: str) -> list[str]:
     return text.replace("(", " ( ").replace(")", " ) ").split()
 
@@ -152,7 +166,7 @@ def parse_src(text: str) -> SrcExpr:
         if tok == "x":
             return X()
         try:
-            return Num(int(tok))
+            return Num(parse_int(tok))
         except ValueError:
             raise ParseError(f"unexpected token {tok!r}") from None
 

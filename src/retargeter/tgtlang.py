@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DecodeError, ParseError
-from .srclang import SInt, SPair, SrcExpr, SrcValue, parse_src
+from .srclang import SInt, SPair, SrcExpr, SrcValue, parse_int, parse_src
 
 TARGETS = ("single", "seq2")
 
@@ -95,7 +95,7 @@ def _parse_instr(text: str) -> TgtInstr:
     if len(parts) != 2 or parts[0] not in ("add", "mul"):
         raise ParseError(f"malformed instruction {text.strip()!r}; expected 'add <int>' or 'mul <int>'")
     try:
-        n = int(parts[1])
+        n = parse_int(parts[1])
     except ValueError:
         raise ParseError(f"malformed operand {parts[1]!r}") from None
     return AddN(n) if parts[0] == "add" else MulN(n)

@@ -247,6 +247,37 @@ class TestInputsAndFlags:
             assert "must be a positive integer" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("text", ["\u0661", "1_000", "+1", " 1"])
+    def test_integer_flags_take_ascii_digits_with_optional_minus(self, capsys, tmp_path,
+                                                                 add42, text):
+        # Python's int() takes each of these; no front end does.
+        emitted = tmp_path / "single.met"
+        run_cli(capsys, "retarget", "--target", "single", "--domain", "interval",
+                "--emit", str(emitted))
+        for argv in (
+            ["run", add42, "--input", text],
+            ["analyze", add42, "--domain", "interval", "--input", text],
+            ["analyze-specialized", str(emitted), add42, "--domain", "interval",
+             "--input", text],
+            ["analyze", add42, "--domain", "interval", "--input", "1", "--fuel", text],
+            ["check", "--target", "single", "--domain", "sign", "--trials", text],
+            ["bench", "--target", "single", "--domain", "sign", "--seed", text],
+        ):
+            with pytest.raises(SystemExit) as exit_:
+                main(argv)
+            assert exit_.value.code == 2, argv
+            assert "invalid" in capsys.readouterr().err, argv
+
+    def test_abstract_input_bounds_are_ascii_digits(self, capsys, add42):
+        for text in ("[\u0661,2]", "[1_000,2]"):
+            code, out, err = run_cli(capsys, "analyze", add42, "--domain", "interval",
+                                     "--abs-input", text)
+            assert code == 2 and out == "" and "malformed interval bound" in err, text
+
+    def test_negative_input(self, capsys, add42):
+        code, out, _ = run_cli(capsys, "run", add42, "--input", "-50")
+        assert code == 0 and out.strip() == "-8"
+
     @pytest.mark.parametrize("command", ["check", "bench"])
     def test_trials_must_be_nonnegative(self, capsys, command):
         with pytest.raises(SystemExit) as exit_:

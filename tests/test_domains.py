@@ -167,6 +167,38 @@ class TestExamples:
             APair(BOT, TOP)
 
 
+class TestValidationAndSharing:
+    """The public constructors check what enters from outside; operator
+    results skip the check and share what can be shared."""
+
+    def test_public_constructors_reject_empty_values(self):
+        with pytest.raises(ValueError, match="empty interval"):
+            Interval(5, 3)
+        with pytest.raises(ValueError, match="empty sign set"):
+            SignSet(frozenset())
+
+    def test_sign_eta_is_shared(self):
+        assert SIGN.eta_int(3) is SIGN.eta_int(9)
+        assert SIGN.eta_int(-3) is SIGN.eta_int(-9)
+        assert SIGN.top() is SIGN.top()
+
+    def test_sign_operators_return_table_entries(self):
+        nonempty = [SignSet(frozenset(c)) for r in range(1, 4)
+                    for c in itertools.combinations(Sign, r)]
+        shared = {}
+        for a, b in itertools.product(nonempty, repeat=2):
+            for result in (a.add(b), a.mul(b), a.eq(b), a.join(b)):
+                assert shared.setdefault(result.signs, result) is result, (a, b)
+        assert len(shared) == 7
+        for n in (-4, 0, 4):
+            assert SIGN.eta_int(n) is shared[SIGN.eta_int(n).signs]
+
+    def test_interval_eq_results_are_shared(self):
+        assert Interval(2, 2).eq(Interval(2, 2)) is Interval(7, 7).eq(Interval(7, 7))
+        assert Interval(0, 1).eq(Interval(5, 9)) is Interval(3, 4).eq(Interval(None, 0))
+        assert Interval(0, 5).eq(Interval(5, 9)) is Interval(None, None).eq(Interval(1, 1))
+
+
 ROUND_TRIP_CASES = [
     ("bot", INTERVAL), ("top", SIGN), ("[0,10]", INTERVAL),
     ("[-inf,+inf]", INTERVAL), ("{-,0,+}", SIGN), ("{0}", SIGN),
@@ -200,6 +232,16 @@ class TestTextualForms:
     def test_deep_nesting_is_a_parse_error(self):
         with pytest.raises(ParseError, match="nested too deeply"):
             parse_abs("(" * 2000 + "top" + ", top)" * 2000, INTERVAL)
+
+    @pytest.mark.parametrize("text", ["[\u0661,2]", "[1_000,2]", "[+1,2]", "[0,\u0662]"])
+    def test_bound_is_ascii_digits_with_optional_minus(self, text):
+        # Python's int() takes each bound here; the interval syntax does not.
+        with pytest.raises(ParseError, match="malformed interval bound"):
+            parse_abs(text, INTERVAL)
+
+    def test_bounds(self):
+        assert parse_abs("[ -3 , 007 ]", INTERVAL) == Num(Interval(-3, 7))
+        assert parse_abs("[-inf,inf]", INTERVAL) == Num(Interval(None, None))
 
     def test_get_domain(self):
         assert get_domain("sign") is SIGN

@@ -52,6 +52,15 @@ class TestParse:
         with pytest.raises(ParseError, match="nested too deeply"):
             parse_src("(fst " * 2000 + "x" + ")" * 2000)
 
+    @pytest.mark.parametrize("literal", ["\u0661", "1_000", "+1", "\uff11"])
+    def test_integer_literal_is_ascii_digits_with_optional_minus(self, literal):
+        # Python's int() takes each of these; the .src syntax does not.
+        with pytest.raises(ParseError, match="unexpected token"):
+            parse_src(f"(+ x {literal})")
+
+    def test_integer_literals(self):
+        assert parse_src("(+ -12 007)") == Add(Num(-12), Num(7))
+
     def test_parses_what_print_src_prints_600_deep(self):
         e = X()
         for _ in range(600):

@@ -62,6 +62,14 @@ class TestSyntax:
             with pytest.raises(ParseError):
                 parse_tgt_program(bad)
 
+    @pytest.mark.parametrize("operand", ["\u0661", "1_000", "+1"])
+    def test_operand_is_ascii_digits_with_optional_minus(self, operand):
+        # Python's int() takes each of these; the .tgt syntax does not.
+        with pytest.raises(ParseError, match="malformed operand"):
+            parse_tgt_program(f"add {operand}")
+        with pytest.raises(ParseError, match="malformed operand"):
+            parse_tgt_program(f"add 1 ; mul {operand}")
+
 
 class TestEncoding:
     def test_add_encoding(self):
