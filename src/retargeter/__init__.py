@@ -16,7 +16,6 @@ values and the specializer itself are reached through their submodules
 from .analyzer import analyze_meta, analyze_meta_abstract
 from .domains import DOMAINS, INTERVAL, SIGN, get_domain
 from .errors import (
-    DecodeError,
     FuelExhausted,
     ParseError,
     ReifyError,

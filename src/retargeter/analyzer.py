@@ -11,7 +11,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .domains import AbsValue, NumericDomain, eta_met_value, make_pair, met_value_to_abs
+from .domains import (
+    AbsValue,
+    NumericDomain,
+    check_domain,
+    eta_met_value,
+    make_pair,
+    met_value_to_abs,
+)
 from .met.interp import apply_met_function
 from .met.parser import parse_met
 from .met.syntax import EvalBudget, MetExpr, VAbs, VTuple
@@ -76,7 +83,7 @@ def analyze_meta_abstract(domain: NumericDomain, src_program: SrcExpr,
     ``contains(abstract_input, v)`` and ``eval_src(src_program, v)`` is
     defined, the result contains it.
     """
-    arg = VTuple(embed_src_expr(src_program), VAbs(abstract_input))
+    arg = VTuple(embed_src_expr(src_program), VAbs(check_domain(abstract_input, domain)))
     return _run(domain, arg, budget)
 
 

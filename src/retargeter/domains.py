@@ -397,6 +397,19 @@ def make_pair(a: AbsValue, b: AbsValue) -> AbsValue:
     return _pair(a, b)
 
 
+def check_domain(a: AbsValue, domain: NumericDomain) -> AbsValue:
+    """``a``, after checking that every number in it is of ``domain``: an
+    operator given one of the other domain fails with an AttributeError."""
+    if type(a) is APair:
+        check_domain(a.fst, domain)
+        check_domain(a.snd, domain)
+    elif type(a) is Num and type(a.num) is not domain:
+        found = getattr(type(a.num), "name", type(a.num).__name__)
+        raise ValueError(f"abstract input is of the {found!r} domain "
+                         f"but the analysis is of the {domain.name!r} domain")
+    return a
+
+
 def contains(a: AbsValue, v: SrcValue) -> bool:
     """Concretization membership: is ``v`` described by ``a``?"""
     t = type(a)

@@ -34,9 +34,5 @@ class FuelExhausted(RetargeterError):
     """A step or unfolding budget ran out before evaluation finished."""
 
 
-class DecodeError(RetargeterError):
-    """A source-language value is outside the range of the encoder."""
-
-
 class ReifyError(RetargeterError):
     """A runtime value has no literal syntax (closures, abstract values)."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass, field
 
-from .analyzer import analyze_meta, build_abstract_interpreter
+from .analyzer import analyze_meta, build_abstract_interpreter, check_domain
 from .domains import AbsValue, Num, NumericDomain, contains, format_abs, met_value_to_abs
 from .met.interp import apply_met_function
 from .met.syntax import EvalBudget, MetExpr, VAbs, VTuple
@@ -76,6 +76,7 @@ def run_specialized_abstract(analyzer: RetargetedAnalyzer, p: TgtProgram,
                              budget: EvalBudget | None = None) -> AbsValue:
     """Analyze a program on an abstract input with the residual."""
     _check_program(analyzer, p)
+    check_domain(abstract_input, analyzer.domain)
     arg = VTuple(embed_src_value(encode_tgt_program(p)), VAbs(abstract_input))
     return met_value_to_abs(apply_met_function(analyzer.residual, arg, analyzer.domain, budget))
 

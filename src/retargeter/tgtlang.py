@@ -1,180 +1,40 @@
 """Target languages, their semantics, and encoders into source values.
 
-Two targets ship.  ``single`` programs are one instruction that either
-adds or multiplies a constant into the input.  ``seq2`` programs chain
-two such instructions, which exercises distinct program/value domains a
-step further while staying loop-free.
+Two tables define the targets, and the functions here read them instead
+of branching on a target or an instruction.  :data:`INSTRUCTIONS` gives
+each instruction's surface word, opcode and semantics (``add n`` maps an
+input ``v`` to ``n + v``, ``mul n`` to ``n * v``).  :data:`TARGET_TABLE`
+gives each target's name, number of instructions (``single`` 1, ``seq2``
+2) and definitional interpreter: a source program over the encoded
+``(program, input)`` pair.
 
-Programs encode into source-language values (``add n`` as ``(0, n)``,
-``mul n`` as ``(1, n)``, a two-instruction sequence as the pair of its
-instruction encodings); target values are plain integers and encode as
-themselves.  The definitional interpreters live here too, as source
-programs over the encoded ``(program, input)`` pair.
+A program is a tuple of instructions, run first to last and written with
+``;`` between them.  It encodes as a source value: ``word n`` as
+``(opcode, n)`` and a sequence as the right-nested pairs of those, so
+``add 1 ; mul 3`` is ``((0, 1), (1, 3))``.  Target values are integers
+and encode as themselves.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
-from .errors import DecodeError, ParseError
+from .errors import ParseError
 from .srclang import SInt, SPair, SrcExpr, SrcValue, parse_int, parse_src
 
-TARGETS = ("single", "seq2")
+# Instruction table: surface word -> (opcode, semantics(n, v)).
+INSTRUCTIONS = {
+    "add": (0, operator.add),
+    "mul": (1, operator.mul),
+}
 
-
-class TgtInstr:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class AddN(TgtInstr):
-    n: int
-
-
-@dataclass(frozen=True)
-class MulN(TgtInstr):
-    n: int
-
-
-class TgtProgram:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Single(TgtProgram):
-    instr: TgtInstr
-
-
-@dataclass(frozen=True)
-class Seq2(TgtProgram):
-    first: TgtInstr
-    second: TgtInstr
-
-
-def target_of(p: TgtProgram) -> str:
-    return "single" if isinstance(p, Single) else "seq2"
-
-
-def check_target(target: str) -> str:
-    if target not in TARGETS:
-        raise ValueError(f"unknown target {target!r}; expected one of {TARGETS}")
-    return target
-
-
-# ---------------------------------------------------------------------------
-# Semantics
-# ---------------------------------------------------------------------------
-
-
-def _step(instr: TgtInstr, v: int) -> int:
-    if isinstance(instr, AddN):
-        return instr.n + v
-    if isinstance(instr, MulN):
-        return instr.n * v
-    raise TypeError(f"not an instruction: {instr!r}")
-
-
-def eval_tgt(p: TgtProgram, i: int) -> int:
-    """Run a target program on an integer input; total."""
-    if isinstance(p, Single):
-        return _step(p.instr, i)
-    if isinstance(p, Seq2):
-        return _step(p.second, _step(p.first, i))
-    raise TypeError(f"not a target program: {p!r}")
-
-
-# ---------------------------------------------------------------------------
-# Concrete syntax:  "add 42",  "mul 3",  "add 1 ; mul 3"
-# ---------------------------------------------------------------------------
-
-
-def _parse_instr(text: str) -> TgtInstr:
-    parts = text.split()
-    if len(parts) != 2 or parts[0] not in ("add", "mul"):
-        raise ParseError(f"malformed instruction {text.strip()!r}; expected 'add <int>' or 'mul <int>'")
-    try:
-        n = parse_int(parts[1])
-    except ValueError:
-        raise ParseError(f"malformed operand {parts[1]!r}") from None
-    return AddN(n) if parts[0] == "add" else MulN(n)
-
-
-def parse_tgt_program(text: str) -> TgtProgram:
-    pieces = text.split(";")
-    if len(pieces) == 1:
-        return Single(_parse_instr(pieces[0]))
-    if len(pieces) == 2:
-        return Seq2(_parse_instr(pieces[0]), _parse_instr(pieces[1]))
-    raise ParseError("a program is one instruction or two separated by ';'")
-
-
-def print_tgt_program(p: TgtProgram) -> str:
-    def show(instr: TgtInstr) -> str:
-        word = "add" if isinstance(instr, AddN) else "mul"
-        return f"{word} {instr.n}"
-
-    if isinstance(p, Single):
-        return show(p.instr)
-    return f"{show(p.first)} ; {show(p.second)}"
-
-
-# ---------------------------------------------------------------------------
-# Encoders and decoders
-# ---------------------------------------------------------------------------
-
-
-def _encode_instr(instr: TgtInstr) -> SrcValue:
-    opcode = 0 if isinstance(instr, AddN) else 1
-    return SPair(SInt(opcode), SInt(instr.n))
-
-
-def encode_tgt_program(p: TgtProgram) -> SrcValue:
-    if isinstance(p, Single):
-        return _encode_instr(p.instr)
-    if isinstance(p, Seq2):
-        return SPair(_encode_instr(p.first), _encode_instr(p.second))
-    raise TypeError(f"not a target program: {p!r}")
-
-
-def encode_tgt_value(v: int) -> SrcValue:
-    return SInt(v)
-
-
-def _decode_instr(v: SrcValue) -> TgtInstr:
-    if not (isinstance(v, SPair) and isinstance(v.fst, SInt) and isinstance(v.snd, SInt)):
-        raise DecodeError(f"not an instruction encoding: {v!r}")
-    opcode, n = v.fst.value, v.snd.value
-    if opcode == 0:
-        return AddN(n)
-    if opcode == 1:
-        return MulN(n)
-    raise DecodeError(f"unknown opcode {opcode}")
-
-
-def decode_tgt_program(v: SrcValue, target: str) -> TgtProgram:
-    """Partial left inverse of :func:`encode_tgt_program`."""
-    check_target(target)
-    if target == "single":
-        return Single(_decode_instr(v))
-    if not isinstance(v, SPair):
-        raise DecodeError(f"not a two-instruction encoding: {v!r}")
-    return Seq2(_decode_instr(v.fst), _decode_instr(v.snd))
-
-
-def decode_tgt_value(v: SrcValue) -> int:
-    if not isinstance(v, SInt):
-        raise DecodeError(f"not a value encoding: {v!r}")
-    return v.value
-
-
-# ---------------------------------------------------------------------------
-# Definitional interpreters (source programs)
-# ---------------------------------------------------------------------------
-
-# Input is x = (encoded program, input value).  An instruction encoding
-# (op, n) applies as  n + v  when op = 0 and  n * v  otherwise.
+# Definitional interpreters, as source programs over x = (encoded program,
+# input).  An instruction encoding (op, n) applies as  n + v  when op = 0
+# and  n * v  otherwise.
 _SINGLE_INTERPRETER = """
 (if (= (fst (fst x)) 0)
     (+ (snd (fst x)) (snd x))
@@ -196,6 +56,87 @@ _SEQ2_INTERPRETER = f"""
     (* (snd (snd (fst x))) {_INNER_STEP}))
 """
 
+# Target table: name -> (number of instructions, definitional interpreter).
+TARGET_TABLE = {
+    "single": (1, _SINGLE_INTERPRETER),
+    "seq2": (2, _SEQ2_INTERPRETER),
+}
+
+TARGETS = tuple(TARGET_TABLE)
+_TARGET_OF_LENGTH = {length: name for name, (length, _) in TARGET_TABLE.items()}
+_WORDS = tuple(INSTRUCTIONS)
+_EXPECTED = " or ".join(f"'{word} <int>'" for word in _WORDS)
+
+
+class Instr(NamedTuple):
+    """One instruction: a word of :data:`INSTRUCTIONS` and its operand."""
+
+    word: str
+    n: int
+
+
+@dataclass(frozen=True)
+class TgtProgram:
+    """A target program: its instructions, run first to last."""
+
+    instrs: tuple[Instr, ...]
+
+
+def target_of(p: TgtProgram) -> str:
+    return _TARGET_OF_LENGTH[len(p.instrs)]
+
+
+def check_target(target: str) -> str:
+    if target not in TARGET_TABLE:
+        raise ValueError(f"unknown target {target!r}; expected one of {TARGETS}")
+    return target
+
+
+def eval_tgt(p: TgtProgram, i: int) -> int:
+    """Run a target program on an integer input; total."""
+    for instr in p.instrs:
+        i = INSTRUCTIONS[instr.word][1](instr.n, i)
+    return i
+
+
+def _parse_instr(text: str) -> Instr:
+    parts = text.split()
+    if len(parts) != 2 or parts[0] not in INSTRUCTIONS:
+        raise ParseError(f"malformed instruction {text.strip()!r}; expected {_EXPECTED}")
+    try:
+        n = parse_int(parts[1])
+    except ValueError:
+        raise ParseError(f"malformed operand {parts[1]!r}") from None
+    return Instr(parts[0], n)
+
+
+def parse_tgt_program(text: str) -> TgtProgram:
+    """Read a program written like ``add 42``, ``mul 3`` or ``add 1 ; mul 3``."""
+    pieces = text.split(";")
+    if len(pieces) not in _TARGET_OF_LENGTH:
+        raise ParseError("a program is one instruction or two separated by ';'")
+    return TgtProgram(tuple([_parse_instr(piece) for piece in pieces]))
+
+
+def print_tgt_program(p: TgtProgram) -> str:
+    return " ; ".join(f"{instr.word} {instr.n}" for instr in p.instrs)
+
+
+def _encode_instr(instr: Instr) -> SrcValue:
+    return SPair(SInt(INSTRUCTIONS[instr.word][0]), SInt(instr.n))
+
+
+def encode_tgt_program(p: TgtProgram) -> SrcValue:
+    *init, last = p.instrs
+    encoded = _encode_instr(last)
+    for instr in reversed(init):
+        encoded = SPair(_encode_instr(instr), encoded)
+    return encoded
+
+
+def encode_tgt_value(v: int) -> SrcValue:
+    return SInt(v)
+
 
 @lru_cache(maxsize=None)
 def interpreter_fixture(target: str) -> SrcExpr:
@@ -206,23 +147,14 @@ def interpreter_fixture(target: str) -> SrcExpr:
         eval_src(fixture, SPair(encode_tgt_program(p), encode_tgt_value(i)))
             == encode_tgt_value(eval_tgt(p, i))
     """
-    check_target(target)
-    text = _SINGLE_INTERPRETER if target == "single" else _SEQ2_INTERPRETER
-    return parse_src(text)
-
-
-# ---------------------------------------------------------------------------
-# Random programs for the harnesses
-# ---------------------------------------------------------------------------
+    return parse_src(TARGET_TABLE[check_target(target)][1])
 
 
 def random_tgt_program(rng: random.Random, target: str, magnitude_bound: int = 1000) -> TgtProgram:
-    check_target(target)
-
-    def instr() -> TgtInstr:
-        ctor = AddN if rng.random() < 0.5 else MulN
-        return ctor(rng.randint(-magnitude_bound, magnitude_bound))
-
-    if target == "single":
-        return Single(instr())
-    return Seq2(instr(), instr())
+    """A program of ``target``.  Each instruction draws its word uniformly
+    with one ``rng.random()`` and then its operand with ``rng.randint``."""
+    length = TARGET_TABLE[check_target(target)][0]
+    return TgtProgram(tuple([
+        Instr(_WORDS[int(rng.random() * len(_WORDS))],
+              rng.randint(-magnitude_bound, magnitude_bound))
+        for _ in range(length)]))

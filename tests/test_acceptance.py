@@ -43,12 +43,11 @@ from retargeter.retargeting import (
 )
 from retargeter.srclang import SInt, SPair, eval_src
 from retargeter.tgtlang import (
-    AddN,
-    Single,
     encode_tgt_program,
     encode_tgt_value,
     eval_tgt,
     interpreter_fixture,
+    parse_tgt_program,
     random_tgt_program,
 )
 
@@ -142,7 +141,7 @@ def test_criterion_5_golden_residual():
 
 def test_criterion_6_worked_example_values():
     started = time.perf_counter()
-    program = Single(AddN(42))
+    program = parse_tgt_program("add 42")
     fixture = interpreter_fixture("single")
 
     # Independent oracle: brute-force hull of the concrete outputs.

@@ -20,6 +20,7 @@ from retargeter.domains import (
     SIGN,
     Sign,
     SignSet,
+    TOP,
     contains,
     leq,
 )
@@ -39,13 +40,11 @@ from retargeter.srclang import (
     shape_of,
 )
 from retargeter.tgtlang import (
-    AddN,
-    MulN,
-    Single,
     encode_tgt_program,
     encode_tgt_value,
     eval_tgt,
     interpreter_fixture,
+    parse_tgt_program,
     random_tgt_program,
 )
 
@@ -143,7 +142,7 @@ class TestAnalyzeMetaAbstract:
     def test_worked_example_interval(self):
         fixture = interpreter_fixture("single")
         program_abs = abstract_target_input(
-            INTERVAL, encode_tgt_program(Single(AddN(42))), Num(Interval(0, 10))
+            INTERVAL, encode_tgt_program(parse_tgt_program("add 42")), Num(Interval(0, 10))
         )
         got = analyze_meta_abstract(INTERVAL, fixture, program_abs)
         assert got == Num(Interval(42, 52))
@@ -151,11 +150,22 @@ class TestAnalyzeMetaAbstract:
     def test_sign_of_scaled_negatives(self):
         fixture = interpreter_fixture("single")
         program_abs = abstract_target_input(
-            SIGN, encode_tgt_program(Single(MulN(42))), Num(SignSet.of(Sign.NEG))
+            SIGN, encode_tgt_program(parse_tgt_program("mul 42")), Num(SignSet.of(Sign.NEG))
         )
         got = analyze_meta_abstract(SIGN, fixture, program_abs)
         for i in range(-20, 0):
-            assert contains(got, SInt(eval_tgt(Single(MulN(42)), i)))
+            assert contains(got, SInt(eval_tgt(parse_tgt_program("mul 42"), i)))
+
+    @pytest.mark.parametrize("domain, abstract_input, other", [
+        (SIGN, Num(Interval(1, 2)), "interval"),
+        (INTERVAL, Num(SignSet.of(Sign.POS)), "sign"),
+        (SIGN, APair(Num(Interval(1, 2)), TOP), "interval"),
+        (INTERVAL, APair(TOP, Num(SignSet.top())), "sign"),
+    ], ids=["interval-into-sign", "sign-into-interval", "nested-interval", "nested-sign"])
+    def test_input_of_the_other_domain_is_rejected(self, domain, abstract_input, other):
+        message = f"of the '{other}' domain but the analysis is of the '{domain.name}' domain"
+        with pytest.raises(ValueError, match=message):
+            analyze_meta_abstract(domain, X(), abstract_input)
 
     def test_soundness_on_small_concretizations(self):
         # Exhaustive membership over bounded intervals.
@@ -191,7 +201,7 @@ class TestAnalyzeMetaAbstract:
             assert leq(out_small, out_big), (program, small, big)
 
     def test_eta_of_encoded_program_matches_structural_eta(self):
-        encoded = encode_tgt_program(Single(AddN(42)))
+        encoded = encode_tgt_program(parse_tgt_program("add 42"))
         # add 42 encodes as (0, 42).
         assert abstract_target_input(INTERVAL, encoded, Num(Interval(0, 10))) == APair(
             APair(Num(Interval(0, 0)), Num(Interval(42, 42))), Num(Interval(0, 10))

@@ -8,11 +8,14 @@ import pytest
 
 from retargeter.analyzer import analyze_meta
 from retargeter.domains import (
+    APair,
     INTERVAL,
     Interval,
     Num,
     SIGN,
+    Sign,
     SignSet,
+    TOP,
     contains,
 )
 from retargeter.met.parser import parse_met
@@ -27,13 +30,10 @@ from retargeter.retargeting import (
 )
 from retargeter.srclang import SInt, SPair
 from retargeter.tgtlang import (
-    AddN,
-    MulN,
-    Seq2,
-    Single,
     encode_tgt_program,
     encode_tgt_value,
     interpreter_fixture,
+    parse_tgt_program,
 )
 
 # Node census of the specialized single-instruction analyzer: all
@@ -136,25 +136,25 @@ class TestResidualShape:
 class TestRunSpecialized:
     def test_interval_add(self):
         analyzer = retarget("single", INTERVAL)
-        assert run_specialized(analyzer, Single(AddN(42)), 5) == Num(Interval(47, 47))
+        assert run_specialized(analyzer, parse_tgt_program("add 42"), 5) == Num(Interval(47, 47))
 
     def test_interval_mul_zero(self):
         analyzer = retarget("single", INTERVAL)
-        assert run_specialized(analyzer, Single(MulN(42)), 0) == Num(Interval(0, 0))
+        assert run_specialized(analyzer, parse_tgt_program("mul 42"), 0) == Num(Interval(0, 0))
 
     def test_sign_negation(self):
         analyzer = retarget("single", SIGN)
-        got = run_specialized(analyzer, Single(MulN(-1)), 7)
+        got = run_specialized(analyzer, parse_tgt_program("mul -1"), 7)
         assert contains(got, SInt(-7))
 
     def test_target_mismatch_is_rejected(self):
         analyzer = retarget("single", INTERVAL)
         with pytest.raises(ValueError):
-            run_specialized(analyzer, Seq2(AddN(1), AddN(2)), 0)
+            run_specialized(analyzer, parse_tgt_program("add 1 ; add 2"), 0)
 
     def test_agrees_with_meta_analysis(self):
         analyzer = retarget("seq2", INTERVAL)
-        program = Seq2(AddN(1), MulN(3))
+        program = parse_tgt_program("add 1 ; mul 3")
         got = run_specialized(analyzer, program, 4)
         meta = analyze_meta(
             INTERVAL, interpreter_fixture("seq2"),
@@ -166,18 +166,30 @@ class TestRunSpecialized:
 class TestRunSpecializedAbstract:
     def test_interval_hull(self):
         analyzer = retarget("single", INTERVAL)
-        got = run_specialized_abstract(analyzer, Single(AddN(42)), Num(Interval(0, 10)))
+        got = run_specialized_abstract(analyzer, parse_tgt_program("add 42"), Num(Interval(0, 10)))
         assert got == Num(Interval(42, 52))
 
     def test_adding_zero_is_identity(self):
         analyzer = retarget("single", INTERVAL)
-        got = run_specialized_abstract(analyzer, Single(AddN(0)), Num(Interval(-3, 9)))
+        got = run_specialized_abstract(analyzer, parse_tgt_program("add 0"), Num(Interval(-3, 9)))
         assert got == Num(Interval(-3, 9))
 
     def test_mul_zero_contains_zero(self):
         analyzer = retarget("single", SIGN)
-        got = run_specialized_abstract(analyzer, Single(MulN(0)), Num(SignSet.top()))
+        got = run_specialized_abstract(analyzer, parse_tgt_program("mul 0"), Num(SignSet.top()))
         assert contains(got, SInt(0))
+
+    @pytest.mark.parametrize("domain, abstract_input, other", [
+        (SIGN, Num(Interval(1, 2)), "interval"),
+        (INTERVAL, Num(SignSet.of(Sign.POS)), "sign"),
+        (SIGN, APair(Num(Interval(1, 2)), TOP), "interval"),
+        (INTERVAL, APair(TOP, Num(SignSet.top())), "sign"),
+    ], ids=["interval-into-sign", "sign-into-interval", "nested-interval", "nested-sign"])
+    def test_input_of_the_other_domain_is_rejected(self, domain, abstract_input, other):
+        analyzer = retarget("single", domain)
+        message = f"of the '{other}' domain but the analysis is of the '{domain.name}' domain"
+        with pytest.raises(ValueError, match=message):
+            run_specialized_abstract(analyzer, parse_tgt_program("add 1"), abstract_input)
 
     def test_agrees_with_meta_analysis_on_abstract_inputs(self):
         import random
