@@ -175,7 +175,10 @@ def cmd_bench(args) -> int:
 def integer(text: str) -> int:
     """An argparse type for integers in the syntax of every front end
     (``srclang.parse_int``); usage errors call it by this name."""
-    return parse_int(text)
+    try:
+        return parse_int(text)
+    except ParseError as err:    # a message that does not echo every digit
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _int_at_least(least: int, kind: str):

@@ -10,10 +10,32 @@ Expressions are closure-compiled (Feeley & Lapalme, "Using closures for
 code generation", 1987): each node is translated once into a host
 function ``code(env, budget)``, so the dispatch on node classes and on
 primitive operators happens at translation time, not on every step.
-Each compiled node ticks the budget once, before it evaluates its
-children, in the order the evaluation rules name them; step counts, the
-step at which the budget runs out and every ``StuckError`` are therefore
-the same as for a direct tree walk.
+Each compiled node spends one step, before it evaluates its children, in
+the order the evaluation rules name them; it compares the count with the
+fuel inline and calls ``EvalBudget.tick`` only to raise, so the message
+is worded in one place.
+
+Two node sequences are fused into superoperators (Proebsting,
+"Optimizing an ANSI C interpreter with superoperators", 1995):
+
+* A path of k projections over a variable, such as ``snd (fst (fst x))``,
+  is one closure.  It walks the path, calls ``domains.abs_proj`` once per
+  level from the first abstract value on, boxes the result once, and
+  spends its k + 1 steps at once.  When fewer than k + 1 steps are left,
+  the variable is unbound, or the path meets a value that is neither a
+  tuple nor abstract, it runs the node-by-node code instead, compiled on
+  first need, which spends the steps one at a time and raises what the
+  tree walk raises.
+* ``eta`` of an integer literal is computed once, when its node is
+  compiled, and spends its two steps at once, or one at a time when fewer
+  than two are left.
+
+Step counts, the step at which the budget runs out and every
+``StuckError`` are therefore the same as for a direct tree walk.  A
+tracer that rebinds ``domains`` functions sees every domain call made
+while evaluating except two: ``eta`` of a literal, made once at compile
+time, and the unboxing of an abstract primitive's ``VAbs`` argument,
+which reads the value inline.
 
 Each primitive operator has one implementation, in :data:`PRIMITIVES`;
 compiled ``Prim`` nodes call it, and so does the specializer when it
@@ -174,32 +196,48 @@ def _eta(a, domain):
     return VAbs(domains.eta_met_value(a, domain))
 
 
+# An abstract primitive reads an abstract argument's value inline, saving
+# a call per argument on every abstract step; only a tuple of abstract
+# values goes through ``met_value_to_abs``.
+
+
 def _aadd(a, b, domain):
-    return VAbs(domains.abs_add(domains.met_value_to_abs(a), domains.met_value_to_abs(b),
-                                domain))
+    return VAbs(domains.abs_add(
+        a.value if type(a) is VAbs else domains.met_value_to_abs(a),
+        b.value if type(b) is VAbs else domains.met_value_to_abs(b),
+        domain))
 
 
 def _amul(a, b, domain):
-    return VAbs(domains.abs_mul(domains.met_value_to_abs(a), domains.met_value_to_abs(b),
-                                domain))
+    return VAbs(domains.abs_mul(
+        a.value if type(a) is VAbs else domains.met_value_to_abs(a),
+        b.value if type(b) is VAbs else domains.met_value_to_abs(b),
+        domain))
 
 
 def _aeq(a, b, domain):
-    return VAbs(domains.abs_eq(domains.met_value_to_abs(a), domains.met_value_to_abs(b),
-                               domain))
+    return VAbs(domains.abs_eq(
+        a.value if type(a) is VAbs else domains.met_value_to_abs(a),
+        b.value if type(b) is VAbs else domains.met_value_to_abs(b),
+        domain))
 
 
 def _ajoin(a, b, domain):
-    return VAbs(domains.join(domains.met_value_to_abs(a), domains.met_value_to_abs(b)))
+    return VAbs(domains.join(
+        a.value if type(a) is VAbs else domains.met_value_to_abs(a),
+        b.value if type(b) is VAbs else domains.met_value_to_abs(b)))
 
 
 def _afilter_ne0(a, b, domain):
-    return VAbs(domains.filter_nonzero(domains.met_value_to_abs(a),
-                                       domains.met_value_to_abs(b)))
+    return VAbs(domains.filter_nonzero(
+        a.value if type(a) is VAbs else domains.met_value_to_abs(a),
+        b.value if type(b) is VAbs else domains.met_value_to_abs(b)))
 
 
 def _afilter_eq0(a, b, domain):
-    return VAbs(domains.filter_zero(domains.met_value_to_abs(a), domains.met_value_to_abs(b)))
+    return VAbs(domains.filter_zero(
+        a.value if type(a) is VAbs else domains.met_value_to_abs(a),
+        b.value if type(b) is VAbs else domains.met_value_to_abs(b)))
 
 
 # The one implementation of each primitive: ``PRIMITIVES[op](*args, domain)``.
@@ -248,7 +286,9 @@ def _compile_var(node: Var, domain) -> Code:
     name = node.name
 
     def code(env, budget):
-        budget.tick()
+        if budget.steps_used >= budget.fuel:
+            budget.tick()
+        budget.steps_used += 1
         try:
             return env[name]
         except KeyError:
@@ -260,7 +300,9 @@ def _compile_int(node: IntLit, domain) -> Code:
     value = VInt(node.value)
 
     def code(env, budget):
-        budget.tick()
+        if budget.steps_used >= budget.fuel:
+            budget.tick()
+        budget.steps_used += 1
         return value
     return code
 
@@ -270,18 +312,77 @@ def _compile_tuple(node: Tuple, domain) -> Code:
     snd = _COMPILERS[type(node.snd)](node.snd, domain)
 
     def code(env, budget):
-        budget.tick()
+        if budget.steps_used >= budget.fuel:
+            budget.tick()
+        budget.steps_used += 1
         return VTuple(fst(env, budget), snd(env, budget))
     return code
 
 
 def _compile_proj(node: Proj1 | Proj2, domain) -> Code:
-    first = isinstance(node, Proj1)
-    stuck = "fst of a non-tuple" if first else "snd of a non-tuple"
-    arg = _COMPILERS[type(node.arg)](node.arg, domain)
+    """A path of projections over a variable, such as ``snd (fst (fst x))``,
+    compiles to one superoperator; a chain over any other node compiles
+    node by node."""
+    path = []                       # True for fst, outermost first
+    base = node
+    while type(base) is Proj1 or type(base) is Proj2:
+        path.append(type(base) is Proj1)
+        base = base.arg
+    if type(base) is not Var:
+        return _compile_proj_node(node, domain)
+    name = base.name
+    path = tuple(reversed(path))    # innermost first, the order it is walked in
+    cost = len(path) + 1            # a step for each projection and the variable
+    slow = None
+
+    def fallback(env, budget):
+        # The node-by-node code, compiled on first need: it spends the
+        # steps one at a time and raises what the path met.
+        nonlocal slow
+        if slow is None:
+            slow = _compile_proj_node(node, domain)
+        return slow(env, budget)
 
     def code(env, budget):
-        budget.tick()
+        steps = budget.steps_used + cost
+        if steps > budget.fuel:
+            return fallback(env, budget)
+        try:
+            v = env[name]
+        except KeyError:
+            return fallback(env, budget)
+        for i, first in enumerate(path):
+            t = type(v)
+            if t is VTuple:
+                v = v.fst if first else v.snd
+            elif t is VAbs:
+                # Abstract from here on: one abs_proj per level, one box.
+                a = v.value
+                for first in path[i:]:
+                    a = domains.abs_proj(a, first)
+                v = VAbs(a)
+                break
+            else:
+                return fallback(env, budget)
+        budget.steps_used = steps
+        return v
+    return code
+
+
+def _compile_proj_node(node: Proj1 | Proj2, domain) -> Code:
+    """One projection node, nesting one host frame per level of a chain."""
+    first = type(node) is Proj1
+    stuck = "fst of a non-tuple" if first else "snd of a non-tuple"
+    a = node.arg
+    if type(a) is Proj1 or type(a) is Proj2:
+        arg = _compile_proj_node(a, domain)
+    else:
+        arg = _COMPILERS[type(a)](a, domain)
+
+    def code(env, budget):
+        if budget.steps_used >= budget.fuel:
+            budget.tick()
+        budget.steps_used += 1
         v = arg(env, budget)
         if isinstance(v, VTuple):
             return v.fst if first else v.snd
@@ -296,7 +397,9 @@ def _compile_construct(node: Construct, domain) -> Code:
     args = tuple(_COMPILERS[type(a)](a, domain) for a in node.args)
 
     def code(env, budget):
-        budget.tick()
+        if budget.steps_used >= budget.fuel:
+            budget.tick()
+        budget.steps_used += 1
         return VConstruct(tag, tuple([a(env, budget) for a in args]))
     return code
 
@@ -316,7 +419,9 @@ def _compile_match(node: Match, domain) -> Code:
     others = candidates(None)
 
     def code(env, budget):
-        budget.tick()
+        if budget.steps_used >= budget.fuel:
+            budget.tick()
+        budget.steps_used += 1
         v = scrutinee(env, budget)
         for matcher, body in by_tag.get(v.tag, others) if isinstance(v, VConstruct) else others:
             bindings = matcher(v)
@@ -332,7 +437,9 @@ def _compile_let(node: Let, domain) -> Code:
     body = _COMPILERS[type(node.body)](node.body, domain)
 
     def code(env, budget):
-        budget.tick()
+        if budget.steps_used >= budget.fuel:
+            budget.tick()
+        budget.steps_used += 1
         return body({**env, name: bound(env, budget)}, budget)
     return code
 
@@ -342,7 +449,9 @@ def _compile_letrec(node: LetRecFun, domain) -> Code:
     body = _COMPILERS[type(node.body)](node.body, domain)
 
     def code(env, budget):
-        budget.tick()
+        if budget.steps_used >= budget.fuel:
+            budget.tick()
+        budget.steps_used += 1
         closure = VClosure(param, fun_body, env, self_name=fun_name)
         return body({**env, fun_name: closure}, budget)
     return code
@@ -352,7 +461,9 @@ def _compile_lambda(node: Lambda, domain) -> Code:
     param, fun_body = node.param, node.body
 
     def code(env, budget):
-        budget.tick()
+        if budget.steps_used >= budget.fuel:
+            budget.tick()
+        budget.steps_used += 1
         return VClosure(param, fun_body, env)
     return code
 
@@ -362,7 +473,9 @@ def _compile_app(node: App, domain) -> Code:
     arg = _COMPILERS[type(node.arg)](node.arg, domain)
 
     def code(env, budget):
-        budget.tick()
+        if budget.steps_used >= budget.fuel:
+            budget.tick()
+        budget.steps_used += 1
         vf = fun(env, budget)
         va = arg(env, budget)
         if not isinstance(vf, VClosure):
@@ -376,18 +489,36 @@ def _compile_prim(node: Prim, domain) -> Code:
         implementation = PRIMITIVES[node.op]
     except KeyError:
         raise TypeError(f"unknown primitive {node.op!r}") from None
+    if node.op is PrimOp.ETA and len(node.args) == 1 and type(node.args[0]) is IntLit:
+        # eta of a literal is one value under one domain: a constant.
+        value = implementation(VInt(node.args[0].value), domain)
+
+        def code(env, budget):
+            steps = budget.steps_used + 2   # the Prim node and its literal
+            if steps > budget.fuel:
+                # At most one step is left: spend it, then raise where the
+                # per-node code would.
+                budget.tick()
+                budget.tick()
+            budget.steps_used = steps
+            return value
+        return code
     args = tuple(_COMPILERS[type(a)](a, domain) for a in node.args)
     if len(args) == 1:
         (a,) = args
 
         def code(env, budget):
-            budget.tick()
+            if budget.steps_used >= budget.fuel:
+                budget.tick()
+            budget.steps_used += 1
             return implementation(a(env, budget), domain)
     else:
         a, b = args
 
         def code(env, budget):
-            budget.tick()
+            if budget.steps_used >= budget.fuel:
+                budget.tick()
+            budget.steps_used += 1
             return implementation(a(env, budget), b(env, budget), domain)
     return code
 

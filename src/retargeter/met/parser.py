@@ -47,7 +47,7 @@ from __future__ import annotations
 import re
 
 from ..errors import ParseError
-from ..srclang import SRC_SIGNATURE
+from ..srclang import SRC_SIGNATURE, parse_int
 from .syntax import (
     App,
     Construct,
@@ -156,10 +156,9 @@ class _Parser:
         text, pos = self.text, self.pos
         self.advance()
         try:
-            return int(text)
-        except ValueError:    # more digits than int() converts
-            raise self.error(f"integer literal too long ({len(text)} characters)",
-                             pos) from None
+            return parse_int(text)
+        except ParseError as err:    # more digits than int() converts
+            raise self.error(str(err), pos) from None
 
     def name(self) -> str:
         if self.kind != "NAME":

@@ -123,10 +123,14 @@ def parse_int(text: str) -> int:
     """An integer literal, as every front end writes one: ASCII digits with
     an optional leading minus.  Python's ``int`` alone would also take
     other scripts' digits, ``_`` separators, a ``+`` sign and surrounding
-    white space; here each is a ``ValueError``."""
+    white space; here each is a ``ValueError``.  A well-formed literal
+    with more digits than ``int`` converts is a ``ParseError``."""
     if _INT_LITERAL.fullmatch(text) is None:
         raise ValueError(f"invalid integer literal {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"integer literal too long ({len(text)} characters)") from None
 
 
 def _tokenize_sexpr(text: str) -> list[str]:

@@ -274,6 +274,22 @@ class TestInputsAndFlags:
                                      "--abs-input", text)
             assert code == 2 and out == "" and "malformed interval bound" in err, text
 
+    def test_overlong_integer_is_a_short_parse_error(self, capsys, tmp_path, add42):
+        digits = "9" * 5000
+        program = tmp_path / "big.tgt"
+        program.write_text(f"add {digits}\n")
+        code, out, err = run_cli(capsys, "run", str(program), "--input", "1")
+        assert (code, out) == (2, "") and len(err) < 200
+        assert "integer literal too long (5000 characters)" in err
+        code, out, err = run_cli(capsys, "analyze", add42, "--domain", "interval",
+                                 "--abs-input", f"[0,{digits}]")
+        assert (code, out) == (2, "") and len(err) < 200
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", add42, "--input", digits])
+        err = capsys.readouterr().err
+        assert exit_.value.code == 2 and len(err.splitlines()[-1]) < 200
+        assert "integer literal too long (5000 characters)" in err
+
     def test_negative_input(self, capsys, add42):
         code, out, _ = run_cli(capsys, "run", add42, "--input", "-50")
         assert code == 0 and out.strip() == "-8"

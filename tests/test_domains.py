@@ -239,6 +239,13 @@ class TestTextualForms:
         with pytest.raises(ParseError, match="malformed interval bound"):
             parse_abs(text, INTERVAL)
 
+    @pytest.mark.parametrize("text", ["[0," + "9" * 5000 + "]", "[-" + "9" * 4999 + ",0]"],
+                             ids=["upper", "lower"])
+    def test_overlong_bound_is_reported_by_its_length(self, text):
+        with pytest.raises(ParseError) as info:
+            parse_abs(text, INTERVAL)
+        assert str(info.value) == "integer literal too long (5000 characters)"
+
     def test_bounds(self):
         assert parse_abs("[ -3 , 007 ]", INTERVAL) == Num(Interval(-3, 7))
         assert parse_abs("[-inf,inf]", INTERVAL) == Num(Interval(None, None))

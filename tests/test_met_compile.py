@@ -22,7 +22,16 @@ from astgen import NAMES, random_met_expr
 from corpus import CORPUS
 from retargeter import domains, retarget
 from retargeter.analyzer import build_abstract_interpreter
-from retargeter.domains import DOMAINS, INTERVAL, SIGN, TOP, Interval, Num, SignSet
+from retargeter.domains import (
+    DOMAINS,
+    INTERVAL,
+    SIGN,
+    TOP,
+    Interval,
+    Num,
+    SignSet,
+    make_pair,
+)
 from retargeter.errors import FuelExhausted
 from retargeter.met.interp import PRIMITIVES, apply_met_function, compiled, eval_met
 from retargeter.met.parser import parse_met
@@ -33,6 +42,7 @@ from retargeter.met.syntax import (
     Let,
     PrimOp,
     Proj1,
+    Proj2,
     Var,
     VAbs,
     VConstruct,
@@ -230,3 +240,103 @@ class TestCompiledForm:
     def test_one_primitive_table(self):
         assert set(PRIMITIVES) == set(PrimOp)
         assert PRIMITIVES[PrimOp.ADD](VInt(2), VInt(3), None) == VInt(5)
+
+
+class TestSuperoperators:
+    """The fused forms: a path of projections over a variable runs as one
+    closure and ``eta`` of a literal is a constant.  Each must agree with
+    the walker at every budget, from one step to the full run plus one,
+    under both domains."""
+
+    @staticmethod
+    def assert_same_at_every_fuel(expr, env_of):
+        for domain in (SIGN, INTERVAL):
+            env = env_of(domain)
+            _, full = outcome(walker.eval_met, expr, env, domain, fuel=10**6)
+            for fuel in range(1, full + 2):
+                assert_same_eval(expr, env, domain, fuel)
+
+    @staticmethod
+    def paths(max_length: int = 5):
+        """Every projection path over ``x`` of 1 to ``max_length`` levels."""
+        for length in range(1, max_length + 1):
+            for bits in range(2 ** length):
+                expr = Var("x")
+                for level in range(length):
+                    expr = (Proj1 if bits >> level & 1 else Proj2)(expr)
+                yield expr
+
+    @staticmethod
+    def tuple_tree(depth: int, leaf):
+        """A full tree of ``VTuple`` of ``depth`` levels over ``leaf(i)``."""
+        counter = iter(range(2 ** depth))
+
+        def build(d):
+            if d == 0:
+                return leaf(next(counter))
+            return VTuple(build(d - 1), build(d - 1))
+        return build(depth)
+
+    @staticmethod
+    def abstract_tree(domain):
+        """Pairs whose components differ, with ``TOP``, numbers and a
+        ``BOT`` reached by projecting past a number."""
+        def num(n):
+            return Num(domain.eta_int(n))
+        inner = make_pair(make_pair(num(-4), TOP), make_pair(num(0), num(9)))
+        return make_pair(inner, make_pair(TOP, make_pair(num(3), num(-2))))
+
+    def test_paths_over_tuples(self):
+        tree = self.tuple_tree(5, VInt)
+        for expr in self.paths():
+            self.assert_same_at_every_fuel(expr, lambda d: {"x": tree})
+
+    @pytest.mark.parametrize("top", ["pair", "top", "num", "bot"])
+    def test_paths_over_abstract_values(self, top):
+        def env_of(domain):
+            value = {"pair": self.abstract_tree(domain), "top": TOP,
+                     "num": Num(domain.eta_int(5)), "bot": domains.BOT}[top]
+            return {"x": VAbs(value)}
+        for expr in self.paths():
+            self.assert_same_at_every_fuel(expr, env_of)
+
+    def test_paths_over_tuples_of_abstract_values(self):
+        for depth in (1, 2, 3):
+            def env_of(domain):
+                pairs = [VAbs(self.abstract_tree(domain)), VAbs(TOP),
+                         VAbs(Num(domain.eta_int(-1))), VAbs(domains.BOT)]
+                return {"x": self.tuple_tree(depth, lambda i: pairs[i % 4])}
+            for expr in self.paths():
+                self.assert_same_at_every_fuel(expr, env_of)
+
+    @pytest.mark.parametrize("stuck_at", range(5))
+    @pytest.mark.parametrize("leaf", [VInt(3), VConstruct("X", ())])
+    def test_a_non_tuple_at_each_level_is_stuck(self, stuck_at, leaf):
+        value = leaf
+        for _ in range(stuck_at):
+            value = VTuple(value, value)
+        for expr in self.paths():
+            self.assert_same_at_every_fuel(expr, lambda d: {"x": value})
+
+    def test_unbound_variable(self):
+        for expr in self.paths(3):
+            self.assert_same_at_every_fuel(expr, lambda d: {"y": VInt(1)})
+
+    def test_path_in_a_let_body(self):
+        expr = parse_met("let y = (1, (x, 3)) in snd (fst (snd y))")
+        for value in (VTuple(VInt(4), VInt(5)), VInt(4)):
+            self.assert_same_at_every_fuel(expr, lambda d: {"x": value})
+        self.assert_same_at_every_fuel(expr, lambda d: {"x": VAbs(self.abstract_tree(d))})
+
+    def test_path_in_a_closure_body_applied_twice(self):
+        expr = parse_met("let f = fun p -> snd (fst (snd p)) in (f x, f (1, (x, x)))")
+        for env_of in (lambda d: {"x": VAbs(self.abstract_tree(d))},
+                       lambda d: {"x": self.tuple_tree(3, VInt)},
+                       lambda d: {"x": VInt(7)}):
+            self.assert_same_at_every_fuel(expr, env_of)
+
+    @pytest.mark.parametrize("n", [-1, 0, 7])
+    def test_eta_of_a_literal(self, n):
+        for text in (f"eta({n})", f"aadd(x, eta({n}))", f"(eta({n}), eta({n}))"):
+            self.assert_same_at_every_fuel(parse_met(text),
+                                           lambda d: {"x": VAbs(Num(d.eta_int(2)))})

@@ -58,6 +58,11 @@ class TestParse:
         with pytest.raises(ParseError, match="unexpected token"):
             parse_src(f"(+ x {literal})")
 
+    def test_overlong_integer_literal_is_reported_by_its_length(self):
+        with pytest.raises(ParseError) as info:
+            parse_src("(+ x " + "9" * 5000 + ")")
+        assert str(info.value) == "integer literal too long (5000 characters)"
+
     def test_integer_literals(self):
         assert parse_src("(+ -12 007)") == Add(Num(-12), Num(7))
 

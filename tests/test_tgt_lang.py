@@ -77,6 +77,15 @@ class TestSyntax:
         with pytest.raises(ParseError, match="malformed operand"):
             parse_tgt_program(f"add 1 ; mul {operand}")
 
+    def test_overlong_operand_is_reported_by_its_length(self):
+        # More digits than Python's int() converts; the message does not
+        # echo them.
+        for text in ("add " + "9" * 5000, "add 1 ; mul -" + "9" * 5000):
+            with pytest.raises(ParseError) as info:
+                parse_tgt_program(text)
+            length = len(text.rsplit(" ", 1)[1])
+            assert str(info.value) == f"integer literal too long ({length} characters)"
+
 
 class TestEncoding:
     def test_add_encoding(self):
