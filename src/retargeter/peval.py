@@ -19,11 +19,40 @@ matches on residual values are themselves residualized with freshly
 named pattern variables.  Concrete arithmetic on known integers folds;
 abstract primitives are always residualized, since abstract values have
 no literal syntax to reify into.
+
+The specializer is closure-compiled, as the evaluator is (Feeley &
+Lapalme 1987): each node is translated once, through a table keyed by
+node class, into a host function ``code(env, spec)`` returning the
+node's specialization-time value, so the dispatch on node classes is
+paid once per node, not once per visit.  This is the staged half of a
+generating extension (Jones, Gomard & Sestoft 1993): ``retarget``
+specializes one fixed program, the abstract interpreter, against each
+definitional interpreter, and its nodes are compiled on the first
+specialization only.
+
+Code is cached on the node it was compiled from, under ``_pe_code``, so
+it lives exactly as long as the node.  Only code nodes are cached: the
+expression given to :func:`specialize` and each closure body, the first
+time it unfolds or is residualized.  Nothing is cached on the static
+input, such as an embedded source program, which would keep code alive
+as long as every program specialized; the body of a closure that came
+with the static input is compiled for each application and not kept.
+
+A ``match`` whose scrutinee is a known constructor tries only the
+branches that can match its tag, still in order, since a constructor
+pattern of another tag cannot match.
+
+The compiled code applies the same rules as a tree walk, in the same
+order: children are specialized left to right, fresh names are drawn at
+the same points, and every error is raised with the same message.  So
+the residual, the order of its fresh names and the number of unfoldings
+are the same as a tree walk's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import FuelExhausted, ReifyError, StuckError
 from .met.interp import PRIMITIVES, match_pattern
@@ -123,15 +152,18 @@ UNFOLD_LIMIT = 100_000
 _NO_MATCH = object()
 _UNKNOWN = object()
 
+Env = dict[str, PEValue]
+Code = Callable[[Env, "_Specializer"], PEValue]
+
 
 class _Specializer:
+    """The state of one specialization: fresh names and unfoldings left."""
+
     def __init__(self):
         self.limit = UNFOLD_LIMIT
         self.unfolds_left = self.limit
         self._name_counts: dict[str, int] = {}
         self._used_names: set[str] = set()
-
-    # -- fresh names -------------------------------------------------------
 
     def fresh(self, base: str) -> str:
         count = self._name_counts.get(base, 0)
@@ -143,87 +175,29 @@ class _Specializer:
                 self._used_names.add(name)
                 return name
 
-    # -- core --------------------------------------------------------------
-
-    def pe(self, e: MetExpr, env: dict[str, PEValue]) -> PEValue:
-        match e:
-            case Var(name):
-                try:
-                    return env[name]
-                except KeyError:
-                    raise StuckError(f"unbound variable {name!r}") from None
-            case IntLit(n):
-                return Static(VInt(n))
-            case Tuple(a, b):
-                va, vb = self.pe(a, env), self.pe(b, env)
-                if isinstance(va, Static) and isinstance(vb, Static):
-                    return Static(VTuple(va.value, vb.value))
-                return SplitTuple(va, vb)
-            case Proj1(a):
-                return self.project(self.pe(a, env), first=True)
-            case Proj2(a):
-                return self.project(self.pe(a, env), first=False)
-            case Construct(tag, args):
-                vs = [self.pe(a, env) for a in args]
-                if all(isinstance(v, Static) for v in vs):
-                    return Static(VConstruct(tag, tuple(v.value for v in vs)))
-                return Dynamic(Construct(tag, tuple(self.residualize(v) for v in vs)))
-            case Match(scrutinee, branches):
-                return self.pe_match(self.pe(scrutinee, env), branches, env)
-            case Let(name, bound, body):
-                bv = self.pe(bound, env)
-                if isinstance(bv, Dynamic):
-                    fresh = self.fresh(name)
-                    result = self.pe(body, {**env, name: Dynamic(Var(fresh))})
-                    return Dynamic(Let(fresh, bv.expr, self.residualize(result)))
-                return self.pe(body, {**env, name: bv})
-            case LetRecFun(fname, param, fbody, body):
-                closure = PEClosure(param, fbody, env, self_name=fname)
-                return self.pe(body, {**env, fname: closure})
-            case Lambda(param, body):
-                return PEClosure(param, body, env)
-            case App(fun, arg):
-                return self.apply(self.pe(fun, env), self.pe(arg, env))
-            case Prim(op, args):
-                return self.pe_prim(op, [self.pe(a, env) for a in args])
-        raise TypeError(f"not a meta-language expression: {e!r}")
-
-    def project(self, v: PEValue, first: bool) -> PEValue:
-        match v:
-            case Static(VTuple(a, b)):
-                return Static(a if first else b)
-            case SplitTuple(a, b):
-                return a if first else b
-            case Dynamic(r):
-                return Dynamic(Proj1(r) if first else Proj2(r))
-            case Static(VAbs()):
-                # Reached from an abstract static input.  Abstract primitives
-                # (projections included) never run at specialization time,
-                # and residualizing would need a literal.
-                raise ReifyError("projection of an abstract value at specialization time")
-            case _:
-                raise StuckError("projection of a non-tuple")
-
     def apply(self, vf: PEValue, va: PEValue) -> PEValue:
-        match vf:
-            case PEClosure(param, body, fenv, self_name):
-                self.spend_unfold()
-                call_env = dict(fenv)
-                call_env[param] = va
-                if self_name is not None:
-                    call_env[self_name] = vf
-                return self.pe(body, call_env)
-            case Static(VClosure(param, body, cenv, self_name)):
-                self.spend_unfold()
-                call_env = {k: Static(v) for k, v in cenv.items()}
-                call_env[param] = va
-                if self_name is not None:
-                    call_env[self_name] = vf
-                return self.pe(body, call_env)
-            case Dynamic(r):
-                return Dynamic(App(r, self.residualize(va)))
-            case _:
-                raise StuckError("application of a non-function")
+        t = type(vf)
+        if t is PEClosure:
+            self.spend_unfold()
+            call_env = dict(vf.env)
+            call_env[vf.param] = va
+            if vf.self_name is not None:
+                call_env[vf.self_name] = vf
+            return _code(vf.body)(call_env, self)
+        if t is Static and type(vf.value) is VClosure:
+            closure = vf.value
+            self.spend_unfold()
+            call_env = {k: Static(v) for k, v in closure.env.items()}
+            call_env[closure.param] = va
+            if closure.self_name is not None:
+                call_env[closure.self_name] = vf
+            # The closure came with the static input: compile its body
+            # for this call only, so nothing is cached on that input.
+            body = closure.body
+            return _COMPILERS[type(body)](body)(call_env, self)
+        if t is Dynamic:
+            return Dynamic(App(vf.expr, self.residualize(va)))
+        raise StuckError("application of a non-function")
 
     def spend_unfold(self) -> None:
         if self.unfolds_left <= 0:
@@ -232,92 +206,269 @@ class _Specializer:
             )
         self.unfolds_left -= 1
 
-    def pe_prim(self, op: PrimOp, vs: list[PEValue]) -> PEValue:
-        if not op.is_abstract and all(isinstance(v, Static) for v in vs):
-            # Concrete arithmetic needs no domain.
-            return Static(PRIMITIVES[op](*[v.value for v in vs], None))
-        return Dynamic(Prim(op, tuple(self.residualize(v) for v in vs)))
+    def residual_match(self, scrutinee: PEValue,
+                       branches: tuple[tuple[Pattern, list[str], Code], ...],
+                       env: Env) -> PEValue:
+        out = []
+        for pat, names, body in branches:
+            renaming = {name: self.fresh(name) for name in names}
+            bound = {old: Dynamic(Var(new)) for old, new in renaming.items()}
+            body_v = body({**env, **bound}, self)
+            out.append((rename_pattern(pat, renaming), self.residualize(body_v)))
+        return Dynamic(Match(self.residualize(scrutinee), tuple(out)))
 
-    # -- match handling ------------------------------------------------------
+    def residualize(self, v: PEValue) -> MetExpr:
+        t = type(v)
+        if t is Dynamic:
+            return v.expr
+        if t is Static:
+            return reify(v.value)
+        if t is SplitTuple:
+            return Tuple(self.residualize(v.fst), self.residualize(v.snd))
+        if t is PEClosure:
+            fresh_param = self.fresh(v.param)
+            inner = {**v.env, v.param: Dynamic(Var(fresh_param))}
+            body = _code(v.body)
+            if v.self_name is None:
+                return Lambda(fresh_param, self.residualize(body(inner, self)))
+            fresh_self = self.fresh(v.self_name)
+            inner[v.self_name] = Dynamic(Var(fresh_self))
+            rebuilt = self.residualize(body(inner, self))
+            return LetRecFun(fresh_self, fresh_param, rebuilt, Var(fresh_self))
+        raise TypeError(f"not a specialization-time value: {v!r}")
 
-    def pe_match(self, scrutinee: PEValue,
-                 branches: tuple[tuple[Pattern, MetExpr], ...],
-                 env: dict[str, PEValue]) -> PEValue:
-        if not isinstance(scrutinee, Dynamic):
-            for pat, body in branches:
-                bindings = self.pe_match_pattern(pat, scrutinee)
+
+def _pe_match_pattern(pat: Pattern, v: PEValue):
+    """Bindings, _NO_MATCH, or _UNKNOWN (needs runtime information)."""
+    tp = type(pat)
+    if tp is PWild:
+        return {}
+    if tp is PVar:
+        return {pat.name: v}
+    t = type(v)
+    if t is Static:
+        bindings = match_pattern(pat, v.value)
+        if bindings is None:
+            return _NO_MATCH
+        return {name: Static(val) for name, val in bindings.items()}
+    if t is SplitTuple:
+        if tp is not PTuple:
+            # The runtime value is certainly a tuple.
+            return _NO_MATCH
+        left = _pe_match_pattern(pat.fst, v.fst)
+        if left is _NO_MATCH or left is _UNKNOWN:
+            return left
+        right = _pe_match_pattern(pat.snd, v.snd)
+        if right is _NO_MATCH or right is _UNKNOWN:
+            return right
+        return {**left, **right}
+    if t is PEClosure:
+        return _NO_MATCH
+    if t is Dynamic:
+        return _UNKNOWN
+    raise TypeError(f"not a specialization-time value: {v!r}")
+
+
+# ---------------------------------------------------------------------------
+# Compilation
+# ---------------------------------------------------------------------------
+
+
+def _code(node: MetExpr) -> Code:
+    """The specialization code of ``node``, compiled on first use and
+    cached on the node."""
+    try:
+        return node._pe_code
+    except AttributeError:
+        code = _COMPILERS[type(node)](node)
+        object.__setattr__(node, "_pe_code", code)
+        return code
+
+
+class _Compilers(dict):
+    """Node class -> compiler.  Compilers index this table themselves
+    rather than call a dispatching helper, so compiling nests one host
+    frame per tree level."""
+
+    def __missing__(self, cls):
+        raise TypeError(f"not a meta-language expression: {cls.__name__}")
+
+
+def _compile_var(node: Var) -> Code:
+    name = node.name
+
+    def code(env, spec):
+        try:
+            return env[name]
+        except KeyError:
+            raise StuckError(f"unbound variable {name!r}") from None
+    return code
+
+
+def _compile_int(node: IntLit) -> Code:
+    value = Static(VInt(node.value))
+    return lambda env, spec: value
+
+
+def _compile_tuple(node: Tuple) -> Code:
+    fst = _COMPILERS[type(node.fst)](node.fst)
+    snd = _COMPILERS[type(node.snd)](node.snd)
+
+    def code(env, spec):
+        va = fst(env, spec)
+        vb = snd(env, spec)
+        if type(va) is Static and type(vb) is Static:
+            return Static(VTuple(va.value, vb.value))
+        return SplitTuple(va, vb)
+    return code
+
+
+def _compile_proj(node: Proj1 | Proj2) -> Code:
+    first = type(node) is Proj1
+    arg = _COMPILERS[type(node.arg)](node.arg)
+
+    def code(env, spec):
+        v = arg(env, spec)
+        t = type(v)
+        if t is SplitTuple:
+            return v.fst if first else v.snd
+        if t is Static:
+            value = v.value
+            if type(value) is VTuple:
+                return Static(value.fst if first else value.snd)
+            if type(value) is VAbs:
+                # Reached from an abstract static input.  Abstract
+                # primitives (projections included) never run at
+                # specialization time, and residualizing would need a
+                # literal.
+                raise ReifyError("projection of an abstract value at specialization time")
+        elif t is Dynamic:
+            return Dynamic(Proj1(v.expr) if first else Proj2(v.expr))
+        raise StuckError("projection of a non-tuple")
+    return code
+
+
+def _compile_construct(node: Construct) -> Code:
+    tag = node.tag
+    args = tuple(_COMPILERS[type(a)](a) for a in node.args)
+
+    def code(env, spec):
+        vs = [a(env, spec) for a in args]
+        for v in vs:
+            if type(v) is not Static:
+                return Dynamic(Construct(tag, tuple([spec.residualize(v) for v in vs])))
+        return Static(VConstruct(tag, tuple([v.value for v in vs])))
+    return code
+
+
+def _compile_match(node: Match) -> Code:
+    scrutinee = _COMPILERS[type(node.scrutinee)](node.scrutinee)
+    branches = tuple((pat, _COMPILERS[type(body)](body)) for pat, body in node.branches)
+    residual = tuple((pat, pattern_vars(pat), body) for pat, body in branches)
+
+    # A constructor pattern matches only its own tag, so a known
+    # constructor is tried against just the branches that could match
+    # it, still in order.
+    def candidates(tag):
+        return tuple((pat, body) for pat, body in branches
+                     if type(pat) is not PConstruct or pat.tag == tag)
+    by_tag = {pat.tag: candidates(pat.tag) for pat, _ in branches
+              if type(pat) is PConstruct}
+    others = candidates(None)
+
+    def code(env, spec):
+        v = scrutinee(env, spec)
+        t = type(v)
+        if t is not Dynamic:
+            if t is Static and type(v.value) is VConstruct:
+                tried = by_tag.get(v.value.tag, others)
+            else:
+                tried = branches
+            for pat, body in tried:
+                bindings = _pe_match_pattern(pat, v)
                 if bindings is _NO_MATCH:
                     continue
                 if bindings is _UNKNOWN:
                     break
-                return self.pe(body, {**env, **bindings})
+                return body({**env, **bindings}, spec) if bindings else body(env, spec)
             else:
                 raise StuckError("no branch matches at specialization time")
-        return self.residual_match(scrutinee, branches, env)
+        return spec.residual_match(v, residual, env)
+    return code
 
-    def pe_match_pattern(self, pat: Pattern, v: PEValue):
-        """Bindings, _NO_MATCH, or _UNKNOWN (needs runtime information)."""
-        match pat:
-            case PWild():
-                return {}
-            case PVar(name):
-                return {name: v}
-            case _:
-                pass
-        match v:
-            case Static(value):
-                bindings = match_pattern(pat, value)
-                if bindings is None:
-                    return _NO_MATCH
-                return {name: Static(val) for name, val in bindings.items()}
-            case SplitTuple(a, b):
-                if not isinstance(pat, PTuple):
-                    # The runtime value is certainly a tuple.
-                    return _NO_MATCH
-                left = self.pe_match_pattern(pat.fst, a)
-                if left in (_NO_MATCH, _UNKNOWN):
-                    return left
-                right = self.pe_match_pattern(pat.snd, b)
-                if right in (_NO_MATCH, _UNKNOWN):
-                    return right
-                return {**left, **right}
-            case PEClosure():
-                return _NO_MATCH
-            case Dynamic():
-                return _UNKNOWN
-        raise TypeError(f"not a specialization-time value: {v!r}")
 
-    def residual_match(self, scrutinee: PEValue,
-                       branches: tuple[tuple[Pattern, MetExpr], ...],
-                       env: dict[str, PEValue]) -> PEValue:
-        out = []
-        for pat, body in branches:
-            renaming = {name: self.fresh(name) for name in pattern_vars(pat)}
-            bound = {old: Dynamic(Var(new)) for old, new in renaming.items()}
-            body_v = self.pe(body, {**env, **bound})
-            out.append((rename_pattern(pat, renaming), self.residualize(body_v)))
-        return Dynamic(Match(self.residualize(scrutinee), tuple(out)))
+def _compile_let(node: Let) -> Code:
+    name = node.name
+    bound = _COMPILERS[type(node.bound)](node.bound)
+    body = _COMPILERS[type(node.body)](node.body)
 
-    # -- residual emission ---------------------------------------------------
+    def code(env, spec):
+        bv = bound(env, spec)
+        if type(bv) is Dynamic:
+            fresh = spec.fresh(name)
+            result = body({**env, name: Dynamic(Var(fresh))}, spec)
+            return Dynamic(Let(fresh, bv.expr, spec.residualize(result)))
+        return body({**env, name: bv}, spec)
+    return code
 
-    def residualize(self, v: PEValue) -> MetExpr:
-        match v:
-            case Static(value):
-                return reify(value)
-            case Dynamic(expr):
-                return expr
-            case SplitTuple(a, b):
-                return Tuple(self.residualize(a), self.residualize(b))
-            case PEClosure(param, body, env, self_name):
-                fresh_param = self.fresh(param)
-                inner = {**env, param: Dynamic(Var(fresh_param))}
-                if self_name is None:
-                    return Lambda(fresh_param, self.residualize(self.pe(body, inner)))
-                fresh_self = self.fresh(self_name)
-                inner[self_name] = Dynamic(Var(fresh_self))
-                rebuilt = self.residualize(self.pe(body, inner))
-                return LetRecFun(fresh_self, fresh_param, rebuilt, Var(fresh_self))
-        raise TypeError(f"not a specialization-time value: {v!r}")
+
+def _compile_letrec(node: LetRecFun) -> Code:
+    fun_name, param, fun_body = node.fun_name, node.param, node.fun_body
+    body = _COMPILERS[type(node.body)](node.body)
+
+    def code(env, spec):
+        closure = PEClosure(param, fun_body, env, self_name=fun_name)
+        return body({**env, fun_name: closure}, spec)
+    return code
+
+
+def _compile_lambda(node: Lambda) -> Code:
+    param, fun_body = node.param, node.body
+    return lambda env, spec: PEClosure(param, fun_body, env)
+
+
+def _compile_app(node: App) -> Code:
+    fun = _COMPILERS[type(node.fun)](node.fun)
+    arg = _COMPILERS[type(node.arg)](node.arg)
+
+    def code(env, spec):
+        vf = fun(env, spec)
+        return spec.apply(vf, arg(env, spec))
+    return code
+
+
+def _compile_prim(node: Prim) -> Code:
+    op = node.op
+    args = tuple(_COMPILERS[type(a)](a) for a in node.args)
+    # Concrete arithmetic on known operands folds; it needs no domain.
+    implementation = None if op.is_abstract else PRIMITIVES[op]
+
+    def code(env, spec):
+        vs = [a(env, spec) for a in args]
+        if implementation is not None:
+            for v in vs:
+                if type(v) is not Static:
+                    break
+            else:
+                return Static(implementation(*[v.value for v in vs], None))
+        return Dynamic(Prim(op, tuple([spec.residualize(v) for v in vs])))
+    return code
+
+
+_COMPILERS = _Compilers({
+    Var: _compile_var,
+    IntLit: _compile_int,
+    Tuple: _compile_tuple,
+    Proj1: _compile_proj,
+    Proj2: _compile_proj,
+    Construct: _compile_construct,
+    Match: _compile_match,
+    Let: _compile_let,
+    LetRecFun: _compile_letrec,
+    Lambda: _compile_lambda,
+    App: _compile_app,
+    Prim: _compile_prim,
+})
 
 
 def rename_pattern(pat: Pattern, renaming: dict[str, str]) -> Pattern:
@@ -345,7 +496,7 @@ def specialize(e: MetExpr, static_input: MetValue) -> MetExpr:
     """
     spec = _Specializer()
     try:
-        fn = spec.pe(e, {})
+        fn = _code(e)({}, spec)
         param = spec.fresh("i")
         arg = SplitTuple(Static(static_input), Dynamic(Var(param)))
         result = spec.apply(fn, arg)

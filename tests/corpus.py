@@ -169,4 +169,10 @@ CORPUS: list[CorpusEntry] = [
         _random_src_run,
         INTERVAL,
     ),
+    CorpusEntry(
+        "catch_all_before_constructor",
+        # The catch-all, not the later Num branch, takes a known Num.
+        parse_met("fun x -> match fst x with | X -> 0 | v -> snd x | Num(n) -> n"),
+        lambda rng: (_num_or_x(rng), _int(rng)),
+    ),
 ]

@@ -15,6 +15,8 @@ from retargeter.met.syntax import (
     EvalBudget,
     IntLit,
     Lambda,
+    MetExpr,
+    MetValue,
     Prim,
     PrimOp,
     Tuple,
@@ -26,7 +28,9 @@ from retargeter.met.syntax import (
     Var,
 )
 from retargeter import peval
+from retargeter.analyzer import build_abstract_interpreter
 from retargeter.peval import reify, residual_stats, specialize
+from retargeter.retargeting import retarget
 from retargeter.srclang import embed_src_expr
 from retargeter.tgtlang import interpreter_fixture
 
@@ -195,6 +199,56 @@ class TestSpecializeProperties:
         identity = parse_met("fun y -> y")
         fn = eval_met(identity, {}, INTERVAL)
         assert apply_met_function(residual, fn, INTERVAL) == VInt(5)
+
+
+def nested_sum(depth):
+    """The embedded source program (+ 1 (+ 1 ... x)), nested ``depth`` deep,
+    built without recursion."""
+    e = VConstruct("X", ())
+    for _ in range(depth):
+        e = VConstruct("Add", (VConstruct("Num", (VInt(1),)), e))
+    return e
+
+
+def _subterms(root):
+    """Every expression, pattern and value reachable from ``root``."""
+    seen, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        seen.append(node)
+        for child in vars(node).values():
+            if isinstance(child, tuple):
+                for item in child:
+                    stack.extend(item if isinstance(item, tuple) else (item,))
+            elif isinstance(child, dict):
+                stack.extend(v for v in child.values() if isinstance(v, (MetExpr, MetValue)))
+            elif isinstance(child, (MetExpr, MetValue)):
+                stack.append(child)
+    return seen
+
+
+class TestDepthAndCache:
+    def test_a_deep_program_specializes(self):
+        # The tree walk this specializer replaced reached 163 levels.
+        residual = specialize(build_abstract_interpreter(), nested_sum(150))
+        assert count_nodes(residual)["AADD"] == 150
+
+    def test_host_depth_is_reported_as_fuel(self):
+        with pytest.raises(FuelExhausted, match="host recursion depth"):
+            specialize(build_abstract_interpreter(), nested_sum(5000))
+
+    def test_code_is_cached_on_the_interpreter_not_on_the_static_input(self):
+        retarget("seq2", INTERVAL)
+        static_input = embed_src_expr(interpreter_fixture("seq2"))
+        specialize(build_abstract_interpreter(), static_input)
+        assert not [n for n in _subterms(static_input) if "_pe_code" in vars(n)]
+        assert [n for n in _subterms(build_abstract_interpreter()) if "_pe_code" in vars(n)]
+
+    def test_a_closure_in_the_static_input_is_not_cached(self):
+        body = parse_met("y + 1")
+        residual = specialize(parse_met("fun x -> (fst x) (snd x)"), VClosure("y", body, {}))
+        assert apply_met_function(residual, VInt(4), INTERVAL) == VInt(5)
+        assert "_pe_code" not in vars(body)
 
 
 class TestResidualStats:
