@@ -13,7 +13,7 @@ values and the specializer itself are reached through their submodules
 (``retargeter.domains``, ``retargeter.peval``, ...).
 """
 
-from .analyzer import analyze_meta, analyze_meta_abstract
+from .analyzer import analyze_meta, analyze_meta_abstract, analyze_meta_target
 from .domains import DOMAINS, INTERVAL, SIGN, get_domain
 from .errors import (
     FuelExhausted,

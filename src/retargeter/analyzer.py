@@ -5,6 +5,16 @@ pipeline depends on being able to feed it to the partial evaluator.  Its
 single match dispatches on the embedded source AST; every leaf computes
 with the abstract primitives, so the same program serves any numeric
 domain the evaluator is run with.
+
+Meta-level analysis of a target program runs this interpreter over the
+target's embedded definitional interpreter (:func:`analyze_meta_target`).
+That embedding is a constant of the target, like
+``tgtlang.interpreter_fixture``, so it is built once per target and
+cached; only the encoded program and input are embedded per call.
+
+Every entry point reports a source program or input nested too deeply
+for the host stack to embed as :class:`FuelExhausted`, as the evaluator
+reports one too deep to evaluate.
 """
 
 from __future__ import annotations
@@ -19,10 +29,18 @@ from .domains import (
     make_pair,
     met_value_to_abs,
 )
+from .errors import FuelExhausted
 from .met.interp import apply_met_function
 from .met.parser import parse_met
-from .met.syntax import EvalBudget, MetExpr, VAbs, VTuple
-from .srclang import SrcExpr, SrcValue, embed_src_expr, embed_src_value
+from .met.syntax import EvalBudget, MetExpr, MetValue, VAbs, VTuple
+from .srclang import SPair, SrcExpr, SrcValue, embed_src_expr, embed_src_value
+from .tgtlang import (
+    TgtProgram,
+    encode_tgt_program,
+    encode_tgt_value,
+    interpreter_fixture,
+    target_of,
+)
 
 # One match arm per source constructor.  A conditional filters the
 # abstract predicate against "nonzero" on the then-branch and "zero" on
@@ -62,6 +80,21 @@ def _run(domain: NumericDomain, arg, budget: EvalBudget | None) -> AbsValue:
     return met_value_to_abs(result)
 
 
+def _embed(embed, data) -> MetValue:
+    """``embed(data)``, with data nested too deeply for the host stack
+    reported as running out of budget, as :func:`eval_met` reports it."""
+    try:
+        return embed(data)
+    except RecursionError:
+        raise FuelExhausted("evaluation exceeded the host recursion depth") from None
+
+
+@lru_cache(maxsize=None)
+def _embedded_interpreter(target: str) -> MetValue:
+    """``target``'s definitional interpreter, embedded; one value per target."""
+    return embed_src_expr(interpreter_fixture(target))
+
+
 def analyze_meta(domain: NumericDomain, src_program: SrcExpr, src_input: SrcValue,
                  budget: EvalBudget | None = None) -> AbsValue:
     """Abstractly interpret ``src_program`` on a concrete input.
@@ -70,7 +103,7 @@ def analyze_meta(domain: NumericDomain, src_program: SrcExpr, src_input: SrcValu
     ``eval_src(src_program, src_input)`` is defined, it is contained in
     the returned abstract value.
     """
-    arg = VTuple(embed_src_expr(src_program), embed_src_value(src_input))
+    arg = VTuple(_embed(embed_src_expr, src_program), _embed(embed_src_value, src_input))
     return _run(domain, arg, budget)
 
 
@@ -83,7 +116,23 @@ def analyze_meta_abstract(domain: NumericDomain, src_program: SrcExpr,
     ``contains(abstract_input, v)`` and ``eval_src(src_program, v)`` is
     defined, the result contains it.
     """
-    arg = VTuple(embed_src_expr(src_program), VAbs(check_domain(abstract_input, domain)))
+    arg = VTuple(_embed(embed_src_expr, src_program),
+                 VAbs(check_domain(abstract_input, domain)))
+    return _run(domain, arg, budget)
+
+
+def analyze_meta_target(domain: NumericDomain, program: TgtProgram, i: int,
+                        budget: EvalBudget | None = None) -> AbsValue:
+    """Meta-level analysis of a target program on a concrete input: the
+    abstract interpreter run over the target's definitional interpreter.
+
+    The same as ``analyze_meta(domain, interpreter_fixture(t),
+    SPair(encode_tgt_program(program), encode_tgt_value(i)), budget)``
+    for the program's target ``t``, in result, error and steps, but the
+    interpreter is embedded once per target rather than on every call.
+    """
+    src_input = SPair(encode_tgt_program(program), encode_tgt_value(i))
+    arg = VTuple(_embedded_interpreter(target_of(program)), _embed(embed_src_value, src_input))
     return _run(domain, arg, budget)
 
 

@@ -15,8 +15,9 @@ the order the evaluation rules name them; it compares the count with the
 fuel inline and calls ``EvalBudget.tick`` only to raise, so the message
 is worded in one place.
 
-Two node sequences are fused into superoperators (Proebsting,
-"Optimizing an ANSI C interpreter with superoperators", 1995):
+Node sequences on the hot paths of residuals and of meta-level analysis
+are fused into superoperators (Proebsting, "Optimizing an ANSI C
+interpreter with superoperators", 1995):
 
 * A path of k projections over a variable, such as ``snd (fst (fst x))``,
   is one closure.  It walks the path, calls ``domains.abs_proj`` once per
@@ -25,10 +26,21 @@ Two node sequences are fused into superoperators (Proebsting,
   the variable is unbound, or the path meets a value that is neither a
   tuple nor abstract, it runs the node-by-node code instead, compiled on
   first need, which spends the steps one at a time and raises what the
-  tree walk raises.
+  tree walk raises.  ``fst x`` and ``snd x`` have no path to walk.
 * ``eta`` of an integer literal is computed once, when its node is
   compiled, and spends its two steps at once, or one at a time when fewer
   than two are left.
+* An application of a variable, ``f e``, is one closure.  It spends the
+  ``App`` and ``Var`` steps at once (one at a time when fewer than two are
+  left), looks ``f`` up, evaluates the argument before it tests for a
+  closure, and builds the call's environment and reads the body's cached
+  code itself.
+* A ``match`` branch whose pattern is a variable, or a constructor whose
+  arguments are variables or wildcards, copies the environment once and
+  stores the bindings; a constructor checks only its arity, since tag
+  dispatch has already decided the tag.  Later bindings win, and a branch
+  that binds nothing runs in the environment it was given.  Other
+  patterns keep their matcher.
 
 Step counts, the step at which the budget runs out and every
 ``StuckError`` are therefore the same as for a direct tree walk.  A
@@ -89,6 +101,7 @@ from .syntax import (
 Env = Mapping[str, MetValue]
 Code = Callable[[Env, EvalBudget], MetValue]
 Matcher = Callable[[MetValue], "dict[str, MetValue] | None"]
+Binder = Callable[[MetValue, Env], "Env | None"]
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +356,28 @@ def _compile_proj(node: Proj1 | Proj2, domain) -> Code:
             slow = _compile_proj_node(node, domain)
         return slow(env, budget)
 
+    if cost == 2:
+        # One projection, ``fst x`` or ``snd x``: no path to walk.
+        first = path[0]
+
+        def code(env, budget):
+            steps = budget.steps_used + 2
+            if steps > budget.fuel:
+                return fallback(env, budget)
+            try:
+                v = env[name]
+            except KeyError:
+                return fallback(env, budget)
+            t = type(v)
+            if t is VTuple:
+                budget.steps_used = steps
+                return v.fst if first else v.snd
+            if t is VAbs:
+                budget.steps_used = steps
+                return VAbs(domains.abs_proj(v.value, first))
+            return fallback(env, budget)
+        return code
+
     def code(env, budget):
         steps = budget.steps_used + cost
         if steps > budget.fuel:
@@ -404,15 +439,55 @@ def _compile_construct(node: Construct, domain) -> Code:
     return code
 
 
+def _branch_binder(pat: Pattern) -> Binder:
+    """``bind(value, env)``: the environment a branch's body runs in, that
+    is ``env`` extended with what ``pat`` binds in ``value``, or None when
+    ``pat`` does not match.  Later bindings win, as in ``{**env,
+    **bindings}``; a pattern that binds nothing gives ``env`` itself.
+
+    A constructor pattern is only tried on a value of its own tag (see
+    :func:`_compile_match`), so when its arguments are variables or
+    wildcards it checks just the arity and stores the arguments."""
+    t = type(pat)
+    if t is PVar:
+        name = pat.name
+        return lambda value, env: {**env, name: value}
+    if t is PWild:
+        return lambda value, env: env
+    if t is PConstruct and all(type(p) is PVar or type(p) is PWild for p in pat.args):
+        arity = len(pat.args)
+        slots = tuple((i, p.name) for i, p in enumerate(pat.args) if type(p) is PVar)
+        if not slots:
+            return lambda value, env: env if len(value.args) == arity else None
+
+        def bind(value, env):
+            args = value.args
+            if len(args) != arity:
+                return None
+            inner = dict(env)
+            for i, name in slots:
+                inner[name] = args[i]
+            return inner
+        return bind
+    matcher = _compile_pattern(pat)
+
+    def bind(value, env):
+        bindings = matcher(value)
+        if bindings is None:
+            return None
+        return {**env, **bindings} if bindings else env
+    return bind
+
+
 def _compile_match(node: Match, domain) -> Code:
     scrutinee = _COMPILERS[type(node.scrutinee)](node.scrutinee, domain)
-    branches = [(pat, _compile_pattern(pat), _COMPILERS[type(body)](body, domain))
+    branches = [(pat, _branch_binder(pat), _COMPILERS[type(body)](body, domain))
                 for pat, body in node.branches]
 
     # A constructor pattern matches only its own tag, so each tag is tried
     # against just the branches that could match it, still in order.
     def candidates(tag):
-        return tuple((matcher, body) for pat, matcher, body in branches
+        return tuple((bind, body) for pat, bind, body in branches
                      if not isinstance(pat, PConstruct) or pat.tag == tag)
     by_tag = {pat.tag: candidates(pat.tag) for pat, _, _ in branches
               if isinstance(pat, PConstruct)}
@@ -423,10 +498,10 @@ def _compile_match(node: Match, domain) -> Code:
             budget.tick()
         budget.steps_used += 1
         v = scrutinee(env, budget)
-        for matcher, body in by_tag.get(v.tag, others) if isinstance(v, VConstruct) else others:
-            bindings = matcher(v)
-            if bindings is not None:
-                return body({**env, **bindings}, budget) if bindings else body(env, budget)
+        for bind, body in by_tag.get(v.tag, others) if isinstance(v, VConstruct) else others:
+            inner = bind(v, env)
+            if inner is not None:
+                return body(inner, budget)
         raise StuckError(f"no branch matches {v!r}")
     return code
 
@@ -469,6 +544,8 @@ def _compile_lambda(node: Lambda, domain) -> Code:
 
 
 def _compile_app(node: App, domain) -> Code:
+    if type(node.fun) is Var:
+        return _compile_call(node.fun.name, _COMPILERS[type(node.arg)](node.arg, domain), domain)
     fun = _COMPILERS[type(node.fun)](node.fun, domain)
     arg = _COMPILERS[type(node.arg)](node.arg, domain)
 
@@ -481,6 +558,38 @@ def _compile_app(node: App, domain) -> Code:
         if not isinstance(vf, VClosure):
             raise StuckError("application of a non-function")
         return compiled(vf.body, domain)(_call_env(vf, va), budget)
+    return code
+
+
+def _compile_call(name: str, arg: Code, domain) -> Code:
+    """``f e`` for a variable ``f``: the application and the variable as
+    one closure, which builds the call's environment and finds the body's
+    compiled code itself."""
+    def code(env, budget):
+        steps = budget.steps_used + 2   # the App node and its variable
+        if steps > budget.fuel:
+            # At most one step is left: spend it, then raise where the
+            # per-node code would.
+            budget.tick()
+            budget.tick()
+        budget.steps_used = steps
+        try:
+            vf = env[name]
+        except KeyError:
+            raise StuckError(f"unbound variable {name!r}") from None
+        va = arg(env, budget)
+        if not isinstance(vf, VClosure):
+            raise StuckError("application of a non-function")
+        inner = dict(vf.env)
+        inner[vf.param] = va
+        if vf.self_name is not None:
+            inner[vf.self_name] = vf
+        body = vf.body
+        try:
+            run = body._compiled[domain]
+        except (AttributeError, KeyError):
+            run = compiled(body, domain)
+        return run(inner, budget)
     return code
 
 

@@ -18,12 +18,12 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass, field
 
-from .analyzer import analyze_meta, build_abstract_interpreter, check_domain
+from .analyzer import analyze_meta_target, build_abstract_interpreter, check_domain
 from .domains import AbsValue, Num, NumericDomain, contains, format_abs, met_value_to_abs
 from .met.interp import apply_met_function
 from .met.syntax import EvalBudget, MetExpr, VAbs, VTuple
 from .peval import residual_stats, specialize
-from .srclang import SPair, embed_src_expr, embed_src_value
+from .srclang import embed_src_expr, embed_src_value
 from .tgtlang import (
     TgtProgram,
     check_target,
@@ -93,6 +93,13 @@ def _check_program(analyzer: RetargetedAnalyzer, p: TgtProgram) -> None:
 # ---------------------------------------------------------------------------
 
 
+# The harnesses' default magnitude, which the command-line front end uses.
+MAGNITUDE = 1000
+
+# The command that runs each kind of harness.
+_COMMANDS = {"soundness": "check", "equivalence": "check", "bench": "bench"}
+
+
 @dataclass
 class Report:
     """Outcome of a randomized harness run; JSON-stable field set."""
@@ -106,6 +113,8 @@ class Report:
     mean_meta_steps: float = 0.0
     mean_spec_steps: float = 0.0
     ratio: float | None = None
+    # Not a field, so not in the JSON: the bound on drawn operands.
+    magnitude = MAGNITUDE
 
     @property
     def ok(self) -> bool:
@@ -126,8 +135,20 @@ class Report:
                 f"specialized={self.mean_spec_steps:.1f} ratio={self.ratio:.2f}"
             )
         for failure in self.failures[:10]:
-            lines.append(f"  FAIL trial {failure['trial']}: {failure}")
+            replay = self.replay_command(failure["trial"])
+            replay = f" (replay: {replay})" if replay else ""
+            lines.append(f"  FAIL trial {failure['trial']}{replay}: {failure}")
         return "\n".join(lines)
+
+    def replay_command(self, trial: int) -> str | None:
+        """The command line whose run ends with ``trial``, or None if the
+        command line cannot draw this run's trials.  Trials draw from one
+        seeded generator in order, so a run of ``trial + 1`` trials with
+        the same seed repeats this run's trials up to ``trial``."""
+        if self.magnitude != MAGNITUDE:
+            return None
+        return (f"retargeter {_COMMANDS[self.kind]} --domain {self.domain} "
+                f"--target {self.target} --seed {self.seed} --trials {trial + 1}")
 
 
 def _harness(kind: str, domain: NumericDomain, target: str, trials: int, seed: int,
@@ -138,16 +159,15 @@ def _harness(kind: str, domain: NumericDomain, target: str, trials: int, seed: i
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     analyzer = retarget(target, domain)
-    fixture = interpreter_fixture(target)
     rng = random.Random(seed)
     report = Report(kind, domain.name, target, trials, seed)
+    report.magnitude = magnitude
     meta_total = spec_total = 0
     for trial in range(trials):
         program = random_tgt_program(rng, target, magnitude)
         value = rng.randint(-magnitude, magnitude)
         meta_budget, spec_budget = EvalBudget(), EvalBudget()
-        meta = analyze_meta(domain, fixture, SPair(encode_tgt_program(program),
-                                                   encode_tgt_value(value)), meta_budget)
+        meta = analyze_meta_target(domain, program, value, meta_budget)
         spec = run_specialized(analyzer, program, value, spec_budget)
         meta_total += meta_budget.steps_used
         spec_total += spec_budget.steps_used
@@ -167,7 +187,7 @@ def _harness(kind: str, domain: NumericDomain, target: str, trials: int, seed: i
 
 
 def check_equivalence(domain: NumericDomain, target: str, trials: int = 1000,
-                      seed: int = 0, magnitude: int = 1000) -> Report:
+                      seed: int = 0, magnitude: int = MAGNITUDE) -> Report:
     """Specialized and meta-level analyses must agree structurally."""
 
     def judge(program, value, meta, spec, mb, sb):
@@ -179,7 +199,7 @@ def check_equivalence(domain: NumericDomain, target: str, trials: int = 1000,
 
 
 def check_soundness(domain: NumericDomain, target: str, trials: int = 1000,
-                    seed: int = 0, magnitude: int = 1000) -> Report:
+                    seed: int = 0, magnitude: int = MAGNITUDE) -> Report:
     """The concrete result must be a member of the analyzed result."""
 
     def judge(program, value, meta, spec, mb, sb):
@@ -192,7 +212,7 @@ def check_soundness(domain: NumericDomain, target: str, trials: int = 1000,
 
 
 def bench_steps(domain: NumericDomain, target: str, trials: int = 1000,
-                seed: int = 0, magnitude: int = 1000) -> Report:
+                seed: int = 0, magnitude: int = MAGNITUDE) -> Report:
     """The residual must use strictly fewer evaluation steps per trial."""
 
     def judge(program, value, meta, spec, meta_budget, spec_budget):

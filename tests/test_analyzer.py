@@ -6,10 +6,12 @@ import random
 
 import pytest
 
+from retargeter import analyzer
 from retargeter.analyzer import (
     abstract_target_input,
     analyze_meta,
     analyze_meta_abstract,
+    analyze_meta_target,
     build_abstract_interpreter,
 )
 from retargeter.domains import (
@@ -40,6 +42,7 @@ from retargeter.srclang import (
     shape_of,
 )
 from retargeter.tgtlang import (
+    TARGETS,
     encode_tgt_program,
     encode_tgt_value,
     eval_tgt,
@@ -102,6 +105,16 @@ class TestAnalyzeMeta:
         with pytest.raises(FuelExhausted):
             analyze_meta(INTERVAL, X(), SInt(0), EvalBudget(fuel=3))
 
+    def test_too_deep_a_source_program_runs_out_of_budget(self):
+        # Embedding recurses one host frame per level of the program.
+        program = X()
+        for _ in range(1200):
+            program = Add(SrcNum(1), program)
+        with pytest.raises(FuelExhausted, match="host recursion depth"):
+            analyze_meta(INTERVAL, program, SInt(1))
+        with pytest.raises(FuelExhausted, match="host recursion depth"):
+            analyze_meta_abstract(INTERVAL, program, TOP)
+
     def test_soundness_fuzz_both_domains(self):
         # For random well-shaped programs, the analysis contains the
         # concrete result whenever concrete evaluation succeeds.
@@ -132,6 +145,42 @@ class TestAnalyzeMeta:
             src_input = SPair(encode_tgt_program(program), encode_tgt_value(value))
             result = analyze_meta(domain, fixture, src_input)
             assert contains(result, encode_tgt_value(eval_tgt(program, value)))
+
+
+class TestAnalyzeMetaTarget:
+    """``analyze_meta_target`` is ``analyze_meta`` over the target's
+    definitional interpreter, with the interpreter embedded once."""
+
+    @staticmethod
+    def outcome(run, *args, fuel):
+        budget = EvalBudget(fuel=fuel)
+        try:
+            result = ("value", run(*args, budget))
+        except Exception as err:
+            result = ("error", type(err), str(err))
+        return result, budget.steps_used
+
+    @pytest.mark.parametrize("target", TARGETS)
+    @pytest.mark.parametrize("domain", [INTERVAL, SIGN], ids=["interval", "sign"])
+    def test_equals_analyze_meta(self, domain, target):
+        fixture = interpreter_fixture(target)
+        rng = random.Random(31)
+        for _ in range(40):
+            program = random_tgt_program(rng, target)
+            value = rng.randint(-1000, 1000)
+            src_input = SPair(encode_tgt_program(program), encode_tgt_value(value))
+            _, full = self.outcome(analyze_meta_target, domain, program, value, fuel=10**6)
+            for fuel in {1, 2, 3, rng.randint(4, full), full - 1, full, full + 1}:
+                assert (self.outcome(analyze_meta_target, domain, program, value, fuel=fuel)
+                        == self.outcome(analyze_meta, domain, fixture, src_input, fuel=fuel))
+
+    def test_one_embedding_per_target(self):
+        rng = random.Random(37)
+        for target in TARGETS:
+            for domain in (INTERVAL, SIGN):
+                analyze_meta_target(domain, random_tgt_program(rng, target), 1)
+            assert analyzer._embedded_interpreter(target) is analyzer._embedded_interpreter(target)
+        assert analyzer._embedded_interpreter.cache_info().currsize <= len(TARGETS)
 
 
 class TestAnalyzeMetaAbstract:

@@ -8,7 +8,10 @@ import sys
 
 import pytest
 
+from retargeter import retargeting
 from retargeter.cli import build_parser, main
+from retargeter.domains import TOP
+from retargeter.retargeting import Report
 
 
 @pytest.fixture
@@ -419,3 +422,40 @@ class TestCheckAndBench:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+    def test_a_failure_prints_the_command_that_replays_it(self, capsys, monkeypatch):
+        real = retargeting.run_specialized
+        seen = []
+
+        def recording(analyzer, p, i, budget=None):
+            seen.append((p, i))
+            return real(analyzer, p, i, budget)
+        monkeypatch.setattr(retargeting, "run_specialized", recording)
+        args = ("check", "--target", "seq2", "--domain", "sign", "--seed", "5")
+        run_cli(capsys, *args, "--trials", "8")
+        trial = 3
+        planted = seen[8 + trial]        # trial 3 of the equivalence run
+
+        def faulty(analyzer, p, i, budget=None):
+            return TOP if (p, i) == planted else real(analyzer, p, i, budget)
+        monkeypatch.setattr(retargeting, "run_specialized", faulty)
+        code, out, _ = run_cli(capsys, *args, "--trials", "8")
+        assert code == 1
+        fail_lines = [line for line in out.splitlines() if "FAIL" in line]
+        replay = "retargeter check --domain sign --target seq2 --seed 5 --trials 4"
+        assert len(fail_lines) == 1
+        assert fail_lines[0].startswith(f"  FAIL trial {trial} (replay: {replay}): ")
+
+        code, out, _ = run_cli(capsys, *replay.split()[1:], "--output", "json")
+        assert code == 1
+        soundness, equivalence = json.loads(out)
+        assert soundness["failures"] == [] and equivalence["trials"] == trial + 1
+        assert [f["trial"] for f in equivalence["failures"]] == [trial]
+
+    def test_replay_commands_name_the_harness(self):
+        report = Report("bench", "interval", "single", 9, 7, failures=[{"trial": 2}], ratio=1.0)
+        assert ("FAIL trial 2 (replay: retargeter bench --domain interval --target single "
+                "--seed 7 --trials 3): " in report.to_text())
+        report.magnitude = 5        # not what the command line draws with
+        assert report.replay_command(2) is None
+        assert "  FAIL trial 2: {'trial': 2}" in report.to_text()

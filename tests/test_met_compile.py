@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 import sys
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ import walker
 from astgen import NAMES, random_met_expr
 from corpus import CORPUS
 from retargeter import domains, retarget
+from retargeter import srclang as src
 from retargeter.analyzer import build_abstract_interpreter
 from retargeter.domains import (
     DOMAINS,
@@ -40,9 +42,16 @@ from retargeter.met.syntax import (
     IntLit,
     Lambda,
     Let,
+    Match,
+    PConstruct,
+    PInt,
     PrimOp,
+    PTuple,
+    PVar,
+    PWild,
     Proj1,
     Proj2,
+    Tuple,
     Var,
     VAbs,
     VConstruct,
@@ -340,3 +349,158 @@ class TestSuperoperators:
         for text in (f"eta({n})", f"aadd(x, eta({n}))", f"(eta({n}), eta({n}))"):
             self.assert_same_at_every_fuel(parse_met(text),
                                            lambda d: {"x": VAbs(Num(d.eta_int(2)))})
+
+
+class TestMetaSuperoperators:
+    """The fused forms on meta-level analysis's hot paths: an application
+    of a variable runs as one closure, a match branch whose pattern is a
+    variable, or a constructor over variables and wildcards, extends the
+    environment directly, and ``fst x`` or ``snd x`` skips the path walk.
+    Each must agree with the walker at every budget, from one step to the
+    full run plus one, under both domains."""
+
+    at_every_fuel = staticmethod(TestSuperoperators.assert_same_at_every_fuel)
+
+    @staticmethod
+    def match_x(*branches):
+        """``match x with`` the given branches, each a pattern and the text
+        of its body.  Built directly, since the parser accepts only the
+        source language's constructors, each at its own arity."""
+        return Match(Var("x"), tuple((pat, parse_met(body)) for pat, body in branches))
+
+    @staticmethod
+    def con(tag, *args):
+        """A constructor pattern; a string argument is a variable, or a
+        wildcard if it is ``_``."""
+        return PConstruct(tag, tuple(
+            (PWild() if a == "_" else PVar(a)) if isinstance(a, str) else a for a in args))
+
+    @pytest.mark.parametrize("text", [
+        "let f = fun y -> (y, x) in f (fst x)",
+        "let f = fun y -> (y, x) in (f 1, f (f 2))",
+        "let x = 5 in let f = fun y -> x in let x = 6 in f x",
+        "let f = fun f -> f in f f",
+    ])
+    def test_applying_a_closure(self, text):
+        for value in (VTuple(VInt(1), VInt(2)), VInt(3)):
+            self.at_every_fuel(parse_met(text), lambda d: {"x": value})
+
+    @pytest.mark.parametrize("text", [
+        "let rec g n = match n with | 0 -> 7 | m -> g 0 in g x",
+        "let rec g n = match n with | 0 -> (g, 7) | m -> g (snd (m, 0)) in snd (g x)",
+        "let rec g n = n in let h = g in (h 1, g 2)",
+    ])
+    def test_applying_a_recursive_closure(self, text):
+        for value in (VInt(0), VInt(4), VTuple(VInt(0), VInt(0))):
+            self.at_every_fuel(parse_met(text), lambda d: {"x": value})
+
+    @pytest.mark.parametrize("text", ["f (fst y)", "f 3", "f (g 1)", "(f 1, 2)"])
+    def test_applying_a_non_function(self, text):
+        # The argument is evaluated, and may get stuck, before the
+        # function is tested.
+        for f in (VInt(1), VConstruct("X", ()), VAbs(TOP), VTuple(VInt(1), VInt(2))):
+            self.at_every_fuel(parse_met(text), lambda d: {"f": f, "y": VInt(2)})
+
+    @pytest.mark.parametrize("text", ["g 3", "g (fst y)", "(1, g 3)", "f (g 3)"])
+    def test_applying_an_unbound_variable(self, text):
+        identity = walker.eval_met(parse_met("fun z -> z"), {}, SIGN)
+        self.at_every_fuel(parse_met(text), lambda d: {"f": identity, "y": VInt(2)})
+
+    def test_wrong_arity_falls_through(self):
+        con = self.con
+        expr = self.match_x((con("C", "a"), "a"), (con("C", "a", "b"), "(b, a)"),
+                            (con("C", "_", "_", "_"), "0"), (con("C", "a", "a"), "a"),
+                            (PVar("v"), "1"))
+        for args in ((), (VInt(1),), (VInt(1), VInt(2)), (VInt(1), VInt(2), VInt(3)),
+                     (VInt(1), VInt(2), VInt(3), VInt(4))):
+            self.at_every_fuel(expr, lambda d: {"x": VConstruct("C", args), "a": VInt(9)})
+
+    def test_wrong_arity_with_no_later_branch_is_stuck(self):
+        expr = self.match_x((self.con("C", "a"), "a"), (self.con("D"), "0"))
+        for value in (VConstruct("C", ()), VConstruct("C", (VInt(1), VInt(2))),
+                      VConstruct("D", (VInt(1),)), VConstruct("E", ()), VInt(0)):
+            self.at_every_fuel(expr, lambda d: {"x": value})
+
+    def test_later_bindings_win(self):
+        expr = self.match_x((self.con("C", "a", "a"), "(a, b)"),
+                            (self.con("D", "a", "_", "a"), "a"))
+        for value in (VConstruct("C", (VInt(1), VInt(2))),
+                      VConstruct("D", (VInt(1), VInt(2), VInt(3)))):
+            self.at_every_fuel(expr, lambda d: {"x": value, "a": VInt(8), "b": VInt(9)})
+
+    def test_zero_argument_and_wildcard_constructor_patterns(self):
+        con = self.con
+        expr = self.match_x((con("X"), "1"), (con("C", "_", "_"), "2"), (con("D", "_", "y"), "y"),
+                            (con("D", "y", "_", "_"), "y"), (con("E", "_"), "y"))
+        for value in (VConstruct("X", ()), VConstruct("X", (VInt(5),)),
+                      VConstruct("C", (VInt(5), VInt(6))), VConstruct("C", (VInt(5),)),
+                      VConstruct("D", (VInt(5), VInt(6))),
+                      VConstruct("D", (VInt(5), VInt(6), VInt(7))),
+                      VConstruct("E", (VInt(5),)), VConstruct("E", ())):
+            self.at_every_fuel(expr, lambda d: {"x": value, "y": VInt(3)})
+
+    def test_a_variable_branch_after_constructor_branches(self):
+        con = self.con
+        expr = self.match_x((con("A", "a"), "a"), (con("B"), "0"), (PVar("w"), "(w, w)"),
+                            (PWild(), "5"))
+        for value in (VConstruct("A", (VInt(1),)), VConstruct("A", ()), VConstruct("B", ()),
+                      VConstruct("C", (VInt(1),)), VInt(4), VTuple(VInt(1), VInt(2))):
+            self.at_every_fuel(expr, lambda d: {"x": value, "w": VInt(7)})
+
+    def test_other_patterns_keep_their_matcher(self):
+        con = self.con
+        expr = self.match_x((con("C", PTuple(PVar("a"), PVar("b")), PInt(0)), "(a, b)"),
+                            (con("C", "a", PInt(1)), "a"), (PTuple(PVar("p"), PVar("q")), "q"),
+                            (PInt(3), "4"), (con("C", "z", "_"), "z"))
+        for value in (VConstruct("C", (VTuple(VInt(1), VInt(2)), VInt(0))),
+                      VConstruct("C", (VInt(1), VInt(1))), VConstruct("C", (VInt(1), VInt(2))),
+                      VTuple(VInt(1), VInt(2)), VInt(3), VInt(5)):
+            self.at_every_fuel(expr, lambda d: {"x": value})
+
+    def test_a_branch_binds_only_in_its_body(self):
+        # The enclosing environment is shared with the tuple's second
+        # component, which must not see the branch's bindings; each
+        # evaluator gets its own copy, and the caller's is left as it was.
+        for pat in (PVar("a"), self.con("C", "a"), self.con("C", "_"), PWild()):
+            expr = Tuple(self.match_x((pat, "0")), Var("a"))
+            for value in (VConstruct("C", (VInt(1),)), VInt(2)):
+                for domain in (SIGN, INTERVAL):
+                    for fuel in range(1, 6):
+                        env = {"x": value}
+                        assert (outcome(eval_met, expr, env, domain, fuel=fuel)
+                                == outcome(walker.eval_met, expr, {"x": value}, domain,
+                                           fuel=fuel))
+                        assert env == {"x": value}
+
+    def test_a_read_only_environment(self):
+        expr = self.match_x((self.con("C", "a"), "(a, y)"),
+                            (PVar("v"), "let f = fun z -> v in f y"))
+        for value in (VConstruct("C", (VInt(1),)), VInt(2)):
+            self.at_every_fuel(expr, lambda d: MappingProxyType({"x": value, "y": VInt(3)}))
+
+    @pytest.mark.parametrize("text", ["fst x", "snd x", "(fst x, snd x)", "fst (snd x)"])
+    def test_one_projection(self, text):
+        for env_of in (lambda d: {"x": VTuple(VInt(1), VTuple(VInt(2), VInt(3)))},
+                       lambda d: {"x": VAbs(TestSuperoperators.abstract_tree(d))},
+                       lambda d: {"x": VAbs(TOP)},
+                       lambda d: {"x": VAbs(Num(d.eta_int(4)))},
+                       lambda d: {"x": VInt(4)},
+                       lambda d: {"y": VInt(4)}):
+            self.at_every_fuel(parse_met(text), env_of)
+
+    @pytest.mark.parametrize("program", [
+        src.X(), src.Add(src.X(), src.Num(2)),
+        src.If(src.Fst(src.X()), src.Snd(src.X()), src.Num(0)),
+        src.Pair(src.Mul(src.Num(3), src.Fst(src.X())), src.Eq(src.X(), src.X())),
+    ], ids=["x", "add", "if", "pair"])
+    def test_meta_level_analysis(self, program):
+        """The abstract interpreter, whose hot paths these are, at every fuel."""
+        interpreter = build_abstract_interpreter()
+        embedded = embed_src_expr(program)
+        for domain in (SIGN, INTERVAL):
+            for value in (VInt(5), VTuple(VInt(-2), VInt(3))):
+                arg = VTuple(embedded, value)
+                _, full = outcome(walker.apply_met_function, interpreter, arg, domain,
+                                  fuel=10**6)
+                for fuel in range(1, full + 2):
+                    assert_same_apply(interpreter, arg, domain, fuel)
