@@ -35,12 +35,13 @@ interpreter with superoperators", 1995):
   left), looks ``f`` up, evaluates the argument before it tests for a
   closure, and builds the call's environment and reads the body's cached
   code itself.
-* A ``match`` branch whose pattern is a variable, or a constructor whose
-  arguments are variables or wildcards, copies the environment once and
-  stores the bindings; a constructor checks only its arity, since tag
-  dispatch has already decided the tag.  Later bindings win, and a branch
-  that binds nothing runs in the environment it was given.  Other
-  patterns keep their matcher.
+* A ``match`` tries, in order, only the branches that :func:`tag_table`
+  finds can match the scrutinee's tag, and binds each with its pattern's
+  :func:`binder`, compiled once and cached on the pattern.  A constructor
+  over variables and wildcards copies the environment once and stores
+  the bindings; later bindings win, and a branch that binds nothing runs
+  in the environment it was given.  The specializer uses the same table
+  and binders for a ``match`` on a known value.
 
 Step counts, the step at which the budget runs out and every
 ``StuckError`` are therefore the same as for a direct tree walk.  A
@@ -63,7 +64,7 @@ compiled the first time the closure is applied.
 from __future__ import annotations
 
 import operator
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping, TypeVar
 
 from .. import domains
 from ..domains import NumericDomain
@@ -100,8 +101,8 @@ from .syntax import (
 
 Env = Mapping[str, MetValue]
 Code = Callable[[Env, EvalBudget], MetValue]
-Matcher = Callable[[MetValue], "dict[str, MetValue] | None"]
 Binder = Callable[[MetValue, Env], "Env | None"]
+T = TypeVar("T")
 
 
 # ---------------------------------------------------------------------------
@@ -109,81 +110,88 @@ Binder = Callable[[MetValue, Env], "Env | None"]
 # ---------------------------------------------------------------------------
 
 
-def match_pattern(pat: Pattern, value: MetValue) -> dict[str, MetValue] | None:
-    """Bindings produced by matching ``value`` against ``pat``, or None."""
+def binder(pat: Pattern) -> Binder:
+    """``bind(value, env)``: ``env`` extended with what ``pat`` binds in
+    ``value``, or None when ``pat`` does not match.  Later bindings win, as
+    in ``{**env, **bindings}``; a pattern that binds nothing gives ``env``
+    itself, and ``env`` is never written to.  Compiled once and cached on
+    the pattern node.
+
+    Each binder checks its own tag, arity, integer or tuple shape, so it is
+    correct nested or on its own.  A constructor over variables and
+    wildcards copies ``env`` once and stores the arguments."""
     try:
-        matcher = pat._matcher
+        return pat._binder
     except AttributeError:
-        matcher = _compile_pattern(pat)
-        object.__setattr__(pat, "_matcher", matcher)
-    return matcher(value)
+        bind = _compile_binder(pat)
+        object.__setattr__(pat, "_binder", bind)
+        return bind
 
 
-def _compile_pattern(pat: Pattern) -> Matcher:
-    try:
-        compiler = _PATTERN_COMPILERS[type(pat)]
-    except KeyError:
-        raise TypeError(f"not a pattern: {pat!r}") from None
-    return compiler(pat)
+def _compile_binder(pat: Pattern) -> Binder:
+    t = type(pat)
+    if t is PVar:
+        name = pat.name
+        return lambda value, env: {**env, name: value}
+    if t is PWild:
+        return lambda value, env: env
+    if t is PInt:
+        n = pat.value
+        return lambda value, env: env if type(value) is VInt and value.value == n else None
+    if t is PTuple:
+        left, right = binder(pat.fst), binder(pat.snd)
 
-
-def _match_wild(pat: PWild) -> Matcher:
-    return lambda value: {}
-
-
-def _match_var(pat: PVar) -> Matcher:
-    name = pat.name
-    return lambda value: {name: value}
-
-
-def _match_int(pat: PInt) -> Matcher:
-    n = pat.value
-    return lambda value: {} if isinstance(value, VInt) and value.value == n else None
-
-
-def _match_tuple(pat: PTuple) -> Matcher:
-    m1, m2 = _compile_pattern(pat.fst), _compile_pattern(pat.snd)
-
-    def matcher(value):
-        if not isinstance(value, VTuple):
-            return None
-        left = m1(value.fst)
-        if left is None:
-            return None
-        right = m2(value.snd)
-        if right is None:
-            return None
-        return {**left, **right}
-    return matcher
-
-
-def _match_construct(pat: PConstruct) -> Matcher:
-    tag = pat.tag
-    matchers = tuple(_compile_pattern(p) for p in pat.args)
-    arity = len(matchers)
-
-    def matcher(value):
-        if not isinstance(value, VConstruct) or value.tag != tag:
-            return None
-        if len(value.args) != arity:
-            return None
-        bindings: dict[str, MetValue] = {}
-        for m, v in zip(matchers, value.args):
-            sub = m(v)
-            if sub is None:
+        def bind(value, env):
+            if type(value) is not VTuple:
                 return None
-            bindings.update(sub)
-        return bindings
-    return matcher
+            env = left(value.fst, env)
+            return None if env is None else right(value.snd, env)
+        return bind
+    if t is not PConstruct:
+        raise TypeError(f"not a pattern: {pat!r}")
+    tag, arity = pat.tag, len(pat.args)
+    if all(type(p) is PVar or type(p) is PWild for p in pat.args):
+        slots = tuple((i, p.name) for i, p in enumerate(pat.args) if type(p) is PVar)
+        if not slots:
+            return lambda value, env: (
+                env if type(value) is VConstruct and value.tag == tag
+                and len(value.args) == arity else None)
+
+        def bind(value, env):
+            if type(value) is not VConstruct or value.tag != tag or len(value.args) != arity:
+                return None
+            args, inner = value.args, dict(env)
+            for i, name in slots:
+                inner[name] = args[i]
+            return inner
+        return bind
+    binders = tuple(binder(p) for p in pat.args)
+
+    def bind(value, env):
+        if type(value) is not VConstruct or value.tag != tag or len(value.args) != arity:
+            return None
+        for b, v in zip(binders, value.args):
+            env = b(v, env)
+            if env is None:
+                return None
+        return env
+    return bind
 
 
-_PATTERN_COMPILERS: dict[type, Callable[..., Matcher]] = {
-    PWild: _match_wild,
-    PVar: _match_var,
-    PInt: _match_int,
-    PTuple: _match_tuple,
-    PConstruct: _match_construct,
-}
+def tag_table(pairs: Iterable[tuple[Pattern, T]]
+              ) -> tuple[dict[str, tuple[T, ...]], tuple[T, ...]]:
+    """``(by_tag, others)`` for the branches of a ``match``, given as
+    ``(pattern, item)`` pairs in order.  A constructor pattern matches only
+    its own tag, so ``by_tag[tag]`` holds the items of the branches that can
+    match a constructor of ``tag``, and ``others`` those of the branches
+    that can match any other value, both still in order."""
+    pairs = tuple(pairs)
+
+    def candidates(tag):
+        return tuple(item for pat, item in pairs
+                     if type(pat) is not PConstruct or pat.tag == tag)
+    by_tag = {pat.tag: candidates(pat.tag) for pat, _ in pairs if type(pat) is PConstruct}
+    return by_tag, candidates(None)
 
 
 # ---------------------------------------------------------------------------
@@ -439,59 +447,10 @@ def _compile_construct(node: Construct, domain) -> Code:
     return code
 
 
-def _branch_binder(pat: Pattern) -> Binder:
-    """``bind(value, env)``: the environment a branch's body runs in, that
-    is ``env`` extended with what ``pat`` binds in ``value``, or None when
-    ``pat`` does not match.  Later bindings win, as in ``{**env,
-    **bindings}``; a pattern that binds nothing gives ``env`` itself.
-
-    A constructor pattern is only tried on a value of its own tag (see
-    :func:`_compile_match`), so when its arguments are variables or
-    wildcards it checks just the arity and stores the arguments."""
-    t = type(pat)
-    if t is PVar:
-        name = pat.name
-        return lambda value, env: {**env, name: value}
-    if t is PWild:
-        return lambda value, env: env
-    if t is PConstruct and all(type(p) is PVar or type(p) is PWild for p in pat.args):
-        arity = len(pat.args)
-        slots = tuple((i, p.name) for i, p in enumerate(pat.args) if type(p) is PVar)
-        if not slots:
-            return lambda value, env: env if len(value.args) == arity else None
-
-        def bind(value, env):
-            args = value.args
-            if len(args) != arity:
-                return None
-            inner = dict(env)
-            for i, name in slots:
-                inner[name] = args[i]
-            return inner
-        return bind
-    matcher = _compile_pattern(pat)
-
-    def bind(value, env):
-        bindings = matcher(value)
-        if bindings is None:
-            return None
-        return {**env, **bindings} if bindings else env
-    return bind
-
-
 def _compile_match(node: Match, domain) -> Code:
     scrutinee = _COMPILERS[type(node.scrutinee)](node.scrutinee, domain)
-    branches = [(pat, _branch_binder(pat), _COMPILERS[type(body)](body, domain))
-                for pat, body in node.branches]
-
-    # A constructor pattern matches only its own tag, so each tag is tried
-    # against just the branches that could match it, still in order.
-    def candidates(tag):
-        return tuple((bind, body) for pat, bind, body in branches
-                     if not isinstance(pat, PConstruct) or pat.tag == tag)
-    by_tag = {pat.tag: candidates(pat.tag) for pat, _, _ in branches
-              if isinstance(pat, PConstruct)}
-    others = candidates(None)
+    by_tag, others = tag_table((pat, (binder(pat), _COMPILERS[type(body)](body, domain)))
+                               for pat, body in node.branches)
 
     def code(env, budget):
         if budget.steps_used >= budget.fuel:

@@ -38,9 +38,11 @@ input, such as an embedded source program, which would keep code alive
 as long as every program specialized; the body of a closure that came
 with the static input is compiled for each application and not kept.
 
-A ``match`` whose scrutinee is a known constructor tries only the
-branches that can match its tag, still in order, since a constructor
-pattern of another tag cannot match.
+A ``match`` on a known value is decided as the evaluator decides it: it
+tries, in order, only the branches that the evaluator's ``tag_table``
+finds can match the value's constructor tag (or a value that is not a
+constructor), and binds a known value with the pattern's cached
+``binder``.
 
 The compiled code applies the same rules as a tree walk, in the same
 order: children are specialized left to right, fresh names are drawn at
@@ -55,7 +57,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import FuelExhausted, ReifyError, StuckError
-from .met.interp import PRIMITIVES, match_pattern
+from .met.interp import PRIMITIVES, binder, tag_table
 from .met.printer import count_nodes
 from .met.syntax import (
     App,
@@ -247,7 +249,7 @@ def _pe_match_pattern(pat: Pattern, v: PEValue):
         return {pat.name: v}
     t = type(v)
     if t is Static:
-        bindings = match_pattern(pat, v.value)
+        bindings = binder(pat)(v.value, {})
         if bindings is None:
             return _NO_MATCH
         return {name: Static(val) for name, val in bindings.items()}
@@ -365,16 +367,7 @@ def _compile_match(node: Match) -> Code:
     scrutinee = _COMPILERS[type(node.scrutinee)](node.scrutinee)
     branches = tuple((pat, _COMPILERS[type(body)](body)) for pat, body in node.branches)
     residual = tuple((pat, pattern_vars(pat), body) for pat, body in branches)
-
-    # A constructor pattern matches only its own tag, so a known
-    # constructor is tried against just the branches that could match
-    # it, still in order.
-    def candidates(tag):
-        return tuple((pat, body) for pat, body in branches
-                     if type(pat) is not PConstruct or pat.tag == tag)
-    by_tag = {pat.tag: candidates(pat.tag) for pat, _ in branches
-              if type(pat) is PConstruct}
-    others = candidates(None)
+    by_tag, others = tag_table((pat, (pat, body)) for pat, body in branches)
 
     def code(env, spec):
         v = scrutinee(env, spec)
@@ -383,7 +376,7 @@ def _compile_match(node: Match) -> Code:
             if t is Static and type(v.value) is VConstruct:
                 tried = by_tag.get(v.value.tag, others)
             else:
-                tried = branches
+                tried = others
             for pat, body in tried:
                 bindings = _pe_match_pattern(pat, v)
                 if bindings is _NO_MATCH:

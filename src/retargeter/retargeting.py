@@ -130,9 +130,10 @@ class Report:
             f"trials={self.trials} seed={self.seed} -> {status}"
         ]
         if self.trials:
+            ratio = "n/a" if self.ratio is None else f"{self.ratio:.2f}"
             lines.append(
                 f"  mean steps: meta={self.mean_meta_steps:.1f} "
-                f"specialized={self.mean_spec_steps:.1f} ratio={self.ratio:.2f}"
+                f"specialized={self.mean_spec_steps:.1f} ratio={ratio}"
             )
         for failure in self.failures[:10]:
             replay = self.replay_command(failure["trial"])

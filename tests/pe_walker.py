@@ -6,7 +6,10 @@ compiler: ``_Specializer.pe`` dispatches on each node's class with
 ``match`` on every visit.  ``tests/test_peval_oracle.py`` checks that
 both emit the same residual text, draw fresh names in the same order and
 raise the same errors with the same messages.  Keep its rules unchanged;
-it is a reference, not a second implementation to optimize.
+it is a reference, not a second implementation to optimize.  It matches
+known values and folds concrete arithmetic with ``tests/walker.py``'s
+``match_pattern`` and ``eval_prim``, so it shares no code with the
+specializer or the evaluator it checks.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from retargeter.errors import FuelExhausted, ReifyError, StuckError
-from retargeter.met.interp import PRIMITIVES, match_pattern
 from retargeter.met.syntax import (
     App,
     Construct,
@@ -44,6 +46,7 @@ from retargeter.met.syntax import (
     Var,
     pattern_vars,
 )
+from walker import eval_prim, match_pattern
 
 # ---------------------------------------------------------------------------
 # Two-level values
@@ -222,7 +225,7 @@ class _Specializer:
     def pe_prim(self, op: PrimOp, vs: list[PEValue]) -> PEValue:
         if not op.is_abstract and all(isinstance(v, Static) for v in vs):
             # Concrete arithmetic needs no domain.
-            return Static(PRIMITIVES[op](*[v.value for v in vs], None))
+            return Static(eval_prim(op, [v.value for v in vs], None))
         return Dynamic(Prim(op, tuple(self.residualize(v) for v in vs)))
 
     # -- match handling ------------------------------------------------------

@@ -35,7 +35,7 @@ from retargeter.domains import (
     make_pair,
 )
 from retargeter.errors import FuelExhausted
-from retargeter.met.interp import PRIMITIVES, apply_met_function, compiled, eval_met
+from retargeter.met.interp import PRIMITIVES, apply_met_function, binder, compiled, eval_met
 from retargeter.met.parser import parse_met
 from retargeter.met.syntax import (
     EvalBudget,
@@ -456,6 +456,43 @@ class TestMetaSuperoperators:
                       VConstruct("C", (VInt(1), VInt(1))), VConstruct("C", (VInt(1), VInt(2))),
                       VTuple(VInt(1), VInt(2)), VInt(3), VInt(5)):
             self.at_every_fuel(expr, lambda d: {"x": value})
+
+    def test_nested_patterns_check_their_own_shape(self):
+        # A pattern nested in a tuple or constructor pattern is reached
+        # without tag dispatch, so its binder checks its own tag, arity,
+        # integer or tuple shape.
+        con = self.con
+        expr = self.match_x((PTuple(con("C", "a"), PVar("b")), "(a, b)"),
+                            (PTuple(con("D", PInt(1), "a"), PVar("b")), "(b, a)"),
+                            (PTuple(con("D", "_", "a"), PInt(2)), "a"),
+                            (con("C", con("C", "a", "a"), PTuple(PVar("b"), PWild())), "(a, b)"),
+                            (PTuple(PVar("a"), PVar("a")), "a"),
+                            (con("E", PInt(1)), "1"))
+
+        def cv(*args):
+            return VConstruct("C", args)
+
+        def dv(*args):
+            return VConstruct("D", args)
+
+        one, two, three = VInt(1), VInt(2), VInt(3)
+        pair = VTuple(three, VInt(4))
+        for value in (VTuple(cv(one), VInt(5)), VTuple(cv(), VInt(5)), VTuple(one, VInt(5)),
+                      VTuple(dv(one, two), two), VTuple(dv(one, two), three),
+                      VTuple(dv(one), two), VTuple(cv(one, two), two),
+                      VTuple(dv(one, three), two), cv(cv(one, two), pair), cv(cv(one), pair),
+                      cv(cv(one, two), three), cv(dv(one, two), pair), VConstruct("E", (one,)),
+                      VConstruct("E", (pair,)), VInt(7)):
+            self.at_every_fuel(expr, lambda d: {"x": value})
+
+    def test_a_binder_is_compiled_once_and_writes_no_environment(self):
+        pat = PTuple(self.con("C", "a"), PInt(1))
+        assert binder(pat) is binder(pat)
+        env = {"a": VInt(0)}
+        assert binder(pat)(VTuple(VConstruct("C", (VInt(5),)), VInt(1)), env) == {"a": VInt(5)}
+        assert binder(pat)(VTuple(VConstruct("C", (VInt(5),)), VInt(2)), env) is None
+        assert binder(self.con("C", "_"))(VConstruct("C", (VInt(5),)), env) is env
+        assert env == {"a": VInt(0)}
 
     def test_a_branch_binds_only_in_its_body(self):
         # The enclosing environment is shared with the tuple's second

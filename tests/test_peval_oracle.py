@@ -15,12 +15,18 @@ from retargeter import peval
 from retargeter.analyzer import build_abstract_interpreter
 from retargeter.domains import DOMAINS, TOP
 from retargeter.errors import FuelExhausted, ReifyError, StuckError
+from retargeter.met.parser import parse_met
 from retargeter.met.printer import print_met
 from retargeter.met.syntax import (
     Lambda,
     Let,
+    Match,
+    PConstruct,
     Proj1,
     Proj2,
+    PTuple,
+    PVar,
+    Tuple,
     VAbs,
     VClosure,
     VConstruct,
@@ -158,3 +164,69 @@ def test_random_meta_programs(monkeypatch):
         ("ReifyError", "a closure has no literal syntax"),
     ]:
         assert expected in seen, (expected, sorted(map(str, seen)))
+
+
+# A ``match`` on a known value tries only the branches that can match its
+# constructor tag.  These cases pin that dispatch, and the pattern
+# binders it calls, against the tree walk, which tries every branch.
+NUM5 = VConstruct("Num", (VInt(5),))
+ADD12 = VConstruct("Add", (VInt(1), VInt(2)))
+
+CONSTRUCTORS_AHEAD = ("fun x -> match fst x with | Num(n) -> n | X -> 0 | 3 -> snd x "
+                      "| (a, b) -> (b, snd x) "
+                      "| v -> let y = snd x in match y with | 0 -> v | m -> (m, v)")
+ONLY_CONSTRUCTORS = "fun x -> match fst x with | Num(n) -> n | X -> snd x | Add(a, b) -> a"
+NESTED_CONSTRUCTOR = ("fun x -> match x with | (Num(n), d) -> (n, d) | (X, d) -> d "
+                      "| (Add(a, b), d) -> (b, d) | (Fst(0), d) -> (d, d) | (p, q) -> (q, p)")
+
+
+@pytest.mark.parametrize("text, static_input, expected", [
+    # A known integer or tuple skips the constructor branches ahead of
+    # the one that matches.
+    (CONSTRUCTORS_AHEAD, VInt(3), ("residual", "fun i -> i")),
+    (CONSTRUCTORS_AHEAD, VTuple(VInt(1), VInt(2)), ("residual", "fun i -> (2, i)")),
+    (CONSTRUCTORS_AHEAD, VTuple(NUM5, VInt(4)), ("residual", "fun i -> (4, i)")),
+    (CONSTRUCTORS_AHEAD, VInt(4),
+     ("residual", "fun i -> let y = i in match y with | 0 -> 4 | m -> (m, 4)")),
+    (CONSTRUCTORS_AHEAD, NUM5, ("residual", "fun i -> 5")),
+    (CONSTRUCTORS_AHEAD, ADD12,
+     ("residual", "fun i -> let y = i in match y with | 0 -> Add(1, 2) | m -> (m, Add(1, 2))")),
+    # With only constructor branches, nothing else matches.
+    (ONLY_CONSTRUCTORS, VTuple(VInt(1), VInt(2)),
+     ("StuckError", "no branch matches at specialization time")),
+    (ONLY_CONSTRUCTORS, VInt(0), ("StuckError", "no branch matches at specialization time")),
+    (ONLY_CONSTRUCTORS, VConstruct("Num", ()),
+     ("StuckError", "no branch matches at specialization time")),
+    (ONLY_CONSTRUCTORS, VConstruct("X", (VInt(1),)),
+     ("StuckError", "no branch matches at specialization time")),
+    (ONLY_CONSTRUCTORS, VConstruct("Mul", (VInt(1), VInt(2))),
+     ("StuckError", "no branch matches at specialization time")),
+    (ONLY_CONSTRUCTORS, VConstruct("X", ()), ("residual", "fun i -> i")),
+    (ONLY_CONSTRUCTORS, ADD12, ("residual", "fun i -> 1")),
+    # A constructor inside a tuple pattern, matched against the known
+    # half of a split tuple, checks its own tag and arity.
+    (NESTED_CONSTRUCTOR, NUM5, ("residual", "fun i -> (5, i)")),
+    (NESTED_CONSTRUCTOR, VConstruct("X", ()), ("residual", "fun i -> i")),
+    (NESTED_CONSTRUCTOR, ADD12, ("residual", "fun i -> (2, i)")),
+    (NESTED_CONSTRUCTOR, VConstruct("Num", ()), ("residual", "fun i -> (i, Num)")),
+    (NESTED_CONSTRUCTOR, VConstruct("Mul", (VInt(1), VInt(2))),
+     ("residual", "fun i -> (i, Mul(1, 2))")),
+    (NESTED_CONSTRUCTOR, VConstruct("Fst", (VInt(0),)), ("residual", "fun i -> (i, i)")),
+    (NESTED_CONSTRUCTOR, VConstruct("Snd", (VInt(0),)), ("residual", "fun i -> (i, Snd(0))")),
+    (NESTED_CONSTRUCTOR, VConstruct("Fst", (VInt(0), VInt(1))),
+     ("residual", "fun i -> (i, Fst(0, 1))")),
+    (NESTED_CONSTRUCTOR, VTuple(NUM5, VInt(3)), ("residual", "fun i -> (i, (Num(5), 3))")),
+])
+def test_static_match_dispatch(text, static_input, expected):
+    assert assert_same(parse_met(text), static_input) == expected
+
+
+def test_later_bindings_win_in_a_static_match():
+    # The parser rejects a pattern that binds a name twice: built directly.
+    expr = Lambda("x", Match(Proj1(Var("x")), (
+        (PConstruct("Add", (PVar("a"), PVar("a"))), Var("a")),
+        (PTuple(PVar("a"), PTuple(PVar("b"), PVar("a"))), Tuple(Var("a"), Var("b"))),
+    )))
+    assert assert_same(expr, ADD12) == ("residual", "fun i -> 2")
+    assert assert_same(expr, VTuple(VInt(1), VTuple(VInt(2), VInt(3)))) == (
+        "residual", "fun i -> (3, 2)")

@@ -21,6 +21,7 @@ from retargeter.domains import (
 from retargeter.met.parser import parse_met
 from retargeter.met.printer import print_met
 from retargeter.retargeting import (
+    Report,
     bench_steps,
     check_equivalence,
     check_soundness,
@@ -275,6 +276,14 @@ class TestHarnesses:
             "mean_meta_steps", "mean_spec_steps", "ratio",
         }
         assert "bench" in report.to_text()
+
+    def test_report_text_without_a_ratio(self):
+        # A report whose residual took no steps has no ratio to print.
+        report = Report("bench", "interval", "single", 9, 7, failures=[{"trial": 2}])
+        assert report.ratio is None
+        assert report.to_text().splitlines()[1] == (
+            "  mean steps: meta=0.0 specialized=0.0 ratio=n/a")
+        assert json.loads(json.dumps(report.as_dict()))["ratio"] is None
 
     def test_failures_are_reported_not_raised(self):
         # A stricter-than-possible judgement must produce report entries.
