@@ -121,18 +121,23 @@ def analyze_meta_abstract(domain: NumericDomain, src_program: SrcExpr,
     return _run(domain, arg, budget)
 
 
-def analyze_meta_target(domain: NumericDomain, program: TgtProgram, i: int,
+def analyze_meta_target(domain: NumericDomain, program: TgtProgram, i: int | AbsValue,
                         budget: EvalBudget | None = None) -> AbsValue:
-    """Meta-level analysis of a target program on a concrete input: the
-    abstract interpreter run over the target's definitional interpreter.
+    """Meta-level analysis of a target program on a concrete or abstract
+    input: the abstract interpreter run over the target's definitional
+    interpreter.
 
-    The same as ``analyze_meta(domain, interpreter_fixture(t),
-    SPair(encode_tgt_program(program), encode_tgt_value(i)), budget)``
-    for the program's target ``t``, in result, error and steps, but the
-    interpreter is embedded once per target rather than on every call.
+    The same as ``analyze_meta`` (for an abstract ``i``,
+    ``analyze_meta_abstract`` over ``abstract_target_input``) over
+    ``interpreter_fixture(t)`` for the program's target ``t``, in result,
+    error and steps, but the interpreter is embedded once per target.
     """
-    src_input = SPair(encode_tgt_program(program), encode_tgt_value(i))
-    arg = VTuple(_embedded_interpreter(target_of(program)), _embed(embed_src_value, src_input))
+    encoded = encode_tgt_program(program)
+    if isinstance(i, int):
+        data = _embed(embed_src_value, SPair(encoded, encode_tgt_value(i)))
+    else:
+        data = VAbs(check_domain(abstract_target_input(domain, encoded, i), domain))
+    arg = VTuple(_embedded_interpreter(target_of(program)), data)
     return _run(domain, arg, budget)
 
 

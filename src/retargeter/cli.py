@@ -34,7 +34,7 @@ import json
 import sys
 from pathlib import Path
 
-from .analyzer import abstract_target_input, analyze_meta_abstract
+from .analyzer import analyze_meta_target
 from .domains import DOMAINS, AbsValue, Num, get_domain, parse_abs
 from .errors import FuelExhausted, ParseError, RetargeterError, StuckError
 from .met.parser import parse_met
@@ -51,9 +51,7 @@ from .retargeting import (
 from .srclang import parse_int
 from .tgtlang import (
     TARGETS,
-    encode_tgt_program,
     eval_tgt,
-    interpreter_fixture,
     parse_tgt_program,
     target_of,
 )
@@ -106,10 +104,8 @@ def _resolve_input(args, domain) -> AbsValue:
 def cmd_analyze(args) -> int:
     domain = get_domain(args.domain)
     program = _load_program(args.program)
-    fixture = interpreter_fixture(target_of(program))
-    abstract = abstract_target_input(domain, encode_tgt_program(program),
-                                      _resolve_input(args, domain))
-    result = analyze_meta_abstract(domain, fixture, abstract, EvalBudget(fuel=args.fuel))
+    result = analyze_meta_target(domain, program, _resolve_input(args, domain),
+                                 EvalBudget(fuel=args.fuel))
     return _print_result(result)
 
 

@@ -5,6 +5,13 @@ yields an AST equal to the input.  Parentheses are driven by operator
 precedence; additionally a ``match`` that ends a non-final branch body
 is parenthesized, since an unparenthesized one would capture the next
 branch of the enclosing match.
+
+Every walker dispatches on the node's class through one table keyed by
+it, as the evaluator and the specializer do.  An expression printer
+takes the precedence context of its position, parenthesizes itself, and
+calls its children's printers straight from the table, so each level of
+an expression costs one host frame; ``_absorbs_bar`` and ``count_nodes``
+loop and cost none.  A value of any other class is a ``TypeError``.
 """
 
 from __future__ import annotations
@@ -34,155 +41,174 @@ from .syntax import (
     Var,
 )
 
+# Precedence levels, loosest first: a node whose level is below the
+# context it is printed in is parenthesized.
 _OPEN, _CMP, _ADD, _MUL, _PROJ, _APP, _ATOM = range(7)
 
+# The infix primitives: operator -> level, left context, right context.
+# Comparison is non-associative, so both sides exclude a comparison.
+_INFIX = {
+    PrimOp.EQ: (_CMP, _ADD, _ADD),
+    PrimOp.ADD: (_ADD, _ADD, _MUL),
+    PrimOp.MUL: (_MUL, _MUL, _PROJ),
+}
 
-def _level(e: MetExpr) -> int:
-    match e:
-        case Let() | LetRecFun() | Lambda() | Match():
-            return _OPEN
-        case Prim(op, _) if op is PrimOp.EQ:
-            return _CMP
-        case Prim(op, _) if op is PrimOp.ADD:
-            return _ADD
-        case Prim(op, _) if op is PrimOp.MUL:
-            return _MUL
-        case Proj1() | Proj2():
-            return _PROJ
-        case App():
-            return _APP
-        case _:
-            return _ATOM
+
+class _Table(dict):
+    """Node class -> printer; any other class gets one that raises
+    ``TypeError`` naming the value."""
+
+    def __init__(self, kind: str, printers: dict):
+        super().__init__(printers)
+        self.kind = kind
+
+    def __missing__(self, cls):
+        def reject(node, *_):
+            raise TypeError(f"not a {self.kind}: {node!r}")
+        return reject
+
+
+def _show_proj(e: Proj1 | Proj2, ctx: int) -> str:
+    arg = e.arg
+    text = f"{'fst' if type(e) is Proj1 else 'snd'} {_SHOW[type(arg)](arg, _PROJ)}"
+    return f"({text})" if ctx > _PROJ else text
+
+
+def _show_construct(e: Construct, ctx: int) -> str:
+    if not e.args:
+        return e.tag
+    # A loop, not a generator, so that arguments cost no extra frame.
+    parts = []
+    for a in e.args:
+        parts.append(_SHOW[type(a)](a, _OPEN))
+    return f"{e.tag}({', '.join(parts)})"
+
+
+def _show_match(e: Match, ctx: int) -> str:
+    scrutinee = e.scrutinee
+    parts = [f"match {_SHOW[type(scrutinee)](scrutinee, _CMP)} with"]
+    last = len(e.branches) - 1
+    for i, (pat, body) in enumerate(e.branches):
+        shown = _SHOW[type(body)](body, _OPEN)
+        if i != last and _absorbs_bar(body):
+            shown = f"({shown})"
+        parts.append(f"| {_SHOW_PATTERN[type(pat)](pat)} -> {shown}")
+    text = " ".join(parts)
+    return f"({text})" if ctx > _OPEN else text
+
+
+def _show_binder(e: Let | LetRecFun | Lambda, ctx: int) -> str:
+    cls, body = type(e), e.body
+    if cls is Lambda:
+        head = f"fun {e.param} ->"
+    else:
+        bound = e.bound if cls is Let else e.fun_body
+        name = e.name if cls is Let else f"rec {e.fun_name} {e.param}"
+        head = f"let {name} = {_SHOW[type(bound)](bound, _OPEN)} in"
+    text = f"{head} {_SHOW[type(body)](body, _OPEN)}"
+    return f"({text})" if ctx > _OPEN else text
+
+
+def _show_app(e: App, ctx: int) -> str:
+    # A bare nullary constructor inside an application chain could be
+    # followed by a '('-initial atom and reparse as a constructor with
+    # arguments; parenthesizing removes the ambiguity.
+    f, a = e.fun, e.arg
+    left = f"({f.tag})" if type(f) is Construct and not f.args else _SHOW[type(f)](f, _APP)
+    right = f"({a.tag})" if type(a) is Construct and not a.args else _SHOW[type(a)](a, _ATOM)
+    return f"({left} {right})" if ctx > _APP else f"{left} {right}"
+
+
+def _show_prim(e: Prim, ctx: int) -> str:
+    op, args = e.op, e.args
+    infix = _INFIX.get(op)
+    if infix is None:
+        parts = []
+        for a in args:
+            parts.append(_SHOW[type(a)](a, _OPEN))
+        return f"{op.value}({', '.join(parts)})"
+    level, lhs_ctx, rhs_ctx = infix
+    lhs, rhs = args[0], args[1]
+    text = f"{_SHOW[type(lhs)](lhs, lhs_ctx)} {op.value} {_SHOW[type(rhs)](rhs, rhs_ctx)}"
+    return f"({text})" if ctx > level else text
+
+
+_SHOW = _Table("meta-language expression", {
+    Var: lambda e, ctx: e.name,
+    IntLit: lambda e, ctx: str(e.value),
+    Tuple: lambda e, ctx: (f"({_SHOW[type(e.fst)](e.fst, _OPEN)}, "
+                           f"{_SHOW[type(e.snd)](e.snd, _OPEN)})"),
+    Proj1: _show_proj,
+    Proj2: _show_proj,
+    Construct: _show_construct,
+    Match: _show_match,
+    Let: _show_binder,
+    LetRecFun: _show_binder,
+    Lambda: _show_binder,
+    App: _show_app,
+    Prim: _show_prim,
+})
 
 
 def _absorbs_bar(e: MetExpr) -> bool:
     """True when the right edge of ``e`` would capture a following '|'."""
-    match e:
-        case Match():
-            return True
-        case Let(_, _, body) | LetRecFun(_, _, _, body) | Lambda(_, body):
-            return _absorbs_bar(body)
-        case _:
-            return False
-
-
-def _show(e: MetExpr, ctx: int) -> str:
-    text = _show_bare(e)
-    if _level(e) < ctx:
-        return f"({text})"
-    return text
-
-
-def _show_app_operand(e: MetExpr, ctx: int) -> str:
-    # A bare nullary constructor inside an application chain could be
-    # followed by a '('-initial atom and reparse as a constructor with
-    # arguments; parenthesizing removes the ambiguity.
-    if isinstance(e, Construct) and not e.args:
-        return f"({e.tag})"
-    return _show(e, ctx)
-
-
-def _show_bare(e: MetExpr) -> str:
-    match e:
-        case Var(name):
-            return name
-        case IntLit(value):
-            return str(value)
-        case Tuple(fst, snd):
-            return f"({_show(fst, _OPEN)}, {_show(snd, _OPEN)})"
-        case Proj1(arg):
-            return f"fst {_show(arg, _PROJ)}"
-        case Proj2(arg):
-            return f"snd {_show(arg, _PROJ)}"
-        case Construct(tag, args):
-            if not args:
-                return tag
-            return f"{tag}({', '.join(_show(a, _OPEN) for a in args)})"
-        case Match(scrutinee, branches):
-            parts = [f"match {_show(scrutinee, _CMP)} with"]
-            last = len(branches) - 1
-            for i, (pat, body) in enumerate(branches):
-                shown = _show(body, _OPEN)
-                if i != last and _absorbs_bar(body):
-                    shown = f"({shown})"
-                parts.append(f"| {print_pattern(pat)} -> {shown}")
-            return " ".join(parts)
-        case Let(name, bound, body):
-            return f"let {name} = {_show(bound, _OPEN)} in {_show(body, _OPEN)}"
-        case LetRecFun(fname, param, fbody, body):
-            return f"let rec {fname} {param} = {_show(fbody, _OPEN)} in {_show(body, _OPEN)}"
-        case Lambda(param, body):
-            return f"fun {param} -> {_show(body, _OPEN)}"
-        case App(fun, arg):
-            return f"{_show_app_operand(fun, _APP)} {_show_app_operand(arg, _ATOM)}"
-        case Prim(op, args):
-            if op is PrimOp.EQ:
-                # Comparison is non-associative: both sides need parens
-                # around any nested comparison.
-                return f"{_show(args[0], _ADD)} = {_show(args[1], _ADD)}"
-            if op is PrimOp.ADD:
-                return f"{_show(args[0], _ADD)} + {_show(args[1], _MUL)}"
-            if op is PrimOp.MUL:
-                return f"{_show(args[0], _MUL)} * {_show(args[1], _PROJ)}"
-            return f"{op.value}({', '.join(_show(a, _OPEN) for a in args)})"
-    raise TypeError(f"not a meta-language expression: {e!r}")
+    while type(e) in (Let, LetRecFun, Lambda):
+        e = e.body
+    return type(e) is Match
 
 
 def print_met(e: MetExpr) -> str:
     """Render ``e`` in concrete syntax; reparses to an equal AST."""
-    return _show(e, _OPEN)
+    return _SHOW[type(e)](e, _OPEN)
+
+
+_SHOW_PATTERN = _Table("pattern", {
+    PVar: lambda pat: pat.name,
+    PWild: lambda pat: "_",
+    PInt: lambda pat: str(pat.value),
+    PTuple: lambda pat: (f"({_SHOW_PATTERN[type(pat.fst)](pat.fst)}, "
+                         f"{_SHOW_PATTERN[type(pat.snd)](pat.snd)})"),
+    PConstruct: lambda pat: (f"{pat.tag}({', '.join(map(print_pattern, pat.args))})"
+                             if pat.args else pat.tag),
+})
 
 
 def print_pattern(pat: Pattern) -> str:
-    match pat:
-        case PVar(name):
-            return name
-        case PWild():
-            return "_"
-        case PInt(value):
-            return str(value)
-        case PTuple(fst, snd):
-            return f"({print_pattern(fst)}, {print_pattern(snd)})"
-        case PConstruct(tag, args):
-            if not args:
-                return tag
-            return f"{tag}({', '.join(print_pattern(a) for a in args)})"
-    raise TypeError(f"not a pattern: {pat!r}")
+    return _SHOW_PATTERN[type(pat)](pat)
+
+
+# Node class -> its subexpressions, in printing order.
+_CHILDREN = {
+    Tuple: lambda e: (e.fst, e.snd),
+    Proj1: lambda e: (e.arg,),
+    Proj2: lambda e: (e.arg,),
+    Construct: lambda e: e.args,
+    Match: lambda e: (e.scrutinee, *[body for _, body in e.branches]),
+    Let: lambda e: (e.bound, e.body),
+    LetRecFun: lambda e: (e.fun_body, e.body),
+    Lambda: lambda e: (e.body,),
+    App: lambda e: (e.fun, e.arg),
+    Prim: lambda e: e.args,
+}
 
 
 def count_nodes(e: MetExpr) -> dict[str, int]:
     """Census of AST node kinds and primitive operators.
 
     Keys are node class names (``Match``, ``App``, ...) plus primitive
-    operator names (``AADD``, ``ETA``, ...); absent keys mean zero.
+    operator names (``AADD``, ``ETA``, ...), in the order their first
+    node is printed; absent keys mean zero.  A value of any other class
+    counts under its class name, without children.
     """
     counts: Counter[str] = Counter()
-
-    def walk(node: MetExpr) -> None:
-        counts[type(node).__name__] += 1
-        match node:
-            case Tuple(a, b) | App(a, b):
-                walk(a)
-                walk(b)
-            case Proj1(a) | Proj2(a) | Lambda(_, a):
-                walk(a)
-            case Construct(_, args):
-                for a in args:
-                    walk(a)
-            case Match(scrutinee, branches):
-                walk(scrutinee)
-                for _, body in branches:
-                    walk(body)
-            case Let(_, bound, body):
-                walk(bound)
-                walk(body)
-            case LetRecFun(_, _, fbody, body):
-                walk(fbody)
-                walk(body)
-            case Prim(op, args):
-                counts[op.name] += 1
-                for a in args:
-                    walk(a)
-
-    walk(e)
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        cls = type(node)
+        counts[cls.__name__] += 1
+        if cls is Prim:
+            counts[node.op.name] += 1
+        children = _CHILDREN.get(cls)
+        if children is not None:
+            stack.extend(reversed(children(node)))
     return dict(counts)

@@ -132,17 +132,17 @@ class PEClosure(PEValue):
 
 def reify(v: MetValue) -> MetExpr:
     """Literal expression evaluating to ``v`` in the empty environment."""
-    match v:
-        case VInt(n):
-            return IntLit(n)
-        case VTuple(a, b):
-            return Tuple(reify(a), reify(b))
-        case VConstruct(tag, args):
-            return Construct(tag, tuple(reify(a) for a in args))
-        case VClosure():
-            raise ReifyError("a closure has no literal syntax")
-        case VAbs():
-            raise ReifyError("an abstract value has no literal syntax")
+    cls = type(v)
+    if cls is VInt:
+        return IntLit(v.value)
+    if cls is VTuple:
+        return Tuple(reify(v.fst), reify(v.snd))
+    if cls is VConstruct:
+        return Construct(v.tag, tuple(reify(a) for a in v.args))
+    if cls is VClosure:
+        raise ReifyError("a closure has no literal syntax")
+    if cls is VAbs:
+        raise ReifyError("an abstract value has no literal syntax")
     raise TypeError(f"not a meta-language value: {v!r}")
 
 

@@ -104,7 +104,6 @@ _KEYWORDS: dict[type[SrcExpr], str] = {
 
 _FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in (X, Num, *_KEYWORDS)}
 _FORMS = {keyword: cls for cls, keyword in _KEYWORDS.items()}
-_TAGS = {cls.__name__: cls for cls in _FIELDS}
 
 # Constructor signature of the embedded source-language AST: tag -> arity.
 # The meta-language parser checks constructor applications against this.
@@ -269,33 +268,13 @@ def embed_src_expr(e: SrcExpr) -> MetValue:
     return VConstruct(cls.__name__, tuple(args))
 
 
-def unembed_src_expr(v: MetValue) -> SrcExpr:
-    """Inverse of :func:`embed_src_expr` on its range."""
-    cls = _TAGS.get(v.tag) if isinstance(v, VConstruct) else None
-    if cls is Num:
-        if len(v.args) == 1 and isinstance(v.args[0], VInt):
-            return Num(v.args[0].value)
-    elif cls is not None and len(v.args) == len(_FIELDS[cls]):
-        return cls(*map(unembed_src_expr, v.args))
-    raise StuckError(f"not an embedded source expression: {v!r}")
-
-
 def embed_src_value(v: SrcValue) -> MetValue:
-    match v:
-        case SInt(n):
-            return VInt(n)
-        case SPair(a, b):
-            return VTuple(embed_src_value(a), embed_src_value(b))
+    cls = type(v)
+    if cls is SInt:
+        return VInt(v.value)
+    if cls is SPair:
+        return VTuple(embed_src_value(v.fst), embed_src_value(v.snd))
     raise TypeError(f"not a source value: {v!r}")
-
-
-def unembed_src_value(v: MetValue) -> SrcValue:
-    match v:
-        case VInt(n):
-            return SInt(n)
-        case VTuple(a, b):
-            return SPair(unembed_src_value(a), unembed_src_value(b))
-    raise StuckError(f"not an embedded source value: {v!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +283,6 @@ def unembed_src_value(v: MetValue) -> SrcValue:
 
 # A value shape is "int" or ("pair", left_shape, right_shape).
 Shape = str | tuple
-
-
-def gen_random_src_value(seed: int, depth_bound: int = 3, magnitude_bound: int = 1000) -> SrcValue:
-    """Deterministic random value: same seed, same result."""
-    if depth_bound < 0 or magnitude_bound <= 0:
-        raise ValueError("bounds must be positive")
-    return random_src_value(random.Random(seed), depth_bound, magnitude_bound)
 
 
 def random_src_value(rng: random.Random, depth_bound: int, magnitude_bound: int) -> SrcValue:

@@ -174,6 +174,27 @@ class TestAnalyzeMetaTarget:
                 assert (self.outcome(analyze_meta_target, domain, program, value, fuel=fuel)
                         == self.outcome(analyze_meta, domain, fixture, src_input, fuel=fuel))
 
+    @pytest.mark.parametrize("target", TARGETS)
+    @pytest.mark.parametrize("domain", [INTERVAL, SIGN], ids=["interval", "sign"])
+    def test_abstract_input_equals_analyze_meta_abstract(self, domain, target):
+        fixture = interpreter_fixture(target)
+        rng = random.Random(41)
+        for _ in range(20):
+            program = random_tgt_program(rng, target)
+            lo = rng.randint(-1000, 1000)
+            for value in (TOP, Num(domain.eta_int(lo)),
+                          Num(domain.join(domain.eta_int(lo), domain.eta_int(lo + 7)))):
+                arg = abstract_target_input(domain, encode_tgt_program(program), value)
+                _, full = self.outcome(analyze_meta_target, domain, program, value, fuel=10**6)
+                for fuel in {1, rng.randint(2, full), full - 1, full}:
+                    assert (self.outcome(analyze_meta_target, domain, program, value, fuel=fuel)
+                            == self.outcome(analyze_meta_abstract, domain, fixture, arg, fuel=fuel))
+
+    def test_abstract_input_of_the_other_domain(self):
+        program = random_tgt_program(random.Random(43), "single")
+        with pytest.raises(ValueError, match="of the 'interval' domain"):
+            analyze_meta_target(SIGN, program, Num(Interval(1, 2)))
+
     def test_one_embedding_per_target(self):
         rng = random.Random(37)
         for target in TARGETS:

@@ -8,10 +8,11 @@ import sys
 
 import pytest
 
-from retargeter import retargeting
+from retargeter import analyzer, retargeting
 from retargeter.cli import build_parser, main
 from retargeter.domains import TOP
 from retargeter.retargeting import Report
+from retargeter.srclang import embed_src_expr
 
 
 @pytest.fixture
@@ -114,6 +115,20 @@ class TestAnalyze:
         code, out, _ = run_cli(capsys, "analyze", seq,
                                "--domain", "interval", "--abs-input", "[0,10]")
         assert code == 0 and out.strip() == "[3,33]"
+
+    def test_requests_embed_the_interpreter_at_most_once(self, capsys, monkeypatch, seq):
+        embedded = []
+
+        def counting_embed(e):
+            embedded.append(e)
+            return embed_src_expr(e)
+
+        monkeypatch.setattr(analyzer, "embed_src_expr", counting_embed)
+        analyzer._embedded_interpreter.cache_clear()
+        for flags in (["--input", "5"], ["--abs-input", "[0,10]"]):
+            code, _, _ = run_cli(capsys, "analyze", seq, "--domain", "interval", *flags)
+            assert code == 0
+        assert len(embedded) <= 1
 
 
 class TestRetarget:

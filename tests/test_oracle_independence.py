@@ -20,6 +20,7 @@ CHECKED = {
     "pe_walker.py": ("retargeter.peval", "retargeter.met.interp"),
     "domain_oracle.py": ("retargeter.domains",),
     "rule_parser.py": ("retargeter.met.parser",),
+    "match_printer.py": ("retargeter.met.printer",),
 }
 
 

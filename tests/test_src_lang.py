@@ -19,15 +19,13 @@ from retargeter.srclang import (
     embed_src_expr,
     embed_src_value,
     eval_src,
-    gen_random_src_value,
     parse_src,
     print_src,
     random_src_expr,
     random_src_value,
     shape_of,
-    unembed_src_expr,
-    unembed_src_value,
 )
+from srcdata import gen_random_src_value, unembed_src_expr, unembed_src_value
 
 
 class TestParse:
