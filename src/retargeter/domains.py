@@ -31,11 +31,10 @@ import enum
 import itertools
 import operator
 import random
-from dataclasses import dataclass
 from typing import ClassVar
 
 from .errors import ParseError, StuckError
-from .met.syntax import MetValue, VAbs, VInt, VTuple
+from .met.syntax import MetValue, VAbs, VInt, VTuple, record
 from .srclang import SInt, SPair, SrcValue, parse_int, random_src_value
 
 
@@ -63,12 +62,12 @@ def _sign_of(n: int) -> Sign:
     return _POS
 
 
-# Operator results skip the checks of the public constructors.
+# Operator results skip the checks of the public constructors: they are
+# allocated bare and their fields stored through the slot setters.
 _new = object.__new__
-_setattr = object.__setattr__
 
 
-@dataclass(frozen=True)
+@record
 class SignSet:
     """A nonempty subset of {negative, zero, positive}."""
 
@@ -155,7 +154,7 @@ def _parse_bound(s: str, sign: int) -> int | None:
         raise ParseError(f"malformed interval bound {s!r}") from None
 
 
-@dataclass(frozen=True)
+@record
 class Interval:
     """Integer interval; ``None`` bounds mean unbounded on that side."""
 
@@ -276,10 +275,13 @@ def _bound_mul(a: float | int, b: float | int) -> float | int:
     return a * b
 
 
+_set_lo, _set_hi = Interval.lo.__set__, Interval.hi.__set__
+
+
 def _interval(lo: int | None, hi: int | None) -> Interval:
     iv = _new(Interval)
-    _setattr(iv, "lo", lo)
-    _setattr(iv, "hi", hi)
+    _set_lo(iv, lo)
+    _set_hi(iv, hi)
     return iv
 
 
@@ -340,19 +342,19 @@ class AbsValue:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class Bot(AbsValue):
     def __str__(self) -> str:
         return "bot"
 
 
-@dataclass(frozen=True)
+@record
 class Top(AbsValue):
     def __str__(self) -> str:
         return "top"
 
 
-@dataclass(frozen=True)
+@record
 class Num(AbsValue):
     num: NumAbs
 
@@ -360,7 +362,7 @@ class Num(AbsValue):
         return str(self.num)
 
 
-@dataclass(frozen=True)
+@record
 class APair(AbsValue):
     fst: AbsValue
     snd: AbsValue
@@ -377,16 +379,20 @@ BOT = Bot()
 TOP = Top()
 
 
+_set_num = Num.num.__set__
+_set_fst, _set_snd = APair.fst.__set__, APair.snd.__set__
+
+
 def _num(n: NumAbs) -> Num:
     v = _new(Num)
-    _setattr(v, "num", n)
+    _set_num(v, n)
     return v
 
 
 def _pair(a: AbsValue, b: AbsValue) -> APair:
     v = _new(APair)
-    _setattr(v, "fst", a)
-    _setattr(v, "snd", b)
+    _set_fst(v, a)
+    _set_snd(v, b)
     return v
 
 

@@ -55,9 +55,11 @@ compiled ``Prim`` nodes call it, and so does the specializer when it
 folds concrete arithmetic on known operands.
 
 Compiled code is cached on the node it was compiled from, keyed by
-domain, so it lives exactly as long as the node.  Only the nodes the
-evaluator is entered at are cached: the expression given to
-:func:`eval_met` and the body of each applied closure.  A lambda body is
+domain, in the ``_compiled`` slot that every ``MetExpr`` has, so it
+lives exactly as long as the node; a pattern's binder is cached in its
+``_binder`` slot.  Only the nodes the evaluator is entered at are
+cached: the expression given to :func:`eval_met` and the body of each
+applied closure.  A lambda body is
 compiled the first time the closure is applied.
 """
 

@@ -178,7 +178,9 @@ def print_pattern(pat: Pattern) -> str:
 
 
 # Node class -> its subexpressions, in printing order.
-_CHILDREN = {
+_CHILDREN = _Table("meta-language expression", {
+    Var: lambda e: (),
+    IntLit: lambda e: (),
     Tuple: lambda e: (e.fst, e.snd),
     Proj1: lambda e: (e.arg,),
     Proj2: lambda e: (e.arg,),
@@ -189,7 +191,7 @@ _CHILDREN = {
     Lambda: lambda e: (e.body,),
     App: lambda e: (e.fun, e.arg),
     Prim: lambda e: e.args,
-}
+})
 
 
 def count_nodes(e: MetExpr) -> dict[str, int]:
@@ -197,8 +199,10 @@ def count_nodes(e: MetExpr) -> dict[str, int]:
 
     Keys are node class names (``Match``, ``App``, ...) plus primitive
     operator names (``AADD``, ``ETA``, ...), in the order their first
-    node is printed; absent keys mean zero.  A value of any other class
-    counts under its class name, without children.
+    node is printed; absent keys mean zero.  Patterns are not visited.
+    A value that is not an expression, at the root or in an expression
+    position, raises ``TypeError("not a meta-language expression: …")``,
+    as ``print_met`` does.
     """
     counts: Counter[str] = Counter()
     stack = [e]
@@ -208,7 +212,5 @@ def count_nodes(e: MetExpr) -> dict[str, int]:
         counts[cls.__name__] += 1
         if cls is Prim:
             counts[node.op.name] += 1
-        children = _CHILDREN.get(cls)
-        if children is not None:
-            stack.extend(reversed(children(node)))
+        stack.extend(reversed(_CHILDREN[cls](node)))
     return dict(counts)

@@ -8,19 +8,23 @@ an abstract value domain (extraction, abstract arithmetic, join, and the
 two branch filters).
 
 Expressions, patterns and values are immutable; structural equality is
-the notion of AST equality used throughout the package.
+the notion of AST equality used throughout the package.  They, and every
+other immutable node and value of the package, are declared with
+:func:`record`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from dataclasses import MISSING, dataclass, fields
+from typing import TYPE_CHECKING, Mapping, TypeVar
 
 from ..errors import FuelExhausted
 
 if TYPE_CHECKING:
     from ..domains import AbsValue
+
+T = TypeVar("T")
 
 
 class PrimOp(enum.Enum):
@@ -48,62 +52,108 @@ class PrimOp(enum.Enum):
 
 
 # ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+
+def record(cls: type[T]) -> type[T]:
+    """``cls`` as a frozen, slotted dataclass with a cheap constructor.
+
+    Field order, defaults, keyword arguments, ``__eq__``, ``__hash__``,
+    ``__repr__`` and ``__match_args__`` are those of
+    ``dataclass(frozen=True)``, and assigning a field raises
+    ``FrozenInstanceError``.  Instances have no ``__dict__``, and
+    ``__init__`` stores each field through its slot's ``__set__`` rather
+    than through ``object.__setattr__`` by name, which halves the cost of
+    building a record; it then runs ``__post_init__`` where the class has
+    one.  Fields take plain defaults only.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    namespace: dict[str, object] = {}
+    params, lines = [], []
+    for f in fields(cls):
+        if f.default_factory is not MISSING or not f.init:
+            raise TypeError(f"record field {cls.__name__}.{f.name} needs a plain default")
+        namespace[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            namespace[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+        lines.append(f"    _set_{f.name}(self, {f.name})")
+    if hasattr(cls, "__post_init__"):
+        lines.append("    self.__post_init__()")
+    source = f"def __init__(self, {', '.join(params)}):\n" + "\n".join(lines or ["    pass"])
+    exec(source, namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    cls.__init__ = init
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------
 
 
 class MetExpr:
-    """Base class of meta-language expressions."""
+    """Base class of meta-language expressions.
 
-    __slots__ = ()
+    The two slots cache code compiled from a node: ``_compiled`` holds
+    the evaluator's, by domain (:func:`.interp.compiled`), and ``_pe_code``
+    the specializer's.  They are set with ``object.__setattr__`` on first
+    use and take no part in equality, hashing or ``repr``."""
+
+    __slots__ = ("_compiled", "_pe_code")
 
 
-@dataclass(frozen=True)
+@record
 class Var(MetExpr):
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class IntLit(MetExpr):
     value: int
 
 
-@dataclass(frozen=True)
+@record
 class Tuple(MetExpr):
     fst: MetExpr
     snd: MetExpr
 
 
-@dataclass(frozen=True)
+@record
 class Proj1(MetExpr):
     arg: MetExpr
 
 
-@dataclass(frozen=True)
+@record
 class Proj2(MetExpr):
     arg: MetExpr
 
 
-@dataclass(frozen=True)
+@record
 class Construct(MetExpr):
     tag: str
     args: tuple[MetExpr, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Match(MetExpr):
     scrutinee: MetExpr
     branches: tuple[tuple["Pattern", MetExpr], ...]
 
 
-@dataclass(frozen=True)
+@record
 class Let(MetExpr):
     name: str
     bound: MetExpr
     body: MetExpr
 
 
-@dataclass(frozen=True)
+@record
 class LetRecFun(MetExpr):
     fun_name: str
     param: str
@@ -111,19 +161,19 @@ class LetRecFun(MetExpr):
     body: MetExpr
 
 
-@dataclass(frozen=True)
+@record
 class Lambda(MetExpr):
     param: str
     body: MetExpr
 
 
-@dataclass(frozen=True)
+@record
 class App(MetExpr):
     fun: MetExpr
     arg: MetExpr
 
 
-@dataclass(frozen=True)
+@record
 class Prim(MetExpr):
     op: PrimOp
     args: tuple[MetExpr, ...]
@@ -135,31 +185,34 @@ class Prim(MetExpr):
 
 
 class Pattern:
-    __slots__ = ()
+    """Base class of patterns.  ``_binder`` caches the pattern's compiled
+    binder (:func:`.interp.binder`), as ``MetExpr``'s slots cache code."""
+
+    __slots__ = ("_binder",)
 
 
-@dataclass(frozen=True)
+@record
 class PVar(Pattern):
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class PWild(Pattern):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class PInt(Pattern):
     value: int
 
 
-@dataclass(frozen=True)
+@record
 class PTuple(Pattern):
     fst: Pattern
     snd: Pattern
 
 
-@dataclass(frozen=True)
+@record
 class PConstruct(Pattern):
     tag: str
     args: tuple[Pattern, ...]
@@ -196,24 +249,24 @@ class MetValue:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class VInt(MetValue):
     value: int
 
 
-@dataclass(frozen=True)
+@record
 class VTuple(MetValue):
     fst: MetValue
     snd: MetValue
 
 
-@dataclass(frozen=True)
+@record
 class VConstruct(MetValue):
     tag: str
     args: tuple[MetValue, ...]
 
 
-@dataclass(frozen=True)
+@record
 class VClosure(MetValue):
     """A function value.
 
@@ -228,7 +281,7 @@ class VClosure(MetValue):
     self_name: str | None = None
 
 
-@dataclass(frozen=True)
+@record
 class VAbs(MetValue):
     """An opaque abstract value, produced by the abstract primitives."""
 

@@ -30,10 +30,11 @@ specializes one fixed program, the abstract interpreter, against each
 definitional interpreter, and its nodes are compiled on the first
 specialization only.
 
-Code is cached on the node it was compiled from, under ``_pe_code``, so
-it lives exactly as long as the node.  Only code nodes are cached: the
-expression given to :func:`specialize` and each closure body, the first
-time it unfolds or is residualized.  Nothing is cached on the static
+Code is cached on the node it was compiled from, in the ``_pe_code``
+slot that every ``MetExpr`` has, so it lives exactly as long as the
+node.  Only code nodes are cached: the expression given to
+:func:`specialize` and each closure body, the first time it unfolds or
+is residualized.  Nothing is cached on the static
 input, such as an embedded source program, which would keep code alive
 as long as every program specialized; the body of a closure that came
 with the static input is compiled for each application and not kept.
@@ -53,7 +54,6 @@ are the same as a tree walk's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import FuelExhausted, ReifyError, StuckError
@@ -87,6 +87,7 @@ from .met.syntax import (
     VTuple,
     Var,
     pattern_vars,
+    record,
 )
 
 # ---------------------------------------------------------------------------
@@ -98,21 +99,21 @@ class PEValue:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class Static(PEValue):
     """A value fully known at specialization time."""
 
     value: MetValue
 
 
-@dataclass(frozen=True)
+@record
 class Dynamic(PEValue):
     """A residual code fragment standing for a runtime value."""
 
     expr: MetExpr
 
 
-@dataclass(frozen=True)
+@record
 class SplitTuple(PEValue):
     """A tuple whose components have different binding times."""
 
@@ -120,7 +121,7 @@ class SplitTuple(PEValue):
     snd: PEValue
 
 
-@dataclass(frozen=True)
+@record
 class PEClosure(PEValue):
     """A function known at specialization time; applications unfold."""
 
@@ -505,7 +506,7 @@ def specialize(e: MetExpr, static_input: MetValue) -> MetExpr:
 ABSTRACT_OPS = tuple(op.name for op in PrimOp if op.is_abstract)
 
 
-@dataclass(frozen=True)
+@record
 class ResidualStats:
     """Node census of a residual program plus derived flags."""
 

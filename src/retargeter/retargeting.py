@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 from .analyzer import analyze_meta_target, build_abstract_interpreter, check_domain
 from .domains import AbsValue, Num, NumericDomain, contains, format_abs, met_value_to_abs
 from .met.interp import apply_met_function
-from .met.syntax import EvalBudget, MetExpr, VAbs, VTuple
+from .met.syntax import EvalBudget, MetExpr, VAbs, VTuple, record
 from .peval import residual_stats, specialize
 from .srclang import embed_src_expr, embed_src_value
 from .tgtlang import (
@@ -37,7 +37,7 @@ from .tgtlang import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class RetargetedAnalyzer:
     """A residual analyzer for one target language.
 

@@ -14,61 +14,61 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 from .errors import ParseError, StuckError
-from .met.syntax import MetValue, VConstruct, VInt, VTuple
+from .met.syntax import MetValue, VConstruct, VInt, VTuple, record
 
 
 class SrcExpr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class X(SrcExpr):
     """The single input variable."""
 
 
-@dataclass(frozen=True)
+@record
 class Num(SrcExpr):
     value: int
 
 
-@dataclass(frozen=True)
+@record
 class Add(SrcExpr):
     lhs: SrcExpr
     rhs: SrcExpr
 
 
-@dataclass(frozen=True)
+@record
 class Mul(SrcExpr):
     lhs: SrcExpr
     rhs: SrcExpr
 
 
-@dataclass(frozen=True)
+@record
 class Eq(SrcExpr):
     lhs: SrcExpr
     rhs: SrcExpr
 
 
-@dataclass(frozen=True)
+@record
 class Pair(SrcExpr):
     fst: SrcExpr
     snd: SrcExpr
 
 
-@dataclass(frozen=True)
+@record
 class Fst(SrcExpr):
     arg: SrcExpr
 
 
-@dataclass(frozen=True)
+@record
 class Snd(SrcExpr):
     arg: SrcExpr
 
 
-@dataclass(frozen=True)
+@record
 class If(SrcExpr):
     pred: SrcExpr
     then: SrcExpr
@@ -79,12 +79,12 @@ class SrcValue:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class SInt(SrcValue):
     value: int
 
 
-@dataclass(frozen=True)
+@record
 class SPair(SrcValue):
     fst: SrcValue
     snd: SrcValue

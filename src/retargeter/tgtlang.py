@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import ParseError
+from .met.syntax import record
 from .srclang import SInt, SPair, SrcExpr, SrcValue, parse_int, parse_src
 
 # Instruction table: surface word -> (opcode, semantics(n, v)).
@@ -75,7 +75,7 @@ class Instr(NamedTuple):
     n: int
 
 
-@dataclass(frozen=True)
+@record
 class TgtProgram:
     """A target program: its instructions, run first to last."""
 

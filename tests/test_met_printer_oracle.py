@@ -5,7 +5,8 @@ target×domain pair, the abstract interpreter, and the residuals of random
 source programs.  Each must give the same text from both, the same
 pattern text for every pattern in them and for random patterns, and the
 same node census, keys in the same order.  A value that is not a node
-must fail with the same ``TypeError`` from both.
+must fail with the same ``TypeError`` from both printers, and from the
+census when it stands where an expression should.
 
 Runs under pytest, or alone without it::
 
@@ -14,6 +15,7 @@ Runs under pytest, or alone without it::
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import random
 
@@ -99,7 +101,7 @@ def patterns_in(tree) -> list:
             found += [pat for pat, _ in node.branches]
             stack += [node.scrutinee, *[body for _, body in node.branches]]
             continue
-        for value in vars(node).values():
+        for value in (getattr(node, f.name) for f in dataclasses.fields(node)):
             stack += [v for v in (value if isinstance(value, tuple) else (value,))
                       if isinstance(v, MetExpr)]
     return found
@@ -142,7 +144,10 @@ def test_a_non_node_fails_alike(value):
     expected = outcome(match_printer.print_met, value)
     assert expected[0] is TypeError
     assert outcome(print_met, value) == expected
-    assert outcome(count_nodes, value) == outcome(match_printer.count_nodes, value)
+    if expected[1].startswith("not a meta-language expression"):
+        assert outcome(count_nodes, value) == expected
+    else:  # the fault is in a pattern, which the census does not visit
+        assert outcome(count_nodes, value) == outcome(match_printer.count_nodes, value)
 
 
 @pytest.mark.parametrize("value", [5, None, Var("a"), PTuple(PVar("a"), Var("b"))], ids=repr)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -216,7 +217,7 @@ def _subterms(root):
     while stack:
         node = stack.pop()
         seen.append(node)
-        for child in vars(node).values():
+        for child in (getattr(node, f.name) for f in dataclasses.fields(node)):
             if isinstance(child, tuple):
                 for item in child:
                     stack.extend(item if isinstance(item, tuple) else (item,))
@@ -241,14 +242,14 @@ class TestDepthAndCache:
         retarget("seq2", INTERVAL)
         static_input = embed_src_expr(interpreter_fixture("seq2"))
         specialize(build_abstract_interpreter(), static_input)
-        assert not [n for n in _subterms(static_input) if "_pe_code" in vars(n)]
-        assert [n for n in _subterms(build_abstract_interpreter()) if "_pe_code" in vars(n)]
+        assert not [n for n in _subterms(static_input) if hasattr(n, "_pe_code")]
+        assert [n for n in _subterms(build_abstract_interpreter()) if hasattr(n, "_pe_code")]
 
     def test_a_closure_in_the_static_input_is_not_cached(self):
         body = parse_met("y + 1")
         residual = specialize(parse_met("fun x -> (fst x) (snd x)"), VClosure("y", body, {}))
         assert apply_met_function(residual, VInt(4), INTERVAL) == VInt(5)
-        assert "_pe_code" not in vars(body)
+        assert not hasattr(body, "_pe_code")
 
 
 class TestResidualStats:
