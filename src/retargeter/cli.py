@@ -23,7 +23,10 @@ step budget (a positive integer, default 1,000,000); no other subcommand
 has one.
 
 The argument parser is built on the first ``main`` call and reused by
-every later call in the process; parsing leaves no state in it.
+every later call in the process; parsing leaves no state in it.  A
+residual text is parsed and compiled once while it stays in
+``parse_met``'s memo; the file is still read on every request, so an
+edited residual is parsed afresh.
 """
 
 from __future__ import annotations

@@ -40,10 +40,19 @@ punctuation ``( ) + * = , | ->`` is an "unexpected character", and so is a
 ``(kind, text)``; positions are not kept.  When a ``ParseError`` is
 raised, the text is scanned again for the offending token's offset, and
 the 1-based line and column are computed from it.
+
+``parse_met`` is memoized on its text: a text parsed again while it is
+among the ``MEMO_SIZE`` most recently parsed gives the same tree object,
+so the evaluator, which caches compiled code on each node, compiles a
+residual read again from the same text only once.  The trees are
+immutable, so sharing one is exact.  A text that fails to parse is not
+memoized: it is parsed again on every call and raises an equal
+``ParseError``.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 
 from ..errors import ParseError
@@ -94,6 +103,16 @@ _INT_START = frozenset("-0123456789")
 _IDENT_CHARS = frozenset("0123456789_'")
 
 _ADD, _MUL, _EQ = PrimOp.ADD, PrimOp.MUL, PrimOp.EQ
+
+# Texts whose trees ``parse_met`` keeps.  The built-in targets have two
+# residual texts between them, since ``retarget`` emits the same one under
+# every domain, so a process that reads residuals back hits the memo from
+# its second request on.  A caller that parses a new text every time, as a
+# specializer round trip does, pays for every tree kept: a stream of such
+# round trips measured slower and larger with 8 trees kept, and no
+# different from no memo with 2.  The abstract interpreter's own source
+# needs no place: ``analyzer`` keeps that tree.
+MEMO_SIZE = 2
 
 
 def _error(source: str, message: str, index: int, skip: int = 0) -> ParseError:
@@ -341,8 +360,14 @@ def parse_met(text: str) -> MetExpr:
     """Parse meta-language source text into an AST.
 
     Constructor tags and their arities are those of the embedded
-    source-language AST (``srclang.SRC_SIGNATURE``).
+    source-language AST (``srclang.SRC_SIGNATURE``).  A text among the
+    ``MEMO_SIZE`` most recently parsed gives the tree it gave before.
     """
+    return _parse(text)
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _parse(text: str) -> MetExpr:
     parser = _Parser(text)
     try:
         expr = parser.expr()

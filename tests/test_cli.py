@@ -11,6 +11,7 @@ import pytest
 from retargeter import analyzer, retargeting
 from retargeter.cli import build_parser, main
 from retargeter.domains import TOP
+from retargeter.met import interp, parser
 from retargeter.retargeting import Report
 from retargeter.srclang import embed_src_expr
 
@@ -395,6 +396,72 @@ class TestOneParserPerProcess:
         code, out, _ = run_cli(capsys, "analyze", add42, "--domain", "interval",
                                "--input", "1")
         assert code == 0 and out.strip() == "[43,43]"
+
+
+def count_parses(monkeypatch) -> list[str]:
+    """The texts ``parse_met`` parses from now on, memo hits left out."""
+    parsed = []
+
+    class CountingParser(parser._Parser):
+        def __init__(self, source):
+            parsed.append(source)
+            super().__init__(source)
+
+    monkeypatch.setattr(parser, "_Parser", CountingParser)
+    return parsed
+
+
+class TestOneParsePerResidualText:
+    def test_repeated_requests_parse_and_compile_the_residual_once(
+            self, capsys, monkeypatch, tmp_path, add42):
+        emitted = tmp_path / "single.met"
+        run_cli(capsys, "retarget", "--target", "single", "--domain", "interval",
+                "--emit", str(emitted))
+        parsed, compiled = count_parses(monkeypatch), []
+
+        def counting(compile_node):
+            def compile_counted(node, domain):
+                compiled.append(node)
+                return compile_node(node, domain)
+            return compile_counted
+
+        for cls, compile_node in list(interp._COMPILERS.items()):
+            monkeypatch.setitem(interp._COMPILERS, cls, counting(compile_node))
+        parser._parse.cache_clear()
+        outcomes, counts = [], []
+        for _ in range(2):
+            outcomes.append(run_cli(capsys, "analyze-specialized", str(emitted), add42,
+                                    "--domain", "interval", "--abs-input", "[0,10]"))
+            counts.append((len(parsed), len(compiled)))
+        assert outcomes == [(0, "[42,52]\n", "")] * 2
+        assert parsed == [emitted.read_text()]
+        assert counts[0][1] > 0 and counts[1] == counts[0]
+
+    def test_a_rewritten_residual_file_is_read_afresh(self, capsys, monkeypatch, tmp_path,
+                                                     add42):
+        # The memo follows the text, not the path: each rewrite is parsed
+        # afresh, and a text seen before is not parsed again.
+        parsed = count_parses(monkeypatch)
+        residual = tmp_path / "residual.met"
+        argv = ("analyze-specialized", str(residual), add42, "--domain", "interval",
+                "--input", "5")
+        run_cli(capsys, "retarget", "--target", "single", "--domain", "interval",
+                "--emit", str(residual))
+        single = residual.read_text()
+        assert run_cli(capsys, *argv) == (0, "[47,47]\n", "")
+        residual.write_text("fun i -> eta(7)")
+        assert run_cli(capsys, *argv) == (0, "[7,7]\n", "")
+        seen = len(parsed)
+        residual.write_text(single)
+        assert run_cli(capsys, *argv) == (0, "[47,47]\n", "")
+        assert len(parsed) == seen
+        residual.write_text("fun i -> fst fst fst i")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "not an analyzer" in err
+        run_cli(capsys, "retarget", "--target", "seq2", "--domain", "interval",
+                "--emit", str(residual))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "'seq2'" in err
 
 
 class TestCheckAndBench:

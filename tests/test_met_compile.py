@@ -49,6 +49,7 @@ from retargeter.met.syntax import (
     PTuple,
     PVar,
     PWild,
+    Prim,
     Proj1,
     Proj2,
     Tuple,
@@ -221,8 +222,11 @@ class TestCompiledForm:
         assert compiled(expr, INTERVAL) is compiled(expr, INTERVAL)
         assert compiled(expr, SIGN) is not compiled(expr, INTERVAL)
         # An equal but distinct tree has its own code: the cache is by identity.
-        assert compiled(parse_met("fun v -> aadd(v, eta(1))"), INTERVAL) \
-            is not compiled(expr, INTERVAL)
+        # The twin is built from the constructors, since parsing the same
+        # text again gives the same tree while it stays in the parser's memo.
+        twin = Lambda("v", Prim(PrimOp.AADD, (Var("v"), Prim(PrimOp.ETA, (IntLit(1),)))))
+        assert twin == expr and twin is not expr
+        assert compiled(twin, INTERVAL) is not compiled(expr, INTERVAL)
 
     def test_closure_bodies_compile_once(self):
         fn = parse_met("fun v -> aadd(v, eta(1))")

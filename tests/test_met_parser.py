@@ -7,6 +7,7 @@ import random
 import pytest
 
 from retargeter.errors import ParseError
+from retargeter.met import parser
 from retargeter.met.parser import parse_met
 from retargeter.met.printer import count_nodes, print_met
 from retargeter.met.syntax import (
@@ -127,6 +128,49 @@ class TestParseErrors:
         with pytest.raises(ParseError) as err:
             parse_met("# target: single\nfun i -> @")
         assert (err.value.line, err.value.column) == (2, 10)
+
+
+class TestMemo:
+    def test_the_same_text_gives_the_same_tree(self):
+        text = "let x = 1 in (x, eta(x))"
+        assert parse_met(text) is parse_met(text)
+
+    def test_the_memo_keeps_only_the_latest_texts(self):
+        text = "fun i -> aadd(fst i, eta(snd i))"
+        first = parse_met(text)
+        assert parse_met(text) is first
+        for k in range(parser.MEMO_SIZE):
+            parse_met(f"fun i -> eta({k})")
+        again = parse_met(text)
+        assert again == first and again is not first
+
+    def test_a_malformed_text_is_parsed_again_and_fails_alike(self, monkeypatch):
+        kept = parse_met("fun i -> eta(i)")
+        built = []
+
+        class CountingParser(parser._Parser):
+            def __init__(self, source):
+                built.append(source)
+                super().__init__(source)
+
+        monkeypatch.setattr(parser, "_Parser", CountingParser)
+        bad = [f"let x{k} = in x" for k in range(parser.MEMO_SIZE)]
+        for text in bad:
+            errors = []
+            for _ in range(2):
+                with pytest.raises(ParseError) as err:
+                    parse_met(text)
+                errors.append((str(err.value), err.value.line, err.value.column))
+            assert errors[0] == errors[1] and errors[0][1:] == (1, 10)
+        # Every failure parsed afresh and took no place in the memo.
+        assert built == [text for text in bad for _ in range(2)]
+        assert parse_met("fun i -> eta(i)") is kept
+
+    def test_a_text_laid_out_differently_is_parsed_apart(self):
+        a = "fun i -> aadd(fst i, eta(1))"
+        b = "fun i ->\n  aadd(fst i,  eta(1))  # the same tree\n"
+        assert parse_met(a) is parse_met(a) and parse_met(b) is parse_met(b)
+        assert parse_met(a) == parse_met(b) and parse_met(a) is not parse_met(b)
 
 
 class TestComments:

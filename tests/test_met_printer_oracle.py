@@ -10,7 +10,7 @@ census when it stands where an expression should.
 
 Runs under pytest, or alone without it::
 
-    PYTHONPATH=src python tests/test_met_printer_oracle.py
+    PYTHONPATH=src:tests python tests/test_met_printer_oracle.py
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import random
-
-import pytest
 
 import match_printer
 from astgen import random_met_expr, random_pattern
@@ -50,6 +48,13 @@ from retargeter.peval import specialize
 from retargeter.retargeting import retarget
 from retargeter.srclang import embed_src_expr, random_src_expr
 from retargeter.tgtlang import TARGETS
+
+try:
+    from pytest import mark
+    parametrize = mark.parametrize
+except ModuleNotFoundError:    # run alone: the cases are looped over below
+    def parametrize(names, cases, ids=None):
+        return lambda test: test
 
 SOURCE_RESIDUALS = 120
 
@@ -139,7 +144,7 @@ NON_NODES = [5, None, "x", (Var("a"),), PVar("a"), Tuple(Var("a"), 7),
              Match(Var("a"), ((PTuple(PVar("b"), 3), IntLit(1)),))]
 
 
-@pytest.mark.parametrize("value", NON_NODES, ids=repr)
+@parametrize("value", NON_NODES, ids=repr)
 def test_a_non_node_fails_alike(value):
     expected = outcome(match_printer.print_met, value)
     assert expected[0] is TypeError
@@ -150,19 +155,25 @@ def test_a_non_node_fails_alike(value):
         assert outcome(count_nodes, value) == outcome(match_printer.count_nodes, value)
 
 
-@pytest.mark.parametrize("value", [5, None, Var("a"), PTuple(PVar("a"), Var("b"))], ids=repr)
+NON_PATTERNS = [5, None, Var("a"), PTuple(PVar("a"), Var("b"))]
+
+
+@parametrize("value", NON_PATTERNS, ids=repr)
 def test_a_non_pattern_fails_alike(value):
     expected = outcome(match_printer.print_pattern, value)
     assert expected[0] is TypeError
     assert outcome(print_pattern, value) == expected
 
 
-@pytest.mark.parametrize("wrap, text", [
+DEEP_WRAPS = [
     (Proj1, "fst {}"),
     (lambda e: App(e, Var("y")), "{} y"),
     (lambda e: Construct("Fst", (e,)), "Fst({})"),
     (lambda e: Prim(PrimOp.ADD, (e, IntLit(1))), "{} + 1"),
-])
+]
+
+
+@parametrize("wrap, text", DEEP_WRAPS)
 def test_deep_trees_print(wrap, text):
     # Deeper than the old printer reached (at most 498 levels from the
     # top of the stack), which took two or more host frames per level.
@@ -177,4 +188,9 @@ if __name__ == "__main__":
     test_patterns_print_alike()
     for value in NON_NODES:
         test_a_non_node_fails_alike(value)
-    print(f"printers agree on {len(trees())} trees and {len(NON_NODES)} non-nodes")
+    for value in NON_PATTERNS:
+        test_a_non_pattern_fails_alike(value)
+    for wrap, text in DEEP_WRAPS:
+        test_deep_trees_print(wrap, text)
+    print(f"printers agree on {len(trees())} trees, {len(NON_NODES)} non-nodes, "
+          f"{len(NON_PATTERNS)} non-patterns and {len(DEEP_WRAPS)} deep trees")
