@@ -55,3 +55,31 @@ def test_a_run_without_its_json_line_is_counted_not_measured():
     ops = cell["metrics"]["ops_per_s"]
     assert ops["change"] == {"median": 130.0, "q1": 130.0, "q3": 130.0}
     assert (ops["change_wins"], ops["parent_wins"]) == (1, 0)
+
+
+def test_every_run_reads_bytecode_from_its_own_prefix_and_writes_none(tmp_path):
+    base = {"PATH": "/bin", "PYTHONPYCACHEPREFIX": "/elsewhere"}
+    env = bench_record.run_env(tmp_path / "parent", base=base)
+    assert env == {"PATH": "/bin", "PYTHONPYCACHEPREFIX": str(tmp_path / "parent"),
+                   "PYTHONDONTWRITEBYTECODE": "1"}
+    assert base["PYTHONPYCACHEPREFIX"] == "/elsewhere"
+    warm = bench_record.run_env(tmp_path / "parent", write_bytecode=True,
+                                base={"PYTHONDONTWRITEBYTECODE": "1"})
+    assert warm == {"PYTHONPYCACHEPREFIX": str(tmp_path / "parent")}
+
+
+def test_the_prefix_keeps_the_standard_library_and_none_of_the_checkout(tmp_path):
+    checkout = tmp_path / "checkout"
+    (checkout / "perfbench").mkdir(parents=True)
+    (checkout / "perfbench" / "helper.py").write_text("X = 1\n")
+    (checkout / "perfbench" / "run.py").write_text("import colorsys, helper\n")
+    (checkout / "perfbench" / "__pycache__").mkdir()
+    pycache = tmp_path / "pycache"
+    (pycache / "stale").mkdir(parents=True)
+    bench_record.prepare_pycache(checkout, pycache, ("harness",))
+    cached = [p.name for p in pycache.rglob("*.pyc")]
+    assert any(name.startswith("colorsys.") for name in cached)
+    assert not any(name.startswith("helper.") for name in cached)
+    assert not (pycache / "stale").exists()
+    assert not bench_record.mirror(pycache, checkout).exists()
+    assert list((checkout / "perfbench" / "__pycache__").iterdir()) == []

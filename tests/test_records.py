@@ -14,12 +14,17 @@ Runs under pytest, or alone without it::
 
 from __future__ import annotations
 
+import ast
+import builtins
 import contextlib
 import copy
 import dataclasses
 import importlib
+import inspect
+import itertools
 import pickle
 import pkgutil
+import sys
 from pathlib import Path
 
 import retargeter
@@ -136,6 +141,40 @@ def outcome(fn, *args):
 
 
 @contextlib.contextmanager
+def counting_compiles():
+    """The names of the calls of ``exec`` and ``compile`` made inside the block."""
+    calls: list[str] = []
+    real = builtins.exec, builtins.compile
+
+    def counted(fn):
+        def call(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return call
+
+    builtins.exec, builtins.compile = map(counted, real)
+    try:
+        yield calls
+    finally:
+        builtins.exec, builtins.compile = real
+
+
+_fresh = itertools.count()
+
+
+def declare(name: str, **annotations: str) -> type:
+    """A record declared at run time, with string annotations as in the package."""
+    return syntax.record(type(name, (), {"__annotations__": annotations, "__module__": __name__}))
+
+
+def written_docstring(cls: type) -> str | None:
+    """The docstring in ``cls``'s class statement, or None."""
+    tree = ast.parse(Path(sys.modules[cls.__module__].__file__).read_text())
+    return next(ast.get_docstring(node) for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == cls.__name__)
+
+
+@contextlib.contextmanager
 def raises(exc: type[BaseException]):
     try:
         yield
@@ -186,6 +225,62 @@ def test_repr_eq_and_hash_are_those_of_a_plain_frozen_dataclass():
         assert outcome(hash, mine) == outcome(hash, theirs), cls
         assert mine == example and theirs == plain(*values(example)), cls
         assert mine != theirs, cls  # equality asks for the same class
+
+
+def test_docstrings_are_those_of_a_plain_frozen_dataclass():
+    undocumented = 0
+    for cls in record_classes():
+        written = written_docstring(cls)
+        if written is None:
+            undocumented += 1
+            assert cls.__doc__ == twin(cls).__doc__, cls  # such as "Var(name: 'str')"
+        else:
+            assert inspect.cleandoc(cls.__doc__) == written, cls
+    assert undocumented > 30
+
+
+def test_replace_asdict_and_foreign_comparisons_are_those_of_the_twin():
+    others = ["x", None, 0, VInt(1), peval.Static(VInt(1))]
+    for k, example in enumerate(EXAMPLES):
+        cls = type(example)
+        plain = twin(cls)
+        mine, theirs = cls(*values(example)), plain(*values(example))
+        kwargs = {f.name: getattr(example, f.name) for f in dataclasses.fields(cls)}
+        for changes in ({}, kwargs):
+            replaced = dataclasses.replace(mine, **changes)
+            assert type(replaced) is cls and replaced == mine and replaced is not mine, cls
+            assert repr(replaced) == repr(dataclasses.replace(theirs, **changes)), cls
+        assert outcome(dataclasses.asdict, mine) == outcome(dataclasses.asdict, theirs), cls
+        assert outcome(dataclasses.astuple, mine) == outcome(dataclasses.astuple, theirs), cls
+        for other in others + [EXAMPLES[k - 1]]:
+            if type(other) is cls:
+                continue
+            assert (mine == other, mine != other) == (theirs == other, theirs != other) == (False, True)
+            assert mine.__eq__(other) is theirs.__eq__(other) is NotImplemented, cls
+    assert Var("x") != "x" and not Var("x") == "x"
+    assert Proj1(_x) != Proj2(_x) and srclang.Num(5) != domains.Num(_pos)
+
+
+def test_a_field_signature_is_compiled_once():
+    with counting_compiles() as calls:
+        Seen = declare("Seen", fst="MetExpr", snd="MetExpr")  # the signature of Tuple
+        Empty = declare("Empty")  # the signature of PWild
+    assert calls == []
+    assert Seen(_x, IntLit(1)) == Seen(_x, IntLit(1)) != Tuple(_x, IntLit(1))
+    assert repr(Seen(_x, IntLit(1))) == "Seen(fst=Var(name='x'), snd=IntLit(value=1))"
+    assert Seen.__doc__ == "Seen(fst: 'MetExpr', snd: 'MetExpr')" and Empty.__doc__ == "Empty()"
+    for name in ("__init__", "__eq__", "__hash__", "__repr__"):
+        # Each class has its own copy of the code, which the interpreter
+        # specializes to that class alone.
+        mine, theirs = getattr(Seen, name).__code__, getattr(Tuple, name).__code__
+        assert mine is not theirs and mine.co_code == theirs.co_code, name
+    fresh = f"field{next(_fresh)}"  # a field name no record has
+    with counting_compiles() as calls:
+        New = declare("New", **{fresh: "int"})
+        Again = declare("Again", **{fresh: "int"})
+    assert calls == ["exec"]
+    assert repr(New(1)) == f"New({fresh}=1)" and hash(New(1)) == hash(Again(1)) == hash((1,))
+    assert New(1) != Again(1)
 
 
 def test_post_init_checks_still_fire():

@@ -16,6 +16,16 @@ cells under ``traced``.  ``--append`` adds cells to an existing record of
 the same two commits, so one record can hold several seeds and a traced
 run.
 
+Both sides import their checkout cold, as a fresh checkout does, and
+the standard library warm.  Every run has ``PYTHONDONTWRITEBYTECODE=1``
+and a ``PYTHONPYCACHEPREFIX`` of its side's own, so a checkout's
+``__pycache__`` is never read and nothing is cached between runs.  Each
+side's prefix, ``.bench_build/bench_record/<label>/pycache-<side>/``, is
+emptied, then filled by one set-up probe per workload with bytecode
+writing on, and what the probe cached of the checkout is removed; what
+stays is the standard library's bytecode, which an empty prefix would
+make every run compile again.
+
 Every run's stderr is kept in ``.bench_build/bench_record/<label>/``.
 A run that exits nonzero or prints no JSON line is counted, and named
 in the record's ``failed_runs`` with its exit code and the end of its
@@ -26,7 +36,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -89,14 +101,44 @@ def directions(checkout: Path) -> dict[str, str]:
     return {m["name"]: m["better"] for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
 
 
+def run_env(pycache: Path, write_bytecode: bool = False, base: dict | None = None) -> dict:
+    """The environment of a run: ``base`` (default ``os.environ``) with
+    bytecode caches read from ``pycache`` alone, never from a checkout's
+    ``__pycache__``, and written there only if ``write_bytecode``."""
+    env = dict(os.environ if base is None else base)
+    env["PYTHONPYCACHEPREFIX"] = str(pycache.resolve())
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    if not write_bytecode:
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+    return env
+
+
+def mirror(pycache: Path, checkout: Path) -> Path:
+    """Where Python caches the bytecode of ``checkout``'s files under ``pycache``."""
+    path = checkout.resolve()
+    return pycache.resolve() / path.relative_to(path.anchor)
+
+
+def prepare_pycache(checkout: Path, pycache: Path, workloads: tuple[str, ...]) -> None:
+    """Empty ``pycache``, then leave in it the standard library's bytecode
+    that a set-up of each workload imports, and none of the checkout's."""
+    shutil.rmtree(pycache, ignore_errors=True)
+    pycache.mkdir(parents=True)
+    for workload in workloads:
+        subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                        "--setup-probe"], cwd=checkout, env=run_env(pycache, write_bytecode=True),
+                       capture_output=True, timeout=900)
+    shutil.rmtree(mirror(pycache, checkout), ignore_errors=True)
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: bool,
-             log: Path) -> dict:
+             log: Path, pycache: Path) -> dict:
     """One benchmark run: its metrics, or why it gave none."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "1" if trace else "0"]
     try:
         proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
-                              timeout=seconds * 4 + 900)
+                              env=run_env(pycache), timeout=seconds * 4 + 900)
         code, stdout, stderr = proc.returncode, proc.stdout, proc.stderr
     except subprocess.TimeoutExpired as exc:
         code, stdout, stderr = None, exc.stdout or "", (exc.stderr or "") + "\n(timed out)"
@@ -219,6 +261,11 @@ def main(argv=None) -> int:
                         "of them, and its median is better than the parent's by more than "
                         "the parent's interquartile range",
                 "runs_failed": "runs that exited nonzero or printed no JSON line",
+                "bytecode": "every run has PYTHONDONTWRITEBYTECODE=1 and its side's own "
+                            "PYTHONPYCACHEPREFIX, which holds the standard library's bytecode "
+                            "and none of the checkout's, so both sides import their checkout "
+                            "cold, as a fresh checkout does, and no __pycache__ in a checkout "
+                            "is read",
             },
             "end_to_end": {},
             "traced": {},
@@ -226,6 +273,10 @@ def main(argv=None) -> int:
         }
     if args.note:
         record["note"] = args.note
+
+    pycaches = {side: args.log_dir / f"pycache-{side}" for side in SIDES}
+    for side in SIDES:
+        prepare_pycache(checkouts[side], pycaches[side], args.workloads)
 
     any_failed = False
     for workload in args.workloads:
@@ -238,7 +289,8 @@ def main(argv=None) -> int:
                 for side in order:
                     name = f"{side} {section} {cell} pair {k + 1}"
                     log = args.log_dir / f"{section}-{workload}-seed{seed}-pair{k + 1}-{side}.stderr"
-                    run = run_once(checkouts[side], workload, seed, args.seconds, args.trace, log)
+                    run = run_once(checkouts[side], workload, seed, args.seconds, args.trace, log,
+                                   pycaches[side])
                     pair[side] = run
                     status = "ok" if run["exit"] == 0 and run["result"] else "FAILED"
                     print(f"{name}: exit {run['exit']}, {status}", file=sys.stderr, flush=True)
