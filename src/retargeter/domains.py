@@ -16,13 +16,15 @@ than as a set constructor, which is what the soundness harnesses need.
 Values are checked where they enter from outside: the public
 constructors ``Interval(lo, hi)``, ``SignSet(signs)`` and ``APair(a, b)``
 reject empty intervals, empty sign sets and pairs with a ``Bot``
-component, and :func:`parse_abs` reports those as parse errors.  No
-operator can produce such a value, so operator results are built with
-the unchecked builders ``_interval``, ``_num`` and ``_pair``.  The
-operators run on every step of a derived analyzer: they dispatch on
-``type(x) is C`` with the common case first, sign operators return one
-of seven shared sign sets, and ``Interval.eq`` one of three shared
-intervals.
+component, and :func:`parse_abs` reports those as parse errors.  They
+also reject, with ``ValueError``, a bound that is not an ``int`` (a
+``bool`` included) or ``None`` and a sign set member that is not a
+:class:`Sign`.  No operator can produce such a value, so operator
+results are built with the unchecked builders ``_interval``, ``_num``
+and ``_pair``.  The operators run on every step of a derived analyzer:
+they dispatch on ``type(x) is C`` with the common case first, sign
+operators return one of seven shared sign sets, and ``Interval.eq`` one
+of three shared intervals.
 """
 
 from __future__ import annotations
@@ -79,6 +81,9 @@ class SignSet:
     def __post_init__(self):
         if not self.signs:
             raise ValueError("empty sign set; use Bot at the structured level")
+        for s in self.signs:
+            if type(s) is not Sign:
+                raise ValueError(f"a sign set holds Sign members, not {s!r}")
 
     @classmethod
     def of(cls, *signs: Sign) -> "SignSet":
@@ -165,6 +170,9 @@ class Interval:
     hi: int | None
 
     def __post_init__(self):
+        for bound in (self.lo, self.hi):
+            if bound is not None and type(bound) is not int:
+                raise ValueError(f"an interval bound is an int or None, not {bound!r}")
         if self.lo is not None and self.hi is not None and self.lo > self.hi:
             raise ValueError(f"empty interval [{self.lo},{self.hi}]; use Bot")
 

@@ -22,19 +22,18 @@ interpreter with superoperators", 1995):
 * A path of k projections over a variable, such as ``snd (fst (fst x))``,
   is one closure.  It walks the path, calls ``domains.abs_proj`` once per
   level from the first abstract value on, boxes the result once, and
-  spends its k + 1 steps at once.  When fewer than k + 1 steps are left,
-  the variable is unbound, or the path meets a value that is neither a
-  tuple nor abstract, it runs the node-by-node code instead, compiled on
-  first need, which spends the steps one at a time and raises what the
-  tree walk raises.  ``fst x`` and ``snd x`` have no path to walk.
+  spends its k + 1 steps at once.
 * ``eta`` of an integer literal is computed once, when its node is
-  compiled, and spends its two steps at once, or one at a time when fewer
-  than two are left.
+  compiled, and spends its two steps at once.
 * An application of a variable, ``f e``, is one closure.  It spends the
-  ``App`` and ``Var`` steps at once (one at a time when fewer than two are
-  left), looks ``f`` up, evaluates the argument before it tests for a
-  closure, and builds the call's environment and reads the body's cached
-  code itself.
+  ``App`` and ``Var`` steps at once, looks ``f`` up, evaluates the
+  argument before it tests for a closure, and builds the call's
+  environment and reads the body's cached code itself.
+* So is ``f (a, b)`` where ``a`` and ``b`` are *leaves*, each a variable
+  or a projection path over one (meta-level analysis's
+  ``evalabs (e1, snd ev)``).  It spends the ``App``, ``Var``, ``Tuple``
+  and leaf steps at once, reads the leaves inline, builds the pair and
+  enters the body.
 * A ``match`` tries, in order, only the branches that :func:`tag_table`
   finds can match the scrutinee's tag, and binds each with its pattern's
   :func:`binder`, compiled once and cached on the pattern.  A constructor
@@ -42,7 +41,18 @@ interpreter with superoperators", 1995):
   the bindings; later bindings win, and a branch that binds nothing runs
   in the environment it was given.  The specializer uses the same table
   and binders for a ``match`` on a known value.
+* A ``match`` on a leaf (``match fst ev with``) reads it inline and
+  spends its steps with the ``Match`` step.  Where a tag's first
+  candidate branch is a constructor over variables and wildcards, a value
+  of that tag and arity binds inline, without calling the binder.
+* Abstract primitives and fused paths box a result through ``VAbs``'s
+  slot setter, as ``domains._num`` does, which runs no host frame.
 
+A fused form runs only when its whole cost fits in the fuel and every
+read succeeds.  Otherwise the node-by-node code, compiled on first need,
+spends the steps one at a time and raises what the tree walk raises.
+If the second leaf of ``f (a, b)`` cannot be read, the steps before it
+are spent and only its code runs, so no ``abs_proj`` call is repeated.
 Step counts, the step at which the budget runs out and every
 ``StuckError`` are therefore the same as for a direct tree walk.  A
 tracer that rebinds ``domains`` functions sees every domain call made
@@ -221,46 +231,62 @@ def _eta(a, domain):
 
 # An abstract primitive reads an abstract argument's value inline, saving
 # a call per argument on every abstract step; only a tuple of abstract
-# values goes through ``met_value_to_abs``.
+# values goes through ``met_value_to_abs``.  It boxes its result through
+# the slot setters, as ``domains._num`` does, so boxing runs no host frame.
+_new = object.__new__
+_set_abs = VAbs.value.__set__
+_set_fst, _set_snd = VTuple.fst.__set__, VTuple.snd.__set__
 
 
 def _aadd(a, b, domain):
-    return VAbs(domains.abs_add(
+    v = _new(VAbs)
+    _set_abs(v, domains.abs_add(
         a.value if type(a) is VAbs else domains.met_value_to_abs(a),
         b.value if type(b) is VAbs else domains.met_value_to_abs(b),
         domain))
+    return v
 
 
 def _amul(a, b, domain):
-    return VAbs(domains.abs_mul(
+    v = _new(VAbs)
+    _set_abs(v, domains.abs_mul(
         a.value if type(a) is VAbs else domains.met_value_to_abs(a),
         b.value if type(b) is VAbs else domains.met_value_to_abs(b),
         domain))
+    return v
 
 
 def _aeq(a, b, domain):
-    return VAbs(domains.abs_eq(
+    v = _new(VAbs)
+    _set_abs(v, domains.abs_eq(
         a.value if type(a) is VAbs else domains.met_value_to_abs(a),
         b.value if type(b) is VAbs else domains.met_value_to_abs(b),
         domain))
+    return v
 
 
 def _ajoin(a, b, domain):
-    return VAbs(domains.join(
+    v = _new(VAbs)
+    _set_abs(v, domains.join(
         a.value if type(a) is VAbs else domains.met_value_to_abs(a),
         b.value if type(b) is VAbs else domains.met_value_to_abs(b)))
+    return v
 
 
 def _afilter_ne0(a, b, domain):
-    return VAbs(domains.filter_nonzero(
+    v = _new(VAbs)
+    _set_abs(v, domains.filter_nonzero(
         a.value if type(a) is VAbs else domains.met_value_to_abs(a),
         b.value if type(b) is VAbs else domains.met_value_to_abs(b)))
+    return v
 
 
 def _afilter_eq0(a, b, domain):
-    return VAbs(domains.filter_zero(
+    v = _new(VAbs)
+    _set_abs(v, domains.filter_zero(
         a.value if type(a) is VAbs else domains.met_value_to_abs(a),
         b.value if type(b) is VAbs else domains.met_value_to_abs(b)))
+    return v
 
 
 # The one implementation of each primitive: ``PRIMITIVES[op](*args, domain)``.
@@ -342,51 +368,43 @@ def _compile_tuple(node: Tuple, domain) -> Code:
     return code
 
 
+def _lazy(compile_code: Callable[[], Code]) -> Code:
+    """A fused form's fallback: ``compile_code()``'s code, made on first need."""
+    code = None
+
+    def run(env, budget):
+        nonlocal code
+        if code is None:
+            code = compile_code()
+        return code(env, budget)
+    return run
+
+
+def _leaf(node: MetExpr) -> tuple[str, tuple[tuple[bool, ...], ...]] | None:
+    """``(name, suffixes)`` for a variable, or a projection path over one,
+    which the fused forms read inline: ``suffixes`` holds the path from
+    each level on, innermost first, True for fst.  Reading it costs
+    ``len(suffixes) + 1`` steps.  None for any other node."""
+    path = []                       # outermost first
+    while type(node) is Proj1 or type(node) is Proj2:
+        path.append(type(node) is Proj1)
+        node = node.arg
+    if type(node) is not Var:
+        return None
+    path.reverse()
+    return node.name, tuple(tuple(path[i:]) for i in range(len(path)))
+
+
 def _compile_proj(node: Proj1 | Proj2, domain) -> Code:
     """A path of projections over a variable, such as ``snd (fst (fst x))``,
     compiles to one superoperator; a chain over any other node compiles
     node by node."""
-    path = []                       # True for fst, outermost first
-    base = node
-    while type(base) is Proj1 or type(base) is Proj2:
-        path.append(type(base) is Proj1)
-        base = base.arg
-    if type(base) is not Var:
+    leaf = _leaf(node)
+    if leaf is None:
         return _compile_proj_node(node, domain)
-    name = base.name
-    path = tuple(reversed(path))    # innermost first, the order it is walked in
-    cost = len(path) + 1            # a step for each projection and the variable
-    slow = None
-
-    def fallback(env, budget):
-        # The node-by-node code, compiled on first need: it spends the
-        # steps one at a time and raises what the path met.
-        nonlocal slow
-        if slow is None:
-            slow = _compile_proj_node(node, domain)
-        return slow(env, budget)
-
-    if cost == 2:
-        # One projection, ``fst x`` or ``snd x``: no path to walk.
-        first = path[0]
-
-        def code(env, budget):
-            steps = budget.steps_used + 2
-            if steps > budget.fuel:
-                return fallback(env, budget)
-            try:
-                v = env[name]
-            except KeyError:
-                return fallback(env, budget)
-            t = type(v)
-            if t is VTuple:
-                budget.steps_used = steps
-                return v.fst if first else v.snd
-            if t is VAbs:
-                budget.steps_used = steps
-                return VAbs(domains.abs_proj(v.value, first))
-            return fallback(env, budget)
-        return code
+    name, suffixes = leaf
+    cost = len(suffixes) + 1        # a step for each projection and the variable
+    fallback = _lazy(lambda: _compile_proj_node(node, domain))
 
     def code(env, budget):
         steps = budget.steps_used + cost
@@ -396,16 +414,17 @@ def _compile_proj(node: Proj1 | Proj2, domain) -> Code:
             v = env[name]
         except KeyError:
             return fallback(env, budget)
-        for i, first in enumerate(path):
+        for rest in suffixes:
             t = type(v)
             if t is VTuple:
-                v = v.fst if first else v.snd
+                v = v.fst if rest[0] else v.snd
             elif t is VAbs:
                 # Abstract from here on: one abs_proj per level, one box.
                 a = v.value
-                for first in path[i:]:
+                for first in rest:
                     a = domains.abs_proj(a, first)
-                v = VAbs(a)
+                v = _new(VAbs)
+                _set_abs(v, a)
                 break
             else:
                 return fallback(env, budget)
@@ -450,16 +469,70 @@ def _compile_construct(node: Construct, domain) -> Code:
 
 
 def _compile_match(node: Match, domain) -> Code:
-    scrutinee = _COMPILERS[type(node.scrutinee)](node.scrutinee, domain)
-    by_tag, others = tag_table((pat, (binder(pat), _COMPILERS[type(body)](body, domain)))
-                               for pat, body in node.branches)
+    branches = tuple((pat, _COMPILERS[type(body)](body, domain)) for pat, body in node.branches)
+    by_tag, others = tag_table((pat, (binder(pat), body)) for pat, body in branches)
+    s = node.scrutinee
+    leaf = _leaf(s)
+
+    def general(scrutinee: Code) -> Code:
+        def code(env, budget):
+            if budget.steps_used >= budget.fuel:
+                budget.tick()
+            budget.steps_used += 1
+            v = scrutinee(env, budget)
+            for bind, body in by_tag.get(v.tag, others) if isinstance(v, VConstruct) else others:
+                inner = bind(v, env)
+                if inner is not None:
+                    return body(inner, budget)
+            raise StuckError(f"no branch matches {v!r}")
+        return code
+    if leaf is None:
+        return general(_COMPILERS[type(s)](s, domain))
+    fallback = _lazy(lambda: general(_COMPILERS[type(s)](s, domain)))
+    name, suffixes = leaf
+    cost = len(suffixes) + 2        # the Match node and the leaf
+    # Tag -> (arity, slots, body) where the tag's first candidate is a
+    # constructor over variables and wildcards, which binds inline.
+    firsts = {tag: items[0]
+              for tag, items in tag_table((p, (p, b)) for p, b in branches)[0].items()}
+    inline = {tag: (len(pat.args), tuple((i, p.name) for i, p in enumerate(pat.args)
+                                          if type(p) is PVar), body)
+              for tag, (pat, body) in firsts.items() if type(pat) is PConstruct
+              and all(type(p) is PVar or type(p) is PWild for p in pat.args)}
 
     def code(env, budget):
-        if budget.steps_used >= budget.fuel:
-            budget.tick()
-        budget.steps_used += 1
-        v = scrutinee(env, budget)
-        for bind, body in by_tag.get(v.tag, others) if isinstance(v, VConstruct) else others:
+        steps = budget.steps_used + cost
+        if steps > budget.fuel:
+            return fallback(env, budget)
+        try:
+            v = env[name]
+        except KeyError:
+            return fallback(env, budget)
+        for rest in suffixes:
+            t = type(v)
+            if t is VTuple:
+                v = v.fst if rest[0] else v.snd
+            elif t is VAbs:
+                a = v.value
+                for first in rest:
+                    a = domains.abs_proj(a, first)
+                v = _new(VAbs)
+                _set_abs(v, a)
+                break
+            else:
+                return fallback(env, budget)
+        budget.steps_used = steps
+        if type(v) is VConstruct:
+            arity, slots, body = inline.get(v.tag, (-1, (), None))   # -1: no arity
+            args = v.args
+            if len(args) == arity:
+                if not slots:
+                    return body(env, budget)
+                inner = dict(env)
+                for i, n in slots:
+                    inner[n] = args[i]
+                return body(inner, budget)
+        for bind, body in by_tag.get(v.tag, others) if type(v) is VConstruct else others:
             inner = bind(v, env)
             if inner is not None:
                 return body(inner, budget)
@@ -506,7 +579,10 @@ def _compile_lambda(node: Lambda, domain) -> Code:
 
 def _compile_app(node: App, domain) -> Code:
     if type(node.fun) is Var:
-        return _compile_call(node.fun.name, _COMPILERS[type(node.arg)](node.arg, domain), domain)
+        a = node.arg
+        if type(a) is Tuple and _leaf(a.fst) and _leaf(a.snd):
+            return _compile_pair_call(node, domain)
+        return _compile_call(node.fun.name, _COMPILERS[type(a)](a, domain), domain)
     fun = _COMPILERS[type(node.fun)](node.fun, domain)
     arg = _COMPILERS[type(node.arg)](node.arg, domain)
 
@@ -543,6 +619,80 @@ def _compile_call(name: str, arg: Code, domain) -> Code:
             raise StuckError("application of a non-function")
         inner = dict(vf.env)
         inner[vf.param] = va
+        if vf.self_name is not None:
+            inner[vf.self_name] = vf
+        body = vf.body
+        try:
+            run = body._compiled[domain]
+        except (AttributeError, KeyError):
+            run = compiled(body, domain)
+        return run(inner, budget)
+    return code
+
+
+def _compile_pair_call(node: App, domain) -> Code:
+    """``f (a, b)`` for a variable ``f`` and leaves ``a`` and ``b``: the
+    application, the variable, the pair and its leaves as one closure."""
+    name = node.fun.name
+    (an, asuffixes), (bn, bsuffixes) = _leaf(node.arg.fst), _leaf(node.arg.snd)
+    before_b = len(asuffixes) + 4   # App, Var, Tuple and the first leaf
+    cost = before_b + len(bsuffixes) + 1
+    fallback = _lazy(lambda: _compile_call(name, _compile_tuple(node.arg, domain), domain))
+    b_code = _lazy(lambda: _COMPILERS[type(node.arg.snd)](node.arg.snd, domain))
+
+    def code(env, budget):
+        steps = budget.steps_used + cost
+        if steps > budget.fuel:
+            return fallback(env, budget)
+        try:
+            vf = env[name]
+            va = env[an]
+        except KeyError:
+            return fallback(env, budget)
+        for rest in asuffixes:
+            t = type(va)
+            if t is VTuple:
+                va = va.fst if rest[0] else va.snd
+            elif t is VAbs:
+                x = va.value
+                for first in rest:
+                    x = domains.abs_proj(x, first)
+                va = _new(VAbs)
+                _set_abs(va, x)
+                break
+            else:
+                return fallback(env, budget)
+        try:
+            vb = env[bn]
+        except KeyError:
+            vb = None
+        for rest in bsuffixes:
+            t = type(vb)
+            if t is VTuple:
+                vb = vb.fst if rest[0] else vb.snd
+            elif t is VAbs:
+                x = vb.value
+                for first in rest:
+                    x = domains.abs_proj(x, first)
+                vb = _new(VAbs)
+                _set_abs(vb, x)
+                break
+            else:
+                vb = None
+                break
+        if vb is None:
+            # Spend the steps up to the second leaf; its own code raises.
+            budget.steps_used += before_b
+            b_code(env, budget)
+            raise AssertionError("the second leaf's code did not raise")
+        budget.steps_used = steps
+        if type(vf) is not VClosure:
+            raise StuckError("application of a non-function")
+        pair = _new(VTuple)
+        _set_fst(pair, va)
+        _set_snd(pair, vb)
+        inner = dict(vf.env)
+        inner[vf.param] = pair
         if vf.self_name is not None:
             inner[vf.self_name] = vf
         body = vf.body

@@ -177,6 +177,41 @@ class TestValidationAndSharing:
         with pytest.raises(ValueError, match="empty sign set"):
             SignSet(frozenset())
 
+    @pytest.mark.parametrize("signs", [{"+"}, {Sign.POS, "0"}, {0}, {None}, {"NEG"}])
+    def test_a_sign_set_holds_only_signs(self, signs):
+        # A string member used to pass and fail later in the sign tables
+        # with a bare KeyError.
+        with pytest.raises(ValueError, match="Sign members"):
+            SignSet(frozenset(signs))
+
+    @pytest.mark.parametrize("lo,hi", [("a", 3), (1.5, 3), (True, 3), (0, False), (1, 2.0),
+                                       (None, "inf"), (float("-inf"), None)])
+    def test_an_interval_bound_is_an_int_or_none(self, lo, hi):
+        # A string bound used to fail with a bare TypeError, and a float
+        # or bool bound was accepted (``Interval(True, 3)`` printed
+        # ``[True,3]``).
+        with pytest.raises(ValueError, match="an int or None"):
+            Interval(lo, hi)
+
+    def test_well_typed_members_are_accepted(self):
+        assert str(Interval(None, 3)) == "[-inf,3]"
+        assert str(Interval(-10**40, 10**40)) == f"[{-10**40},{10**40}]"
+        assert str(SignSet(frozenset(Sign))) == "{-,0,+}"
+
+    def test_operators_skip_the_constructor_checks(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("an operator ran a public constructor's check")
+        values = [Num(d.eta_int(n)) for d in (SIGN, INTERVAL) for n in (-3, 0, 4)]
+        monkeypatch.setattr(SignSet, "__post_init__", refuse)
+        monkeypatch.setattr(Interval, "__post_init__", refuse)
+        for a, b in itertools.product(values, repeat=2):
+            if type(a.num) is type(b.num):
+                domain = type(a.num)
+                for op in (abs_add, abs_mul, abs_eq):
+                    op(a, b, domain)
+                join(a, b)
+        assert INTERVAL.eta_int(5) == Num(INTERVAL.eta_int(5)).num
+
     def test_sign_eta_is_shared(self):
         assert SIGN.eta_int(3) is SIGN.eta_int(9)
         assert SIGN.eta_int(-3) is SIGN.eta_int(-9)

@@ -10,6 +10,7 @@ evaluator bug; this comparison can.
 
 from __future__ import annotations
 
+import itertools
 import random
 import sys
 from types import MappingProxyType
@@ -357,20 +358,22 @@ class TestSuperoperators:
 
 class TestMetaSuperoperators:
     """The fused forms on meta-level analysis's hot paths: an application
-    of a variable runs as one closure, a match branch whose pattern is a
-    variable, or a constructor over variables and wildcards, extends the
-    environment directly, and ``fst x`` or ``snd x`` skips the path walk.
-    Each must agree with the walker at every budget, from one step to the
-    full run plus one, under both domains."""
+    of a variable runs as one closure, and so does one to a pair of leaves
+    (variables or projection paths over one); a match on a leaf reads it
+    inline; a match branch whose pattern is a variable, or a constructor
+    over variables and wildcards, extends the environment directly.  Each
+    must agree with the walker at every budget, from one step to the full
+    run plus one, under both domains."""
 
     at_every_fuel = staticmethod(TestSuperoperators.assert_same_at_every_fuel)
 
     @staticmethod
-    def match_x(*branches):
-        """``match x with`` the given branches, each a pattern and the text
-        of its body.  Built directly, since the parser accepts only the
-        source language's constructors, each at its own arity."""
-        return Match(Var("x"), tuple((pat, parse_met(body)) for pat, body in branches))
+    def match_x(*branches, on="x"):
+        """``match x with`` (or ``match on with``, for the text of a
+        scrutinee) the given branches, each a pattern and the text of its
+        body.  Built directly, since the parser accepts only the source
+        language's constructors, each at its own arity."""
+        return Match(parse_met(on), tuple((pat, parse_met(body)) for pat, body in branches))
 
     @staticmethod
     def con(tag, *args):
@@ -528,6 +531,142 @@ class TestMetaSuperoperators:
                        lambda d: {"x": VInt(4)},
                        lambda d: {"y": VInt(4)}):
             self.at_every_fuel(parse_met(text), env_of)
+
+    # Leaves of a fused pair call: a variable, one projection, and a path
+    # of three.
+    LEAVES = ("y", "fst x", "snd (fst (snd x))")
+
+    @staticmethod
+    def leaf_values(domain):
+        """Values for ``x`` and ``y``: tuples, every kind of abstract value,
+        an integer and a constructor."""
+        tree = TestSuperoperators.abstract_tree(domain)
+        return (TestSuperoperators.tuple_tree(3, VInt), VAbs(tree), VAbs(TOP),
+                VAbs(Num(domain.eta_int(5))), VAbs(domains.BOT), VInt(3), VConstruct("X", ()),
+                VTuple(VAbs(tree), VTuple(VTuple(VInt(1), VAbs(TOP)), VInt(2))))
+
+    @pytest.mark.parametrize("a,b", list(itertools.product(LEAVES, repeat=2)))
+    def test_applying_a_closure_to_a_pair_of_leaves(self, a, b):
+        swap = "let f = fun p -> (snd p, fst p) in "
+        recursive = "let rec f p = match fst p with | 0 -> p | m -> f (0, snd p) in "
+        for k in range(8):
+            def env_of(d, k=k):
+                values = self.leaf_values(d)
+                return {"x": values[k], "y": values[(k + 3) % len(values)]}
+            for prefix in (swap, recursive):
+                self.at_every_fuel(parse_met(f"{prefix}f ({a}, {b})"), env_of)
+
+    @pytest.mark.parametrize("text", [
+        "f (z, x)", "f (x, z)", "f (fst z, x)", "f (x, snd (fst z))", "f (fst x, z)",
+        "f (snd (snd (fst x)), fst (fst z))", "g (x, fst x)", "g (fst x, z)"])
+    def test_an_unbound_leaf_or_function_in_a_pair_call(self, text):
+        identity = walker.eval_met(parse_met("fun p -> p"), {}, SIGN)
+        for k in range(8):
+            self.at_every_fuel(parse_met(text),
+                               lambda d, k=k: {"f": identity, "x": self.leaf_values(d)[k]})
+
+    @pytest.mark.parametrize("text", ["f (x, fst x)", "f (snd (fst (snd x)), y)",
+                                      "f (fst x, snd (fst z))"])
+    def test_applying_a_non_function_to_a_pair_of_leaves(self, text):
+        for f in (VInt(1), VConstruct("X", ()), VAbs(TOP), VTuple(VInt(1), VInt(2))):
+            for k in range(8):
+                def env_of(d, k=k, f=f):
+                    return {"f": f, "x": self.leaf_values(d)[k], "y": VInt(2)}
+                self.at_every_fuel(parse_met(text), env_of)
+
+    @pytest.mark.parametrize("text", ["f (fst x, y)", "f (y, snd (fst (snd x)))",
+                                      "f (snd (fst (snd x)), z)", "f (fst x, fst y)",
+                                      "f (fst x, snd x)", "g (fst x, snd (fst (snd x)))",
+                                      "match snd (fst (snd x)) with | w -> w",
+                                      "snd (fst (snd x))"])
+    def test_abs_proj_calls_are_those_of_the_walker(self, text, monkeypatch):
+        # A tracer that rebinds ``abs_proj`` counts every projection of an
+        # abstract value, also where the second leaf's read fails after
+        # the first one's projected, and where the fuel runs out.
+        calls = []
+        original = domains.abs_proj
+
+        def counting(a, first):
+            calls.append(first)
+            return original(a, first)
+
+        monkeypatch.setattr(domains, "abs_proj", counting)
+        identity = walker.eval_met(parse_met("fun p -> p"), {}, SIGN)
+        expr = parse_met(text)
+        for domain in (SIGN, INTERVAL):
+            tree = TestSuperoperators.abstract_tree(domain)
+            for x, y in ((VAbs(tree), VInt(1)), (VAbs(TOP), VInt(1)),
+                         (VTuple(VAbs(tree), VAbs(tree)), VAbs(tree))):
+                env = {"f": identity, "g": VInt(1), "x": x, "y": y}
+                _, full = outcome(walker.eval_met, expr, env, domain, fuel=10**6)
+                for fuel in range(1, full + 2):
+                    counts = []
+                    for run in (eval_met, walker.eval_met):
+                        calls.clear()
+                        result = outcome(run, expr, env, domain, fuel=fuel)
+                        counts.append((result, list(calls)))
+                    assert counts[0] == counts[1]
+
+    PATH_SCRUTINEES = ("fst x", "snd (fst (snd x))")
+
+    def at_every_fuel_on_a_path(self, branches, values, extra=None):
+        """``match`` on each path scrutinee, with each value placed where
+        the path reads it, at every fuel; also over an abstract value, an
+        unbound variable and a non-tuple."""
+        for on in self.PATH_SCRUTINEES:
+            expr = self.match_x(*branches, on=on)
+            for value in values:
+                x = value
+                for step in on.replace("(", "").split()[:-1]:     # outermost first
+                    x = VTuple(x, VInt(0)) if step == "fst" else VTuple(VInt(0), x)
+                assert walker.eval_met(parse_met(on), {"x": x}, SIGN) == value
+                self.at_every_fuel(expr, lambda d, x=x: {"x": x, **(extra or {})})
+            for env_of in (lambda d: {"x": VAbs(TestSuperoperators.abstract_tree(d))},
+                           lambda d: {"y": VInt(1)}, lambda d: {"x": VInt(4)}):
+                self.at_every_fuel(expr, env_of)
+
+    def test_a_match_on_a_path_binds_inline(self):
+        con = self.con
+        self.at_every_fuel_on_a_path(
+            ((con("C", "a", "b"), "(b, a)"), (con("D"), "0"), (con("E", "_", "a", "_"), "a"),
+             (PVar("w"), "w")),
+            (VConstruct("C", (VInt(1), VInt(2))), VConstruct("D", ()),
+             VConstruct("E", (VInt(1), VInt(2), VInt(3))), VConstruct("F", ()), VInt(5)))
+
+    def test_a_match_on_a_path_with_a_wrong_arity_falls_through(self):
+        con = self.con
+        self.at_every_fuel_on_a_path(
+            ((con("C", "a"), "a"), (con("C", "a", "b"), "(b, a)"), (con("D", "a"), "a")),
+            (VConstruct("C", (VInt(1),)), VConstruct("C", (VInt(1), VInt(2))),
+             VConstruct("C", ()), VConstruct("D", (VInt(1), VInt(2)))))
+
+    @pytest.mark.parametrize("first", [PVar("v"), PWild(), PInt(3),
+                                       PTuple(PVar("p"), PVar("q"))])
+    def test_an_earlier_other_pattern_wins_over_an_inline_branch(self, first):
+        con = self.con
+        self.at_every_fuel_on_a_path(
+            ((first, "(7, 7)"), (con("C", "a"), "a"), (con("D"), "8")),
+            (VConstruct("C", (VInt(1),)), VConstruct("D", ()), VInt(3), VInt(4),
+             VTuple(VInt(1), VInt(2))), extra={"v": VInt(9)})
+
+    def test_a_match_on_a_path_later_bindings_win(self):
+        self.at_every_fuel_on_a_path(
+            ((self.con("C", "a", "a"), "(a, b)"),),
+            (VConstruct("C", (VInt(1), VInt(2))),), extra={"a": VInt(8), "b": VInt(9)})
+
+    def test_a_match_on_a_path_with_nested_patterns(self):
+        con = self.con
+        self.at_every_fuel_on_a_path(
+            ((con("C", con("D", "a"), "b"), "(a, b)"), (con("C", "a", "b"), "b"),
+             (con("D", PInt(1)), "1"), (con("D", "a"), "a")),
+            (VConstruct("C", (VConstruct("D", (VInt(1),)), VInt(2))),
+             VConstruct("C", (VInt(1), VInt(2))), VConstruct("D", (VInt(1),)),
+             VConstruct("D", (VInt(2),))))
+
+    def test_a_match_on_a_path_with_no_matching_branch(self):
+        self.at_every_fuel_on_a_path(
+            ((self.con("C", "a"), "a"), (PInt(0), "0")),
+            (VConstruct("D", ()), VConstruct("C", ()), VInt(1), VTuple(VInt(0), VInt(0))))
 
     @pytest.mark.parametrize("program", [
         src.X(), src.Add(src.X(), src.Num(2)),

@@ -2,7 +2,8 @@
 
 A differential oracle that imports the module under test shares its
 faults and cannot see them.  This reads each oracle's imports with
-``ast``, without running it, and fails if it names a module it checks.
+``ast``, without running it, and fails if it names a module it checks,
+or, for an oracle with an allow-list, a package module outside it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,15 @@ CHECKED = {
     "domain_oracle.py": ("retargeter.domains",),
     "rule_parser.py": ("retargeter.met.parser",),
     "match_printer.py": ("retargeter.met.printer",),
+    # Everything retargeting runs through.
+    "direct_analyzer.py": ("retargeter.peval", "retargeter.met", "retargeter.analyzer",
+                           "retargeter.retargeting", "retargeter.srclang", "retargeter.cli"),
+}
+
+# Oracle file -> the only package modules it may import.
+ONLY = {
+    "direct_analyzer.py": {"retargeter", "retargeter.domains", "retargeter.tgtlang",
+                           "retargeter.tgtlang.INSTRUCTIONS"},
 }
 
 
@@ -46,6 +56,14 @@ def forbidden_imports(source: str, checked: tuple[str, ...]) -> set[str]:
 def test_oracle_imports_none_of_what_it_checks(oracle):
     source = (TESTS / oracle).read_text(encoding="utf-8")
     assert forbidden_imports(source, CHECKED[oracle]) == set()
+
+
+@pytest.mark.parametrize("oracle", sorted(ONLY))
+def test_oracle_imports_only_what_it_may(oracle):
+    source = (TESTS / oracle).read_text(encoding="utf-8")
+    package = {m for m in imported_modules(ast.parse(source))
+               if m == "retargeter" or m.startswith("retargeter.")}
+    assert package <= ONLY[oracle]
 
 
 @pytest.mark.parametrize("source", [
