@@ -33,7 +33,8 @@ interpreter with superoperators", 1995):
   or a projection path over one (meta-level analysis's
   ``evalabs (e1, snd ev)``).  It spends the ``App``, ``Var``, ``Tuple``
   and leaf steps at once, reads the leaves inline, builds the pair and
-  enters the body.
+  enters the body.  An inline leaf read follows tuples only; abstract
+  projection and its boxing stay in the path's own closure.
 * A ``match`` tries, in order, only the branches that :func:`tag_table`
   finds can match the scrutinee's tag, and binds each with its pattern's
   :func:`binder`, compiled once and cached on the pattern.  A constructor
@@ -41,18 +42,19 @@ interpreter with superoperators", 1995):
   the bindings; later bindings win, and a branch that binds nothing runs
   in the environment it was given.  The specializer uses the same table
   and binders for a ``match`` on a known value.
-* A ``match`` on a leaf (``match fst ev with``) reads it inline and
-  spends its steps with the ``Match`` step.  Where a tag's first
-  candidate branch is a constructor over variables and wildcards, a value
-  of that tag and arity binds inline, without calling the binder.
+* A ``match`` on a leaf (``match fst ev with``) reads it inline, over
+  tuples only, and spends its steps with the ``Match`` step.  Where a
+  tag's first candidate branch is a constructor over variables and
+  wildcards (:func:`_flat`), a value of that tag and arity binds inline,
+  without calling the binder.
 * Abstract primitives and fused paths box a result through ``VAbs``'s
   slot setter, as ``domains._num`` does, which runs no host frame.
 
 A fused form runs only when its whole cost fits in the fuel and every
 read succeeds.  Otherwise the node-by-node code, compiled on first need,
 spends the steps one at a time and raises what the tree walk raises.
-If the second leaf of ``f (a, b)`` cannot be read, the steps before it
-are spent and only its code runs, so no ``abs_proj`` call is repeated.
+An inline leaf read calls no domain function, so the fallback repeats
+none.
 Step counts, the step at which the budget runs out and every
 ``StuckError`` are therefore the same as for a direct tree walk.  A
 tracer that rebinds ``domains`` functions sees every domain call made
@@ -162,8 +164,9 @@ def _compile_binder(pat: Pattern) -> Binder:
     if t is not PConstruct:
         raise TypeError(f"not a pattern: {pat!r}")
     tag, arity = pat.tag, len(pat.args)
-    if all(type(p) is PVar or type(p) is PWild for p in pat.args):
-        slots = tuple((i, p.name) for i, p in enumerate(pat.args) if type(p) is PVar)
+    flat = _flat(pat)
+    if flat is not None:
+        slots = flat[1]
         if not slots:
             return lambda value, env: (
                 env if type(value) is VConstruct and value.tag == tag
@@ -188,6 +191,15 @@ def _compile_binder(pat: Pattern) -> Binder:
                 return None
         return env
     return bind
+
+
+def _flat(pat: Pattern) -> tuple[int, tuple[tuple[int, str], ...]] | None:
+    """``(arity, slots)`` for a constructor pattern over variables and
+    wildcards, which binds by storing ``args[i]`` as ``name`` for each
+    ``(i, name)`` in ``slots``; None for any other pattern."""
+    if type(pat) is PConstruct and all(type(p) is PVar or type(p) is PWild for p in pat.args):
+        return len(pat.args), tuple((i, p.name) for i, p in enumerate(pat.args) if type(p) is PVar)
+    return None
 
 
 def tag_table(pairs: Iterable[tuple[Pattern, T]]
@@ -380,19 +392,18 @@ def _lazy(compile_code: Callable[[], Code]) -> Code:
     return run
 
 
-def _leaf(node: MetExpr) -> tuple[str, tuple[tuple[bool, ...], ...]] | None:
-    """``(name, suffixes)`` for a variable, or a projection path over one,
-    which the fused forms read inline: ``suffixes`` holds the path from
-    each level on, innermost first, True for fst.  Reading it costs
-    ``len(suffixes) + 1`` steps.  None for any other node."""
+def _leaf(node: MetExpr) -> tuple[str, tuple[bool, ...]] | None:
+    """``(name, path)`` for a variable, or a projection path over one:
+    ``path`` lists the projections innermost first, True for fst, and
+    reading the leaf costs ``len(path) + 1`` steps.  None for any other
+    node."""
     path = []                       # outermost first
     while type(node) is Proj1 or type(node) is Proj2:
         path.append(type(node) is Proj1)
         node = node.arg
     if type(node) is not Var:
         return None
-    path.reverse()
-    return node.name, tuple(tuple(path[i:]) for i in range(len(path)))
+    return node.name, tuple(reversed(path))
 
 
 def _compile_proj(node: Proj1 | Proj2, domain) -> Code:
@@ -402,8 +413,9 @@ def _compile_proj(node: Proj1 | Proj2, domain) -> Code:
     leaf = _leaf(node)
     if leaf is None:
         return _compile_proj_node(node, domain)
-    name, suffixes = leaf
-    cost = len(suffixes) + 1        # a step for each projection and the variable
+    name, path = leaf
+    suffixes = tuple(path[i:] for i in range(len(path)))
+    cost = len(path) + 1            # a step for each projection and the variable
     fallback = _lazy(lambda: _compile_proj_node(node, domain))
 
     def code(env, budget):
@@ -469,59 +481,36 @@ def _compile_construct(node: Construct, domain) -> Code:
 
 
 def _compile_match(node: Match, domain) -> Code:
+    scrutinee = _COMPILERS[type(node.scrutinee)](node.scrutinee, domain)
+    # A leaf scrutinee is read inline; None, the name of no variable,
+    # makes every other scrutinee run its code.
+    name, path = _leaf(node.scrutinee) or (None, ())
+    cost = len(path) + 2            # the Match node and the leaf
     branches = tuple((pat, _COMPILERS[type(body)](body, domain)) for pat, body in node.branches)
     by_tag, others = tag_table((pat, (binder(pat), body)) for pat, body in branches)
-    s = node.scrutinee
-    leaf = _leaf(s)
+    # Tag -> (arity, slots, body) where the tag's first candidate is a
+    # constructor over variables and wildcards, which binds inline.
+    inline = {}
+    for tag, ((pat, body), *_) in tag_table((p, (p, b)) for p, b in branches)[0].items():
+        flat = _flat(pat)
+        if flat is not None:
+            inline[tag] = (*flat, body)
 
-    def general(scrutinee: Code) -> Code:
-        def code(env, budget):
+    def code(env, budget):
+        v = env.get(name)
+        for first in path:
+            if type(v) is not VTuple:
+                v = None
+                break
+            v = v.fst if first else v.snd
+        steps = budget.steps_used + cost
+        if v is not None and steps <= budget.fuel:
+            budget.steps_used = steps
+        else:
             if budget.steps_used >= budget.fuel:
                 budget.tick()
             budget.steps_used += 1
             v = scrutinee(env, budget)
-            for bind, body in by_tag.get(v.tag, others) if isinstance(v, VConstruct) else others:
-                inner = bind(v, env)
-                if inner is not None:
-                    return body(inner, budget)
-            raise StuckError(f"no branch matches {v!r}")
-        return code
-    if leaf is None:
-        return general(_COMPILERS[type(s)](s, domain))
-    fallback = _lazy(lambda: general(_COMPILERS[type(s)](s, domain)))
-    name, suffixes = leaf
-    cost = len(suffixes) + 2        # the Match node and the leaf
-    # Tag -> (arity, slots, body) where the tag's first candidate is a
-    # constructor over variables and wildcards, which binds inline.
-    firsts = {tag: items[0]
-              for tag, items in tag_table((p, (p, b)) for p, b in branches)[0].items()}
-    inline = {tag: (len(pat.args), tuple((i, p.name) for i, p in enumerate(pat.args)
-                                          if type(p) is PVar), body)
-              for tag, (pat, body) in firsts.items() if type(pat) is PConstruct
-              and all(type(p) is PVar or type(p) is PWild for p in pat.args)}
-
-    def code(env, budget):
-        steps = budget.steps_used + cost
-        if steps > budget.fuel:
-            return fallback(env, budget)
-        try:
-            v = env[name]
-        except KeyError:
-            return fallback(env, budget)
-        for rest in suffixes:
-            t = type(v)
-            if t is VTuple:
-                v = v.fst if rest[0] else v.snd
-            elif t is VAbs:
-                a = v.value
-                for first in rest:
-                    a = domains.abs_proj(a, first)
-                v = _new(VAbs)
-                _set_abs(v, a)
-                break
-            else:
-                return fallback(env, budget)
-        budget.steps_used = steps
         if type(v) is VConstruct:
             arity, slots, body = inline.get(v.tag, (-1, (), None))   # -1: no arity
             args = v.args
@@ -634,60 +623,26 @@ def _compile_pair_call(node: App, domain) -> Code:
     """``f (a, b)`` for a variable ``f`` and leaves ``a`` and ``b``: the
     application, the variable, the pair and its leaves as one closure."""
     name = node.fun.name
-    (an, asuffixes), (bn, bsuffixes) = _leaf(node.arg.fst), _leaf(node.arg.snd)
-    before_b = len(asuffixes) + 4   # App, Var, Tuple and the first leaf
-    cost = before_b + len(bsuffixes) + 1
-    fallback = _lazy(lambda: _compile_call(name, _compile_tuple(node.arg, domain), domain))
-    b_code = _lazy(lambda: _COMPILERS[type(node.arg.snd)](node.arg.snd, domain))
+    (an, apath), (bn, bpath) = _leaf(node.arg.fst), _leaf(node.arg.snd)
+    cost = len(apath) + len(bpath) + 5      # App, Var, Tuple and the two leaves
+    slow = _lazy(lambda: _compile_call(name, _compile_tuple(node.arg, domain), domain))
 
     def code(env, budget):
-        steps = budget.steps_used + cost
-        if steps > budget.fuel:
-            return fallback(env, budget)
-        try:
-            vf = env[name]
-            va = env[an]
-        except KeyError:
-            return fallback(env, budget)
-        for rest in asuffixes:
-            t = type(va)
-            if t is VTuple:
-                va = va.fst if rest[0] else va.snd
-            elif t is VAbs:
-                x = va.value
-                for first in rest:
-                    x = domains.abs_proj(x, first)
-                va = _new(VAbs)
-                _set_abs(va, x)
+        vf, va, vb = env.get(name), env.get(an), env.get(bn)
+        for first in apath:
+            if type(va) is not VTuple:
+                va = None
                 break
-            else:
-                return fallback(env, budget)
-        try:
-            vb = env[bn]
-        except KeyError:
-            vb = None
-        for rest in bsuffixes:
-            t = type(vb)
-            if t is VTuple:
-                vb = vb.fst if rest[0] else vb.snd
-            elif t is VAbs:
-                x = vb.value
-                for first in rest:
-                    x = domains.abs_proj(x, first)
-                vb = _new(VAbs)
-                _set_abs(vb, x)
-                break
-            else:
+            va = va.fst if first else va.snd
+        for first in bpath:
+            if type(vb) is not VTuple:
                 vb = None
                 break
-        if vb is None:
-            # Spend the steps up to the second leaf; its own code raises.
-            budget.steps_used += before_b
-            b_code(env, budget)
-            raise AssertionError("the second leaf's code did not raise")
+            vb = vb.fst if first else vb.snd
+        steps = budget.steps_used + cost
+        if type(vf) is not VClosure or va is None or vb is None or steps > budget.fuel:
+            return slow(env, budget)
         budget.steps_used = steps
-        if type(vf) is not VClosure:
-            raise StuckError("application of a non-function")
         pair = _new(VTuple)
         _set_fst(pair, va)
         _set_snd(pair, vb)

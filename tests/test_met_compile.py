@@ -581,8 +581,8 @@ class TestMetaSuperoperators:
                                       "snd (fst (snd x))"])
     def test_abs_proj_calls_are_those_of_the_walker(self, text, monkeypatch):
         # A tracer that rebinds ``abs_proj`` counts every projection of an
-        # abstract value, also where the second leaf's read fails after
-        # the first one's projected, and where the fuel runs out.
+        # abstract value, also where a fused form meets one and runs its
+        # node-by-node code instead, and where the fuel runs out.
         calls = []
         original = domains.abs_proj
 

@@ -1,11 +1,11 @@
 """Deterministic work counts: Python calls and bytecodes per analysis.
 
-    python3 tools/work_counts.py [--programs N] [--seed S] [--json]
+    python3 tools/work_counts.py [--programs N] [--json]
 
 For each target and domain, the script draws ``N`` programs and inputs
-from ``S`` as the harness trial loop does (``random_tgt_program``, then
-an input in [-1000, 1000]), runs each once untraced so that every cache
-is warm, and then runs each again under ``sys.settrace`` with
+from ``random.Random(SEED)`` as the harness trial loop does
+(``random_tgt_program``, then an input in [-1000, 1000]), runs each once
+untraced so that every cache is warm, and then runs each again under ``sys.settrace`` with
 ``f_trace_opcodes``.  It prints, per analysis, the Python calls (frames
 entered) and the bytecodes executed by meta-level analysis
 (``analyze_meta_target``) and by the residual (``run_specialized``).
@@ -36,12 +36,12 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+SEED = 0
 
 
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--programs", type=int, default=50, help="programs per target and domain")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true", help="print one JSON object")
     args = p.parse_args(argv)
     if args.programs < 1:
@@ -76,7 +76,7 @@ class Counter:
         return self.calls / len(ops), self.bytecodes / len(ops)
 
 
-def counts(programs: int, seed: int) -> dict:
+def counts(programs: int) -> dict:
     sys.path.insert(0, str(SRC))
     from retargeter import retarget
     from retargeter.analyzer import analyze_meta_target
@@ -90,7 +90,7 @@ def counts(programs: int, seed: int) -> dict:
         for name in sorted(DOMAINS):
             domain = DOMAINS[name]
             analyzer = retarget(target, domain)
-            rng = random.Random(seed)
+            rng = random.Random(SEED)
             cases = [(random_tgt_program(rng, target), rng.randint(-1000, 1000))
                      for _ in range(programs)]
             paths = {
@@ -107,13 +107,13 @@ def counts(programs: int, seed: int) -> dict:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    table = counts(args.programs, args.seed)
+    table = counts(args.programs)
     version = f"{platform.python_implementation()} {platform.python_version()}"
     if args.json:
-        print(json.dumps({"python": version, "programs": args.programs, "seed": args.seed,
+        print(json.dumps({"python": version, "programs": args.programs, "seed": SEED,
                           "per_analysis": table}, sort_keys=True))
         return 0
-    print(f"Work per analysis, {args.programs} programs per row, seed {args.seed}, {version}")
+    print(f"Work per analysis, {args.programs} programs per row, seed {SEED}, {version}")
     print("(counts compare only within one CPython minor version; work inside C "
           "functions is not counted)")
     print(f"{'target/domain/path':<28}{'calls':>12}{'bytecodes':>14}")
