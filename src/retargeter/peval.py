@@ -45,6 +45,17 @@ finds can match the value's constructor tag (or a value that is not a
 constructor), and binds a known value with the pattern's cached
 ``binder``.
 
+Three shapes of the abstract interpreter run as one closure each, as the
+evaluator's superoperators do (Proebsting 1995).  A call ``f (a, b)`` of
+a variable on two leaves (a variable, or a projection path over one)
+reads the leaves inline, through ``SplitTuple`` and ``Static`` tuples,
+and unfolds a ``PEClosure`` itself.  A ``match`` on a leaf reads it
+inline and binds a known constructor inline where its tag's first
+candidate is a constructor over variables and wildcards.  An abstract
+primitive of arity 1 or 2 specializes its arguments, then residualizes
+them.  A fused form runs only when every inline read succeeds and, for a
+call, an unfolding is left; otherwise the node-by-node code runs.
+
 The compiled code applies the same rules as a tree walk, in the same
 order: children are specialized left to right, fresh names are drawn at
 the same points, and every error is raised with the same message.  So
@@ -57,7 +68,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .errors import FuelExhausted, ReifyError, StuckError
-from .met.interp import PRIMITIVES, binder, tag_table
+from .met.interp import PRIMITIVES, _flat, _lazy, _leaf, binder, tag_table
 from .met.printer import count_nodes
 from .met.syntax import (
     App,
@@ -366,28 +377,57 @@ def _compile_construct(node: Construct) -> Code:
 
 def _compile_match(node: Match) -> Code:
     scrutinee = _COMPILERS[type(node.scrutinee)](node.scrutinee)
+    # A leaf scrutinee is read inline; None, the name of no variable,
+    # makes every other scrutinee run its code.
+    name, path = _leaf(node.scrutinee) or (None, ())
     branches = tuple((pat, _COMPILERS[type(body)](body)) for pat, body in node.branches)
     residual = tuple((pat, pattern_vars(pat), body) for pat, body in branches)
     by_tag, others = tag_table((pat, (pat, body)) for pat, body in branches)
+    # Tag -> (arity, slots, body) where the tag's first candidate is a
+    # constructor over variables and wildcards, which binds inline.
+    inline = {}
+    for tag, ((pat, body), *_) in by_tag.items():
+        flat = _flat(pat)
+        if flat is not None:
+            inline[tag] = (*flat, body)
 
     def code(env, spec):
-        v = scrutinee(env, spec)
+        v = env.get(name)
+        for first in path:
+            t = type(v)
+            if t is SplitTuple:
+                v = v.fst if first else v.snd
+            elif t is Static and type(v.value) is VTuple:
+                v = Static(v.value.fst if first else v.value.snd)
+            else:
+                v = None
+                break
+        if v is None:
+            v = scrutinee(env, spec)
         t = type(v)
-        if t is not Dynamic:
-            if t is Static and type(v.value) is VConstruct:
-                tried = by_tag.get(v.value.tag, others)
-            else:
-                tried = others
-            for pat, body in tried:
-                bindings = _pe_match_pattern(pat, v)
-                if bindings is _NO_MATCH:
-                    continue
-                if bindings is _UNKNOWN:
-                    break
-                return body({**env, **bindings}, spec) if bindings else body(env, spec)
-            else:
-                raise StuckError("no branch matches at specialization time")
-        return spec.residual_match(v, residual, env)
+        if t is Dynamic:
+            return spec.residual_match(v, residual, env)
+        if t is Static and type(v.value) is VConstruct:
+            arity, slots, body = inline.get(v.value.tag, (-1, (), None))   # -1: no arity
+            args = v.value.args
+            if len(args) == arity:
+                if not slots:
+                    return body(env, spec)
+                inner = dict(env)
+                for i, n in slots:
+                    inner[n] = Static(args[i])
+                return body(inner, spec)
+            tried = by_tag.get(v.value.tag, others)
+        else:
+            tried = others
+        for pat, body in tried:
+            bindings = _pe_match_pattern(pat, v)
+            if bindings is _NO_MATCH:
+                continue
+            if bindings is _UNKNOWN:
+                return spec.residual_match(v, residual, env)
+            return body({**env, **bindings}, spec) if bindings else body(env, spec)
+        raise StuckError("no branch matches at specialization time")
     return code
 
 
@@ -422,6 +462,13 @@ def _compile_lambda(node: Lambda) -> Code:
 
 
 def _compile_app(node: App) -> Code:
+    a = node.arg
+    if type(node.fun) is Var and type(a) is Tuple and _leaf(a.fst) and _leaf(a.snd):
+        return _compile_pair_call(node)
+    return _compile_app_node(node)
+
+
+def _compile_app_node(node: App) -> Code:
     fun = _COMPILERS[type(node.fun)](node.fun)
     arg = _COMPILERS[type(node.arg)](node.arg)
 
@@ -431,9 +478,74 @@ def _compile_app(node: App) -> Code:
     return code
 
 
+def _compile_pair_call(node: App) -> Code:
+    """``f (a, b)`` for a variable ``f`` and leaves ``a`` and ``b``: the
+    application, the variable, the pair and its leaves as one closure,
+    which unfolds a ``PEClosure`` itself."""
+    name = node.fun.name
+    (an, apath), (bn, bpath) = _leaf(node.arg.fst), _leaf(node.arg.snd)
+    slow = _lazy(lambda: _compile_app_node(node))
+
+    def code(env, spec):
+        vf, va, vb = env.get(name), env.get(an), env.get(bn)
+        for first in apath:
+            t = type(va)
+            if t is SplitTuple:
+                va = va.fst if first else va.snd
+            elif t is Static and type(va.value) is VTuple:
+                va = Static(va.value.fst if first else va.value.snd)
+            else:
+                va = None
+                break
+        for first in bpath:
+            t = type(vb)
+            if t is SplitTuple:
+                vb = vb.fst if first else vb.snd
+            elif t is Static and type(vb.value) is VTuple:
+                vb = Static(vb.value.fst if first else vb.value.snd)
+            else:
+                vb = None
+                break
+        if type(vf) is not PEClosure or va is None or vb is None or spec.unfolds_left <= 0:
+            return slow(env, spec)
+        spec.unfolds_left -= 1
+        inner = dict(vf.env)
+        if type(va) is Static and type(vb) is Static:
+            inner[vf.param] = Static(VTuple(va.value, vb.value))
+        else:
+            inner[vf.param] = SplitTuple(va, vb)
+        if vf.self_name is not None:
+            inner[vf.self_name] = vf
+        body = vf.body
+        try:
+            run = body._pe_code
+        except AttributeError:
+            run = _code(body)
+        return run(inner, spec)
+    return code
+
+
 def _compile_prim(node: Prim) -> Code:
     op = node.op
     args = tuple(_COMPILERS[type(a)](a) for a in node.args)
+    if op.is_abstract and len(args) == 1:
+        # Abstract primitives are always residualized: every argument is
+        # specialized, left to right, before any is residualized.
+        (a,) = args
+
+        def code(env, spec):
+            va = a(env, spec)
+            return Dynamic(Prim(op, (va.expr if type(va) is Dynamic else spec.residualize(va),)))
+        return code
+    if op.is_abstract and len(args) == 2:
+        a, b = args
+
+        def code(env, spec):
+            va = a(env, spec)
+            vb = b(env, spec)
+            return Dynamic(Prim(op, (va.expr if type(va) is Dynamic else spec.residualize(va),
+                                     vb.expr if type(vb) is Dynamic else spec.residualize(vb))))
+        return code
     # Concrete arithmetic on known operands folds; it needs no domain.
     implementation = None if op.is_abstract else PRIMITIVES[op]
 

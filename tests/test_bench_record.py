@@ -11,17 +11,19 @@ bench_record = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_record)
 
 
-def run(ops_per_s=None, steps=None, exit=0, failed=0):
+def run(ops_per_s=None, steps=None, exit=0, failed=0, slowdown=None):
     if ops_per_s is None:
         return {"exit": exit, "result": None, "stderr": "Traceback ...", "log": "x"}
     metrics = {"ops_per_s": {"value": ops_per_s, "unit": "ops/s"}}
     if steps is not None:
         metrics["steps_per_op"] = {"value": steps, "unit": "steps"}
+    if slowdown is not None:
+        metrics["calibration.slowdown"] = {"value": slowdown, "unit": "x"}
     return {"exit": exit, "result": {"failed": failed, "metrics": metrics},
             "stderr": "", "log": "x"}
 
 
-BETTER = {"ops_per_s": "higher", "steps_per_op": "lower"}
+BETTER = {"ops_per_s": "higher", "steps_per_op": "lower", "calibration.slowdown": "lower"}
 
 
 def test_medians_quartiles_and_wins():
@@ -44,6 +46,35 @@ def test_a_gain_needs_nine_tenths_of_the_pairs():
     assert bench_record.cell_record("compile", 0, pairs, BETTER)["metrics"]["ops_per_s"]["gain"]
     pairs.append({"parent": run(100), "change": run(90)})
     assert not bench_record.cell_record("compile", 0, pairs, BETTER)["metrics"]["ops_per_s"]["gain"]
+
+
+def traced_cell(parent_slowdowns, change_slowdowns):
+    pairs = [{"parent": run(100 + k, slowdown=a), "change": run(200 + k, slowdown=b)}
+             for k, (a, b) in enumerate(zip(parent_slowdowns, change_slowdowns))]
+    return bench_record.cell_record("compile", 0, pairs, BETTER)
+
+
+def test_a_traced_cell_calibrated_differently_reports_no_gain():
+    # Quartiles 0.95-1.05 against 1.35-1.45: the sides ran on a machine in
+    # two states, so no metric of the cell claims a gain, however it falls.
+    cell = traced_cell([0.9, 0.95, 1.0, 1.05, 1.1], [1.3, 1.35, 1.4, 1.45, 1.5])
+    assert cell["calibration_differs"] is True
+    assert all("gain" not in entry for entry in cell["metrics"].values())
+    ops = cell["metrics"]["ops_per_s"]
+    assert (ops["change_wins"], ops["parent"]["median"], ops["change"]["median"]) == (5, 102, 202)
+    # The same the other way round.
+    assert traced_cell([1.3, 1.35, 1.4, 1.45, 1.5], [0.9, 0.95, 1.0, 1.05, 1.1])[
+        "calibration_differs"] is True
+
+
+def test_a_traced_cell_whose_calibrations_overlap_reports_its_gains():
+    # Quartiles 0.95-1.05 against 1.05-1.15 touch: one state of the machine.
+    cell = traced_cell([0.9, 0.95, 1.0, 1.05, 1.1], [1.0, 1.05, 1.1, 1.15, 1.2])
+    assert cell["calibration_differs"] is False
+    assert cell["metrics"]["ops_per_s"]["gain"] is True
+    # An end-to-end cell measures no calibration and is not marked.
+    pairs = [{"parent": run(100), "change": run(200)} for _ in range(5)]
+    assert "calibration_differs" not in bench_record.cell_record("compile", 0, pairs, BETTER)
 
 
 def test_a_run_without_its_json_line_is_counted_not_measured():

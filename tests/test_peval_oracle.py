@@ -18,8 +18,10 @@ from retargeter.errors import FuelExhausted, ReifyError, StuckError
 from retargeter.met.parser import parse_met
 from retargeter.met.printer import print_met
 from retargeter.met.syntax import (
+    App,
     Lambda,
     Let,
+    LetRecFun,
     Match,
     PConstruct,
     Proj1,
@@ -45,7 +47,7 @@ from retargeter.srclang import (
 from retargeter.tgtlang import TARGETS, interpreter_fixture
 
 import pe_walker
-from astgen import NAMES, random_met_expr
+from astgen import NAMES, random_met_expr, random_pattern
 from corpus import CORPUS
 
 
@@ -230,3 +232,184 @@ def test_later_bindings_win_in_a_static_match():
     assert assert_same(expr, ADD12) == ("residual", "fun i -> 2")
     assert assert_same(expr, VTuple(VInt(1), VTuple(VInt(2), VInt(3)))) == (
         "residual", "fun i -> (3, 2)")
+
+
+# The specializer runs three shapes as one closure each: a call of a
+# variable on a pair of leaves, a match on a leaf, and an abstract
+# primitive of arity 1 or 2.  A fused form runs only when every inline
+# read succeeds; these cases reach each read and each way it can fail.
+# ``z`` holds a split tuple inside a split tuple, ``fst x`` the static
+# input and ``snd x`` the unknown one.
+PAIR_LEAVES = ["x", "fst x", "snd x", "snd (fst (fst z))", "fst (fst (snd z))",
+               "snd (fst (snd x))", "u", "fst u"]
+PAIR_INPUTS = [VTuple(VTuple(VInt(1), VInt(2)), VInt(3)), VTuple(VAbs(TOP), VInt(0)),
+               VAbs(TOP), VInt(4), VConstruct("Num", (VInt(5),))]
+
+
+@pytest.mark.parametrize("a", PAIR_LEAVES)
+@pytest.mark.parametrize("b", PAIR_LEAVES)
+def test_pair_call_leaves(a, b):
+    expr = parse_met(f"fun x -> let z = (x, 1) in "
+                     f"let rec f p = (snd p, (fst p, z)) in f ({a}, {b})")
+    for static_input in PAIR_INPUTS:
+        assert_same(expr, static_input)
+
+
+@pytest.mark.parametrize("fun, static_input, expected", [
+    ("u", VInt(1), ("StuckError", "unbound variable 'u'")),
+    ("fst x", VClosure("q", parse_met("(snd q, fst q)"), {}), ("residual", "fun i -> (i, 2)")),
+    ("fst x", VClosure("q", parse_met("g (fst q, snd q)"), {}, "g"),
+     ("FuelExhausted", "specialization exceeded 40 call unfoldings")),
+    ("snd x", VInt(1), ("residual", "fun i -> let g = i in g (2, i)")),
+    ("fst x", VInt(1), ("StuckError", "application of a non-function")),
+    ("fst x", VTuple(VInt(1), VInt(2)), ("StuckError", "application of a non-function")),
+    ("fun q -> (snd q, fst q)", VInt(1), ("residual", "fun i -> (i, 2)")),
+    ("fun q -> q", VAbs(TOP), ("residual", "fun i -> (2, i)")),
+])
+def test_pair_call_functions(monkeypatch, fun, static_input, expected):
+    set_unfold_limit(monkeypatch, 40)
+    expr = parse_met(f"fun x -> let g = {fun} in g (2, snd x)")
+    assert assert_same(expr, static_input) == expected
+
+
+def test_pair_call_at_the_unfold_limit(monkeypatch):
+    # f unfolds once per constructor on the static spine, and the
+    # specialization itself once: exactly the limit succeeds, one fewer
+    # fails at a fused call.
+    expr = parse_met("fun x -> let rec f p = match fst p with "
+                     "| Add(a, b) -> f (b, (snd p, a)) | n -> (snd p, n) "
+                     "in f (fst x, snd x)")
+    spine = VConstruct("Num", (VInt(0),))
+    for k in range(4):
+        spine = VConstruct("Add", (VInt(k), spine))
+    for limit, kind in [(6, "residual"), (5, "FuelExhausted"), (1, "FuelExhausted")]:
+        set_unfold_limit(monkeypatch, limit)
+        assert assert_same(expr, spine)[0] == kind
+
+
+@pytest.mark.parametrize("text, expected", [
+    # Specializing the second argument draws ``y`` before residualizing
+    # the first draws ``y1``.
+    ("aadd(fun y -> (y, snd x), let y = snd x in (y, fst x))",
+     "fun i -> aadd(fun y1 -> (y1, i), let y = i in (y, 7))"),
+    ("amul((snd x, fun y -> y), (fst x, fun y -> (y, snd x)))",
+     "fun i -> amul((i, fun y -> y), (7, fun y1 -> (y1, i)))"),
+    ("ajoin(let rec g y = g (y, snd x) in g, let g = snd x in g)",
+     "fun i -> ajoin(let rec g1 y = g1 (y, i) in g1, let g = i in g)"),
+    ("fne0(snd x, fst x)", "fun i -> fne0(i, 7)"),
+    ("eta(fun y -> (y, snd x))", "fun i -> eta(fun y -> (y, i))"),
+    ("eta((snd x, let rec g y = g y in g))", "fun i -> eta((i, let rec g y = g y in g))"),
+    ("eta(snd x)", "fun i -> eta(i)"),
+    ("eta(fst x)", "fun i -> eta(7)"),
+])
+def test_abstract_primitives(text, expected):
+    assert assert_same(parse_met(f"fun x -> {text}"), VInt(7)) == ("residual", expected)
+
+
+def test_abstract_primitive_arguments_without_literals():
+    expr = parse_met("fun x -> aeq(fst x, let y = snd x in y)")
+    assert assert_same(expr, VAbs(TOP)) == ("ReifyError", "an abstract value has no literal syntax")
+    assert assert_same(parse_met("fun x -> eta(fst x)"), VClosure("q", Var("q"), {}))[0] == (
+        "ReifyError")
+
+
+LEAF_MATCH = ("fun x -> let z = (x, 1) in match {scrutinee} with "
+              "| Add(a, _) -> (a, snd x) | Add(c, d) -> (d, c) | Num(n) -> n | X -> snd x "
+              "| m -> (m, 0)")
+
+
+@pytest.mark.parametrize("scrutinee", ["fst x", "fst (fst z)", "fst (snd (fst (fst z)))"])
+@pytest.mark.parametrize("value, expected", [
+    (ADD12, "fun i -> (1, i)"),                                  # the first candidate binds
+    (NUM5, "fun i -> 5"),
+    (VConstruct("X", ()), "fun i -> i"),                         # nothing to bind
+    (VConstruct("Add", (VInt(1),)), "fun i -> (Add(1), 0)"),     # arity mismatch
+    (VConstruct("Num", (VInt(1), VInt(2))), "fun i -> (Num(1, 2), 0)"),
+    (VConstruct("Mul", (VInt(1), VInt(2))), "fun i -> (Mul(1, 2), 0)"),
+    (VInt(3), "fun i -> (3, 0)"),
+])
+def test_leaf_match(scrutinee, value, expected):
+    if scrutinee == "fst x":
+        static_input = value
+    elif scrutinee == "fst (fst z)":
+        static_input = value
+    else:
+        static_input = VTuple(VInt(0), VTuple(value, VInt(0)))
+    expr = parse_met(LEAF_MATCH.format(scrutinee=scrutinee))
+    assert assert_same(expr, static_input) == ("residual", expected)
+
+
+@pytest.mark.parametrize("first, expected", [
+    ("v -> (v, 0)", "fun i -> (Add(1, 2), 0)"),
+    ("_ -> snd x", "fun i -> i"),
+    ("3 -> snd x", "fun i -> (2, 1)"),
+    ("(p, q) -> p", "fun i -> (2, 1)"),
+    ("Add(Num(n), b) -> n", "fun i -> (2, 1)"),
+    ("Add(1, b) -> b", "fun i -> 2"),
+])
+def test_leaf_match_first_candidate_not_flat(first, expected):
+    expr = parse_met(f"fun x -> match fst x with | {first} | Add(a, b) -> (b, a) | m -> m")
+    assert assert_same(expr, ADD12) == ("residual", expected)
+
+
+def test_leaf_match_binds_the_first_of_two_flat_candidates():
+    expr = parse_met("fun x -> match fst x with | Add(a, _) -> a | Add(c, d) -> d")
+    assert assert_same(expr, ADD12) == ("residual", "fun i -> 1")
+
+
+def test_leaf_match_later_binding_wins():
+    # The parser rejects a pattern that binds a name twice: built directly.
+    expr = Lambda("x", Let("z", Tuple(Var("x"), Var("x")), Match(Proj1(Proj1(Var("z"))), (
+        (PConstruct("Add", (PVar("a"), PVar("a"))), Var("a")),
+    ))))
+    assert assert_same(expr, ADD12) == ("residual", "fun i -> 2")
+
+
+@pytest.mark.parametrize("scrutinee", ["snd x", "fst (snd x)", "snd (snd (fst z))", "u",
+                                       "fst u", "fst (fst x)"])
+def test_leaf_match_that_fails_to_read(scrutinee):
+    expr = parse_met(LEAF_MATCH.format(scrutinee=scrutinee))
+    for static_input in [ADD12, VTuple(ADD12, VInt(0)), VAbs(TOP), VInt(1)]:
+        assert_same(expr, static_input)
+
+
+def random_leaf(rng: random.Random, names: list[str]):
+    leaf = Var(rng.choice(names))
+    for _ in range(rng.choice([0, 0, 1, 1, 2, 3])):
+        leaf = rng.choice([Proj1, Proj2])(leaf)
+    return leaf
+
+
+def random_pair_call_program(rng: random.Random):
+    """A function over a pair that defines a recursive ``f`` and calls a
+    variable, mostly ``f``, on a pair of leaves, inside ``f`` and out."""
+    names = ["x", "p", "f", "k", "d"] + NAMES[:2]
+
+    def call():
+        return App(Var(rng.choice(["f", "f", "f", "k", "d", "p", "g"])),
+                   Tuple(random_leaf(rng, names), random_leaf(rng, names)))
+    body = Match(random_leaf(rng, ["p", "x"]), (
+        (random_pattern(rng, 2, set()), call()),
+        (random_pattern(rng, 1, set()), random_met_expr(rng, rng.randint(0, 2))),
+        (PVar("q"), Tuple(Var("q"), random_leaf(rng, names))),
+    ))
+    return Lambda("x", Let("k", Proj1(Var("x")), Let("d", Proj2(Var("x")),
+                                                     LetRecFun("f", "p", body, call()))))
+
+
+def test_random_pair_calls(monkeypatch):
+    set_unfold_limit(monkeypatch, 40)
+    seen = {}
+    for seed in range(400):
+        rng = random.Random(f"pair call {seed}")
+        kind, text = assert_same(random_pair_call_program(rng), random_static(rng, 3))
+        seen[kind if kind == "residual" else (kind, text.split(" '")[0])] = True
+    for expected in [
+        "residual",
+        ("StuckError", "unbound variable"),
+        ("StuckError", "application of a non-function"),
+        ("StuckError", "projection of a non-tuple"),
+        ("FuelExhausted", "specialization exceeded 40 call unfoldings"),
+        ("ReifyError", "projection of an abstract value at specialization time"),
+    ]:
+        assert expected in seen, (expected, sorted(map(str, seen)))

@@ -1,8 +1,8 @@
 """tools/work_counts.py: the counts are deterministic.
 
 Two runs, and runs under three hash seeds, must print the same calls and
-bytecodes per analysis, or a difference in counts between two commits
-would not show a difference in work.
+bytecodes per analysis and per specialization stage, or a difference in
+counts between two commits would not show a difference in work.
 """
 
 from __future__ import annotations
@@ -25,7 +25,11 @@ def run(hash_seed: str) -> dict:
 
 def test_counts_are_the_same_on_every_run_and_hash_seed():
     table = run("0")["per_analysis"]
-    assert len(table) == 8
+    # Meta-level and residual analysis for two targets and two domains,
+    # and the three stages of a specialization round trip.
+    assert len(table) == 11
+    assert sorted(key for key in table if key.startswith("compile/")) == [
+        "compile/parse_met", "compile/print_met", "compile/specialize"]
     for key, row in table.items():
         assert row["calls"] > 0 and row["bytecodes"] > row["calls"], key
         if key.endswith("/residual"):

@@ -12,9 +12,11 @@ how many pairs each side won in the metric's direction, which is read
 from the change checkout's ``BENCHMARK.json``.
 
 ``--trace`` runs the traced, per-layer benchmark instead, and files its
-cells under ``traced``.  ``--append`` adds cells to an existing record of
-the same two commits, so one record can hold several seeds and a traced
-run.
+cells under ``traced``.  A traced cell whose two sides'
+``calibration.slowdown`` quartiles do not overlap is marked
+``calibration_differs`` and reports no gain in any metric.  ``--append``
+adds cells to an existing record of the same two commits, so one record
+can hold several seeds and a traced run.
 
 Both sides import their checkout cold, as a fresh checkout does, and
 the standard library warm.  Every run has ``PYTHONDONTWRITEBYTECODE=1``
@@ -203,7 +205,7 @@ def cell_record(workload: str, seed: int, pairs: list[dict[str, dict]],
                              and wins["change"] * 10 >= len(pairs) * 9
                              and sign * (c["median"] - p["median"]) > p["q3"] - p["q1"])
         out[name] = entry
-    return {
+    cell = {
         "workload": workload,
         "seed": seed,
         "pairs": len(pairs),
@@ -213,8 +215,20 @@ def cell_record(workload: str, seed: int, pairs: list[dict[str, dict]],
         "ops_failed": {side: sum(p[side]["result"]["failed"] for p in pairs
                                  if p[side]["result"] is not None)
                        for side in SIDES},
-        "metrics": out,
     }
+    calibration = out.get("calibration.slowdown")
+    if calibration is not None:
+        # A traced cell's per-layer times are divided by the slowdown the
+        # calibration loop measured.  When the two sides' slowdowns do not
+        # even overlap in their quartiles, the machine was in another
+        # state for each, and a difference in those times shows no gain.
+        p, c = calibration["parent"], calibration["change"]
+        cell["calibration_differs"] = p["q3"] < c["q1"] or c["q3"] < p["q1"]
+        if cell["calibration_differs"]:
+            for entry in out.values():
+                entry.pop("gain", None)
+    cell["metrics"] = out
+    return cell
 
 
 def render(value, depth: int = 0) -> str:
@@ -260,6 +274,9 @@ def main(argv=None) -> int:
                 "gain": f"at least {GAIN_MIN_PAIRS} pairs, the change wins at least 9 in 10 "
                         "of them, and its median is better than the parent's by more than "
                         "the parent's interquartile range",
+                "calibration_differs": "in a traced cell: the two sides' interquartile "
+                                       "ranges of calibration.slowdown do not overlap, and "
+                                       "the cell's metrics then report no gain",
                 "runs_failed": "runs that exited nonzero or printed no JSON line",
                 "bytecode": "every run has PYTHONDONTWRITEBYTECODE=1 and its side's own "
                             "PYTHONPYCACHEPREFIX, which holds the standard library's bytecode "

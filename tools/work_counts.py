@@ -1,4 +1,5 @@
-"""Deterministic work counts: Python calls and bytecodes per analysis.
+"""Deterministic work counts: Python calls and bytecodes per analysis
+and per specialization.
 
     python3 tools/work_counts.py [--programs N] [--json]
 
@@ -9,6 +10,15 @@ untraced so that every cache is warm, and then runs each again under ``sys.settr
 ``f_trace_opcodes``.  It prints, per analysis, the Python calls (frames
 entered) and the bytecodes executed by meta-level analysis
 (``analyze_meta_target``) and by the residual (``run_specialized``).
+
+The ``compile`` rows count the specialization round trip the same way,
+per source program: ``N`` programs drawn from ``random.Random(SEED)`` with
+``random_src_expr`` at depths 3 to 7, as the ``compile`` benchmark draws
+them.  ``specialize`` specializes the abstract interpreter to each,
+``print_met`` prints the residual and ``parse_met`` parses that text.
+``parse_met``'s memo is emptied before each parse, since a round trip
+parses a new text every time.
+
 The counts of one checkout are the same on every run and under every
 ``PYTHONHASHSEED``, unlike wall-clock time.
 
@@ -41,7 +51,8 @@ SEED = 0
 
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--programs", type=int, default=50, help="programs per target and domain")
+    p.add_argument("--programs", type=int, default=50,
+                   help="programs per target and domain, and source programs specialized")
     p.add_argument("--json", action="store_true", help="print one JSON object")
     args = p.parse_args(argv)
     if args.programs < 1:
@@ -79,13 +90,24 @@ class Counter:
 def counts(programs: int) -> dict:
     sys.path.insert(0, str(SRC))
     from retargeter import retarget
-    from retargeter.analyzer import analyze_meta_target
+    from retargeter.analyzer import analyze_meta_target, build_abstract_interpreter
     from retargeter.domains import DOMAINS
+    from retargeter.met import parser
+    from retargeter.met.printer import print_met
+    from retargeter.peval import specialize
     from retargeter.retargeting import run_specialized
+    from retargeter.srclang import embed_src_expr, random_src_expr
     from retargeter.tgtlang import TARGETS, random_tgt_program
 
     result = {}
     counter = Counter()
+
+    def measure(key, ops):
+        for op in ops:
+            op()
+        calls, bytecodes = counter.count(ops)
+        result[key] = {"calls": calls, "bytecodes": bytecodes}
+
     for target in TARGETS:
         for name in sorted(DOMAINS):
             domain = DOMAINS[name]
@@ -98,10 +120,22 @@ def counts(programs: int) -> dict:
                 "residual": [lambda p=p, v=v: run_specialized(analyzer, p, v) for p, v in cases],
             }
             for path, ops in paths.items():
-                for op in ops:
-                    op()
-                calls, bytecodes = counter.count(ops)
-                result[f"{target}/{name}/{path}"] = {"calls": calls, "bytecodes": bytecodes}
+                measure(f"{target}/{name}/{path}", ops)
+
+    interpreter = build_abstract_interpreter()
+    rng = random.Random(SEED)
+    embedded = [embed_src_expr(random_src_expr(rng, "int", rng.randint(3, 7)))
+                for _ in range(programs)]
+    residuals = [specialize(interpreter, e) for e in embedded]
+    texts = [print_met(r) for r in residuals]
+    forget = parser._parse.cache_clear
+    stages = {
+        "specialize": [lambda e=e: specialize(interpreter, e) for e in embedded],
+        "print_met": [lambda r=r: print_met(r) for r in residuals],
+        "parse_met": [lambda t=t: (forget(), parser.parse_met(t)) for t in texts],
+    }
+    for stage, ops in stages.items():
+        measure(f"compile/{stage}", ops)
     return result
 
 
@@ -113,7 +147,8 @@ def main(argv=None) -> int:
         print(json.dumps({"python": version, "programs": args.programs, "seed": SEED,
                           "per_analysis": table}, sort_keys=True))
         return 0
-    print(f"Work per analysis, {args.programs} programs per row, seed {SEED}, {version}")
+    print(f"Work per analysis or specialization, {args.programs} programs per row, "
+          f"seed {SEED}, {version}")
     print("(counts compare only within one CPython minor version; work inside C "
           "functions is not counted)")
     print(f"{'target/domain/path':<28}{'calls':>12}{'bytecodes':>14}")
