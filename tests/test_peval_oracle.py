@@ -277,7 +277,7 @@ def test_pair_call_at_the_unfold_limit(monkeypatch):
     # specialization itself once: exactly the limit succeeds, one fewer
     # fails at a fused call.
     expr = parse_met("fun x -> let rec f p = match fst p with "
-                     "| Add(a, b) -> f (b, (snd p, a)) | n -> (snd p, n) "
+                     "| Add(a, b) -> f (b, snd p) | n -> (snd p, n) "
                      "in f (fst x, snd x)")
     spine = VConstruct("Num", (VInt(0),))
     for k in range(4):
@@ -285,6 +285,13 @@ def test_pair_call_at_the_unfold_limit(monkeypatch):
     for limit, kind in [(6, "residual"), (5, "FuelExhausted"), (1, "FuelExhausted")]:
         set_unfold_limit(monkeypatch, limit)
         assert assert_same(expr, spine)[0] == kind
+
+
+def test_pair_call_on_two_known_leaves_passes_a_known_pair():
+    # A constructor over a known pair is known, so the match is decided.
+    expr = parse_met("fun x -> let rec f p = match Num(p) with | Num(q) -> snd q | m -> m "
+                     "in f (snd (fst x), fst (fst x))")
+    assert assert_same(expr, VTuple(VInt(3), VInt(4))) == ("residual", "fun i -> 3")
 
 
 @pytest.mark.parametrize("text, expected", [
@@ -329,12 +336,11 @@ LEAF_MATCH = ("fun x -> let z = (x, 1) in match {scrutinee} with "
     (VInt(3), "fun i -> (3, 0)"),
 ])
 def test_leaf_match(scrutinee, value, expected):
-    if scrutinee == "fst x":
-        static_input = value
-    elif scrutinee == "fst (fst z)":
+    if scrutinee in ("fst x", "fst (fst z)"):
         static_input = value
     else:
-        static_input = VTuple(VInt(0), VTuple(value, VInt(0)))
+        # Read with fst and snd swapped, the path would still find a value.
+        static_input = VTuple(VTuple(VInt(0), VInt(0)), VTuple(value, VTuple(VInt(0), VInt(0))))
     expr = parse_met(LEAF_MATCH.format(scrutinee=scrutinee))
     assert assert_same(expr, static_input) == ("residual", expected)
 
