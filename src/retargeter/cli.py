@@ -24,18 +24,21 @@ has one.
 
 The argument parser is built on the first ``main`` call and reused by
 every later call in the process; parsing leaves no state in it.  A
-residual text is parsed and compiled once while it stays in
-``parse_met``'s memo; the file is still read on every request, so an
-edited residual is parsed afresh.
+request whose first word is a subcommand's name is parsed once, by that
+subcommand's own parser.  The top-level parser handles every other argv
+(none, ``-h``, an unknown word) and reports the words a subcommand does
+not recognize, so help, usage and error messages are those of a single
+``argparse`` parser with subcommands.  ``json`` is imported only for
+``--output json``.  A residual text is parsed and compiled once while
+it stays in ``parse_met``'s memo; the file is still read on every
+request, so an edited residual is parsed afresh.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
-from pathlib import Path
 
 from .analyzer import analyze_meta_target
 from .domains import DOMAINS, AbsValue, Num, get_domain, parse_abs
@@ -69,7 +72,8 @@ HEADER = "# target: "
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text()
+    with open(path) as file:
+        return file.read()
 
 
 def _load_program(path: str):
@@ -116,7 +120,8 @@ def cmd_retarget(args) -> int:
     analyzer = retarget(args.target, get_domain(args.domain))
     text = f"{HEADER}{args.target}\n{print_met(analyzer.residual)}"
     if args.emit:
-        Path(args.emit).write_text(text + "\n")
+        with open(args.emit, "w") as file:
+            file.write(text + "\n")
     else:
         print(text)
     stats = analyzer.stats()
@@ -150,6 +155,7 @@ def cmd_analyze_specialized(args) -> int:
 
 def _emit_reports(args, reports) -> int:
     if args.output == "json":
+        import json
         print(json.dumps([r.as_dict() for r in reports], indent=2))
     else:
         for r in reports:
@@ -197,7 +203,8 @@ nonnegative_int = _int_at_least(0, "nonnegative")
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process."""
+    """The command-line parser, built once per process.  Its ``commands``
+    maps each subcommand's name to that subcommand's own parser."""
     parser = argparse.ArgumentParser(
         prog="retargeter",
         description="Derive and run static analyzers for small target languages "
@@ -207,8 +214,13 @@ def build_parser() -> argparse.ArgumentParser:
     domain_arg.add_argument("--domain", choices=tuple(DOMAINS), required=True)
 
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
 
-    p = sub.add_parser("run", help="run a target program")
+    def command(name, **kwargs) -> argparse.ArgumentParser:
+        parser.commands[name] = p = sub.add_parser(name, **kwargs)
+        return p
+
+    p = command("run", help="run a target program")
     p.add_argument("program", help="target program file (e.g. add42.tgt)")
     p.add_argument("--input", type=integer, required=True)
     p.set_defaults(fn=cmd_run)
@@ -221,27 +233,27 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fuel", type=positive_int, default=DEFAULT_FUEL,
                        help=f"evaluation step budget (default: {DEFAULT_FUEL})")
 
-    p = sub.add_parser("analyze", parents=[domain_arg],
-                       help="analyze a target program meta-level")
+    p = command("analyze", parents=[domain_arg],
+                help="analyze a target program meta-level")
     p.add_argument("program")
     add_analysis_inputs(p)
     p.set_defaults(fn=cmd_analyze)
 
-    p = sub.add_parser("retarget", parents=[domain_arg],
-                       help="specialize the abstract interpreter to a target")
+    p = command("retarget", parents=[domain_arg],
+                help="specialize the abstract interpreter to a target")
     p.add_argument("--target", choices=TARGETS, required=True)
     p.add_argument("--emit", help="write the residual program to this file")
     p.set_defaults(fn=cmd_retarget)
 
-    p = sub.add_parser("analyze-specialized", parents=[domain_arg],
-                       help="analyze using an emitted residual")
+    p = command("analyze-specialized", parents=[domain_arg],
+                help="analyze using an emitted residual")
     p.add_argument("residual", help="residual program file (.met)")
     p.add_argument("program")
     add_analysis_inputs(p)
     p.set_defaults(fn=cmd_analyze_specialized)
 
     for name, fn in (("check", cmd_check), ("bench", cmd_bench)):
-        p = sub.add_parser(name, parents=[domain_arg])
+        p = command(name, parents=[domain_arg])
         p.add_argument("--target", choices=TARGETS, required=True)
         p.add_argument("--trials", type=nonnegative_int, default=1000)
         p.add_argument("--seed", type=integer, default=0)
@@ -251,8 +263,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """What ``build_parser().parse_args(argv)`` returns, parsing argv once.
+
+    A request whose first word is a subcommand's name is parsed by that
+    subcommand's parser alone; words it does not recognize are reported
+    by the top-level parser, as ``argparse`` reports them.  Any other
+    argv (none, ``-h``, an unknown word) goes through the top-level
+    parser, which prints the help and the usage errors.
+    """
+    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.fn(args)
     except (ParseError, OSError, UnicodeDecodeError) as err:

@@ -26,10 +26,13 @@ def run(hash_seed: str) -> dict:
 def test_counts_are_the_same_on_every_run_and_hash_seed():
     table = run("0")["per_analysis"]
     # Meta-level and residual analysis for two targets and two domains,
-    # and the three stages of a specialization round trip.
-    assert len(table) == 11
+    # the three stages of a specialization round trip, and a command-line
+    # request through the residual and at meta level.
+    assert len(table) == 13
     assert sorted(key for key in table if key.startswith("compile/")) == [
         "compile/parse_met", "compile/print_met", "compile/specialize"]
+    assert sorted(key for key in table if key.startswith("cli/")) == [
+        "cli/analyze", "cli/analyze-specialized"]
     for key, row in table.items():
         assert row["calls"] > 0 and row["bytecodes"] > row["calls"], key
         if key.endswith("/residual"):

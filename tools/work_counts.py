@@ -19,6 +19,14 @@ them.  ``specialize`` specializes the abstract interpreter to each,
 ``parse_met``'s memo is emptied before each parse, since a round trip
 parses a new text every time.
 
+The ``cli`` rows count one in-process ``cli.main`` request, argv parsing
+included and stdout captured: ``analyze-specialized`` on a residual
+emitted by ``retarget --emit``, and ``analyze``, each with ``--input``,
+on the programs and inputs of the analysis rows, written to files in a
+temporary directory.  Every request runs once before it is counted, so
+the residual's text is a hit in ``parse_met``'s memo, as it is on every
+request but the first in a process.
+
 The counts of one checkout are the same on every run and under every
 ``PYTHONHASHSEED``, unlike wall-clock time.
 
@@ -39,10 +47,13 @@ The package is imported from this checkout's ``src``.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import platform
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -89,7 +100,7 @@ class Counter:
 
 def counts(programs: int) -> dict:
     sys.path.insert(0, str(SRC))
-    from retargeter import retarget
+    from retargeter import cli, retarget
     from retargeter.analyzer import analyze_meta_target, build_abstract_interpreter
     from retargeter.domains import DOMAINS
     from retargeter.met import parser
@@ -97,7 +108,7 @@ def counts(programs: int) -> dict:
     from retargeter.peval import specialize
     from retargeter.retargeting import run_specialized
     from retargeter.srclang import embed_src_expr, random_src_expr
-    from retargeter.tgtlang import TARGETS, random_tgt_program
+    from retargeter.tgtlang import TARGETS, print_tgt_program, random_tgt_program
 
     result = {}
     counter = Counter()
@@ -108,6 +119,16 @@ def counts(programs: int) -> dict:
         calls, bytecodes = counter.count(ops)
         result[key] = {"calls": calls, "bytecodes": bytecodes}
 
+    requests = {"analyze-specialized": [], "analyze": []}
+    files = tempfile.TemporaryDirectory()
+    out = io.StringIO()
+
+    def command(argv):
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        if code != 0:
+            raise RuntimeError(f"retargeter {' '.join(argv)} exited {code}")
+
     for target in TARGETS:
         for name in sorted(DOMAINS):
             domain = DOMAINS[name]
@@ -115,6 +136,15 @@ def counts(programs: int) -> dict:
             rng = random.Random(SEED)
             cases = [(random_tgt_program(rng, target), rng.randint(-1000, 1000))
                      for _ in range(programs)]
+            residual = f"{files.name}/{target}-{name}.met"
+            command(["retarget", "--target", target, "--domain", name, "--emit", residual])
+            for n, (p, v) in enumerate(cases):
+                path = f"{files.name}/{target}-{name}-{n}.tgt"
+                with open(path, "w") as file:
+                    file.write(print_tgt_program(p) + "\n")
+                flags = [path, "--domain", name, "--input", str(v)]
+                requests["analyze-specialized"].append(["analyze-specialized", residual, *flags])
+                requests["analyze"].append(["analyze", *flags])
             paths = {
                 "meta": [lambda p=p, v=v: analyze_meta_target(domain, p, v) for p, v in cases],
                 "residual": [lambda p=p, v=v: run_specialized(analyzer, p, v) for p, v in cases],
@@ -136,6 +166,13 @@ def counts(programs: int) -> dict:
     }
     for stage, ops in stages.items():
         measure(f"compile/{stage}", ops)
+
+    with files:
+        for argv in (argv for argvs in requests.values() for argv in argvs):
+            command(argv)
+        with contextlib.redirect_stdout(out):
+            for name, argvs in requests.items():
+                measure(f"cli/{name}", [lambda argv=argv: cli.main(argv) for argv in argvs])
     return result
 
 
