@@ -382,6 +382,19 @@ class TestOneParserPerProcess:
             counts.append(len(built))
         assert counts[0] > 0 and counts == [counts[0]] * 3
 
+    def test_a_subcommand_request_is_parsed_once(self, capsys, monkeypatch, add42):
+        parses = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counting_parse(self, *args, **kwargs):
+            parses.append(self.prog)
+            return parse_known_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting_parse)
+        code, out, _ = run_cli(capsys, "run", add42, "--input", "5")
+        assert code == 0 and out.strip() == "47"
+        assert parses == ["retargeter run"]
+
     def test_no_state_carries_between_requests(self, capsys, seq):
         lines = [run_cli(capsys, "analyze", seq, "--domain", "interval", *flags)
                  for flags in (["--input", "5"], ["--abs-input", "[5,5]"])]
@@ -396,6 +409,24 @@ class TestOneParserPerProcess:
         code, out, _ = run_cli(capsys, "analyze", add42, "--domain", "interval",
                                "--input", "1")
         assert code == 0 and out.strip() == "[43,43]"
+
+
+def test_import_loads_neither_pathlib_nor_json():
+    """A one-shot command does not pay for modules its request never uses."""
+    import os
+    import subprocess
+    from pathlib import Path
+
+    import retargeter
+
+    package_root = str(Path(retargeter.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, retargeter.cli; print(sorted({'pathlib', 'json'} & set(sys.modules)))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def count_parses(monkeypatch) -> list[str]:

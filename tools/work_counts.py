@@ -168,10 +168,10 @@ def counts(programs: int) -> dict:
         measure(f"compile/{stage}", ops)
 
     with files:
-        for argv in (argv for argvs in requests.values() for argv in argvs):
-            command(argv)
-        with contextlib.redirect_stdout(out):
-            for name, argvs in requests.items():
+        for name, argvs in requests.items():
+            for argv in argvs:
+                command(argv)    # fails on a nonzero exit, which measure() would not see
+            with contextlib.redirect_stdout(out):
                 measure(f"cli/{name}", [lambda argv=argv: cli.main(argv) for argv in argvs])
     return result
 
