@@ -36,10 +36,21 @@ identifier starts with a letter (``str.isalpha``) or ``_`` and goes on
 with letters, ASCII digits, ``_`` and ``'``.  Layout is space, tab,
 carriage return and newline.  Any other character outside the
 punctuation ``( ) + * = , | ->`` is an "unexpected character", and so is a
-``-`` that starts neither ``->`` nor a literal.  A token is a pair
-``(kind, text)``; positions are not kept.  When a ``ParseError`` is
-raised, the text is scanned again for the offending token's offset, and
-the 1-based line and column are computed from it.
+``-`` that starts neither ``->`` nor a literal.  The tokens are a list of
+texts and a list of kinds: a keyword, a punctuation mark or a primitive's
+name is looked up whole in one table, and a name, a tag or an integer
+literal is classified there by its first character.  Positions are not
+kept: when a ``ParseError`` is raised, the text is scanned again for the
+offending token's offset, and the 1-based line and column are computed
+from it.
+
+The parser spends one host frame per level of nesting.  Brackets in an
+expression (parentheses and argument lists) are counted, and opening one
+more than ``NESTING_LIMIT`` at once is "input nested too deeply" however
+deep in the host stack ``parse_met`` is called; so is a run of more than
+``PROJECTION_LIMIT`` projections.  The host stack bounds the rest (the
+bodies of ``let``, ``fun`` and ``match``, and patterns), and running out
+of it gives the same error.
 
 ``parse_met`` is memoized on its text: a text parsed again while it is
 among the ``MEMO_SIZE`` most recently parsed gives the same tree object,
@@ -54,6 +65,7 @@ from __future__ import annotations
 
 import functools
 import re
+import string
 
 from ..errors import ParseError
 from ..srclang import SRC_SIGNATURE, parse_int
@@ -82,7 +94,7 @@ from .syntax import (
 )
 
 KEYWORDS = {"let", "rec", "in", "fun", "match", "with", "fst", "snd"}
-PRIM_NAMES = {op.value: op for op in PrimOp if op.is_abstract}
+_PRIMS = {op.value: (op, op.arity) for op in PrimOp if op.is_abstract}
 
 _TOKEN = re.compile(
     r"[ \t\r\n]*("              # layout, then the token:
@@ -93,16 +105,34 @@ _TOKEN = re.compile(
     re.S,
 )
 
-# A token is a pair (kind, text).  Its kind is "INT", "NAME" (a variable),
-# "TAG" (a constructor), "PRIM" or "EOF"; for a keyword, a punctuation mark
-# or "_" it is the token's text.
-_KINDS = {**{k: k for k in KEYWORDS}, **{p: "PRIM" for p in PRIM_NAMES},
-          **{p: p for p in ("(", ")", "+", "*", "=", ",", "|", "->", "_")}, "": "EOF"}
+# The kind of a text from its first character; "#" is a comment.
+_FIRST = {**{c: "NAME" for c in string.ascii_lowercase + "_"},
+          **{c: "TAG" for c in string.ascii_uppercase},
+          **{c: "INT" for c in string.digits + "-"}, "#": "#"}
+
+
+class _Kinds(dict):
+    """Token text -> kind: "NAME" (a variable), "TAG" (a constructor),
+    "INT", "PRIM", "EOF", or the text itself; None for no token."""
+
+    def __missing__(self, text):
+        return _FIRST.get(text[0])
+
+
+_KINDS = _Kinds({**{k: k for k in KEYWORDS}, **{p: "PRIM" for p in _PRIMS},
+                 **{p: p for p in ("(", ")", "+", "*", "=", ",", "|", "->", "_")},
+                 "": "EOF", "-": None})
 _ATOM_START = frozenset({"INT", "NAME", "TAG", "PRIM", "(", "_"})
-_INT_START = frozenset("-0123456789")
+_ITEM_END = frozenset({",", ")"})
 _IDENT_CHARS = frozenset("0123456789_'")
 
 _ADD, _MUL, _EQ = PrimOp.ADD, PrimOp.MUL, PrimOp.EQ
+
+# A bracket costs the parser one host frame, so a text this deep parses at
+# any caller depth with room to spare.  A run of projections costs none;
+# its limit keeps the projection paths the evaluator compiles short.
+NESTING_LIMIT = 300
+PROJECTION_LIMIT = 1000
 
 # Texts whose trees ``parse_met`` keeps.  The built-in targets have two
 # residual texts between them, since ``retarget`` emits the same one under
@@ -123,237 +153,244 @@ def _error(source: str, message: str, index: int, skip: int = 0) -> ParseError:
     return ParseError(message, line, offset - source.rfind("\n", 0, offset))
 
 
-def tokenize(source: str) -> list[tuple[str, str]]:
-    """The tokens of ``source``, ending with an ``EOF`` token."""
-    tokens = []
-    append = tokens.append
-    kinds = _KINDS
-    for text in _TOKEN.findall(source):
-        kind = kinds.get(text)
-        if kind is None:
+def tokenize(source: str) -> tuple[list[str], list[str]]:
+    """The texts and the kinds of the tokens of ``source``, ending with an
+    ``EOF`` token.  Only a text with a comment, a non-ASCII character or a
+    character that starts no token is looked at token by token."""
+    texts = _TOKEN.findall(source)
+    kinds = list(map(_KINDS.__getitem__, texts))
+    if None not in kinds and "#" not in source and source.isascii():
+        return texts, kinds
+    kept_texts, kept_kinds = [], []
+    for text, kind in zip(texts, kinds):
+        if kind == "#":
+            continue
+        if kind is None or (kind == "NAME" or kind == "TAG") and not text.isascii():
             c = text[0]
-            if c.isalpha() or c == "_":
-                if not text.isascii():
-                    for k, ch in enumerate(text):
-                        if not (ch.isalpha() or ch in _IDENT_CHARS):
-                            raise _error(source, f"unexpected character {ch!r}",
-                                         len(tokens), k)
-                kind = "TAG" if text[0].isupper() else "NAME"
-            elif c in _INT_START and text != "-":
-                kind = "INT"
-            elif c == "#":
-                continue
-            else:
-                raise _error(source, f"unexpected character {c!r}", len(tokens))
-        append((kind, text))
-    return tokens
+            if not (c.isalpha() or c == "_"):
+                raise _error(source, f"unexpected character {c!r}", len(kept_texts))
+            for k, ch in enumerate(text):
+                if not (ch.isalpha() or ch in _IDENT_CHARS):
+                    raise _error(source, f"unexpected character {ch!r}", len(kept_texts), k)
+            kind = "TAG" if c.isupper() else "NAME"
+        kept_texts.append(text)
+        kept_kinds.append(kind)
+    return kept_texts, kept_kinds
 
 
 class _Parser:
-    """Recursive descent over the token list; ``kind`` and ``text`` are the
-    current token's, and ``pos`` its index."""
+    """Recursive descent: ``expr`` reads the infix levels, applications
+    and atoms of an expression in one loop, and calls itself only for what
+    a bracket, a ``let``, a ``fun`` or a ``match`` encloses.  ``pos`` is
+    the next token's index; a method reads it on entry, sets it on return."""
 
     def __init__(self, source: str):
         self.source = source
-        self.tokens = tokenize(source)
+        self.texts, self.kinds = tokenize(source)
         self.pos = 0
-        self.kind, self.text = self.tokens[0]
 
-    def advance(self) -> None:
-        self.pos += 1
-        self.kind, self.text = self.tokens[self.pos]
+    def error(self, message: str, pos: int) -> ParseError:
+        return _error(self.source, message, pos)
 
-    def error(self, message: str, pos: int | None = None) -> ParseError:
-        return _error(self.source, message, self.pos if pos is None else pos)
+    def expected(self, kind: str, pos: int) -> ParseError:
+        return self.error(f"expected {kind!r}, found {self.texts[pos]!r}", pos)
 
-    def expect(self, kind: str) -> None:
-        if self.kind != kind:
-            raise self.error(f"expected {kind!r}, found {self.text!r}")
-        self.advance()
-
-    def int_literal(self) -> int:
-        text, pos = self.text, self.pos
-        self.advance()
+    def int_literal(self, pos: int) -> int:
+        """The literal at ``pos``, which is ASCII digits after an optional "-"."""
         try:
-            return parse_int(text)
-        except ParseError as err:    # more digits than int() converts
+            return int(self.texts[pos])
+        except ValueError:      # more digits than int() converts
+            pass
+        try:
+            return parse_int(self.texts[pos])    # raises the message every front end gives
+        except ParseError as err:
             raise self.error(str(err), pos) from None
 
-    def name(self) -> str:
-        if self.kind != "NAME":
-            if self.kind == "_":
-                raise self.error("'_' is only valid as a pattern")
-            raise self.error(f"expected a variable name, found {self.text!r}")
-        name = self.text
-        self.advance()
-        return name
+    def name(self, pos: int) -> str:
+        kind = self.kinds[pos]
+        if kind != "NAME":
+            if kind == "_":
+                raise self.error("'_' is only valid as a pattern", pos)
+            raise self.error(f"expected a variable name, found {self.texts[pos]!r}", pos)
+        return self.texts[pos]
 
     def check_tag(self, tag: str, arity: int, pos: int) -> None:
         expected = SRC_SIGNATURE.get(tag)
         if expected is None:
             raise self.error(f"unknown constructor {tag!r}", pos)
         if expected != arity:
-            raise self.error(
-                f"constructor {tag!r} takes {expected} argument(s), got {arity}", pos
-            )
+            raise self.error(f"constructor {tag!r} takes {expected} argument(s), got {arity}",
+                             pos)
 
     # -- expressions ------------------------------------------------------
 
-    def expr(self) -> MetExpr:
-        kind = self.kind
-        if kind == "let":
-            self.advance()
-            if self.kind == "rec":
-                self.advance()
-                fname = self.name()
-                param = self.name()
-                self.expect("=")
-                fbody = self.expr()
-                self.expect("in")
-                return LetRecFun(fname, param, fbody, self.expr())
-            name = self.name()
-            self.expect("=")
-            bound = self.expr()
-            self.expect("in")
-            return Let(name, bound, self.expr())
-        if kind == "fun":
-            self.advance()
-            param = self.name()
-            self.expect("->")
-            return Lambda(param, self.expr())
-        if kind == "match":
-            self.advance()
-            scrutinee = self.expr()
-            self.expect("with")
-            if self.kind == "|":
-                self.advance()
-            branches = [self.branch()]
-            while self.kind == "|":
-                self.advance()
-                branches.append(self.branch())
-            return Match(scrutinee, tuple(branches))
-        left = self.add()
-        if self.kind == "=":
-            self.advance()
-            return Prim(_EQ, (left, self.add()))
-        return left
-
-    def branch(self) -> tuple[Pattern, MetExpr]:
+    def expr(self, depth: int) -> MetExpr:
+        """The expression at ``pos``, inside ``depth`` open brackets."""
+        kinds, texts = self.kinds, self.texts
         pos = self.pos
-        pat = self.pattern()
-        if not is_linear(pat):
-            raise self.error("pattern binds the same variable twice", pos)
-        self.expect("->")
-        return pat, self.expr()
+        kind = kinds[pos]
+        if kind == "let":
+            rec = kinds[pos + 1] == "rec"
+            if rec:
+                fname = self.name(pos + 2)
+                pos += 2
+            name = self.name(pos + 1)
+            if kinds[pos + 2] != "=":
+                raise self.expected("=", pos + 2)
+            self.pos = pos + 3
+            bound = self.expr(depth)
+            pos = self.pos
+            if kinds[pos] != "in":
+                raise self.expected("in", pos)
+            self.pos = pos + 1
+            if rec:
+                return LetRecFun(fname, name, bound, self.expr(depth))
+            return Let(name, bound, self.expr(depth))
+        if kind == "fun":
+            param = self.name(pos + 1)
+            if kinds[pos + 2] != "->":
+                raise self.expected("->", pos + 2)
+            self.pos = pos + 3
+            return Lambda(param, self.expr(depth))
+        if kind == "match":
+            self.pos = pos + 1
+            scrutinee = self.expr(depth)
+            pos = self.pos
+            if kinds[pos] != "with":
+                raise self.expected("with", pos)
+            pos += 2 if kinds[pos + 1] == "|" else 1
+            branches = []
+            while True:
+                self.pos = pos
+                pat = self.pattern()
+                if not is_linear(pat):
+                    raise self.error("pattern binds the same variable twice", pos)
+                pos = self.pos
+                if kinds[pos] != "->":
+                    raise self.expected("->", pos)
+                self.pos = pos + 1
+                branches.append((pat, self.expr(depth)))
+                pos = self.pos
+                if kinds[pos] != "|":
+                    return Match(scrutinee, tuple(branches))
+                pos += 1
 
-    def add(self) -> MetExpr:
-        """``add``, with ``mul`` folded in."""
-        e = self.proj()
-        while self.kind == "*":
-            self.advance()
-            e = Prim(_MUL, (e, self.proj()))
-        while self.kind == "+":
-            self.advance()
-            right = self.proj()
-            while self.kind == "*":
-                self.advance()
-                right = Prim(_MUL, (right, self.proj()))
-            e = Prim(_ADD, (e, right))
-        return e
-
-    def proj(self) -> MetExpr:
-        """``proj``, with ``app`` folded in."""
-        kind = self.kind
-        if kind == "fst":
-            self.advance()
-            return Proj1(self.proj())
-        if kind == "snd":
-            self.advance()
-            return Proj2(self.proj())
-        e = self.atom()
-        while self.kind in _ATOM_START:
-            e = App(e, self.atom())
-        return e
-
-    def atom(self) -> MetExpr:
-        kind = self.kind
-        if kind == "NAME":
-            e = Var(self.text)
-            self.advance()
-            return e
-        if kind == "INT":
-            return IntLit(self.int_literal())
-        if kind == "(":
-            self.advance()
-            first = self.expr()
-            if self.kind == ",":
-                self.advance()
-                second = self.expr()
-                self.expect(")")
-                return Tuple(first, second)
-            self.expect(")")
-            return first
-        if kind == "PRIM":
-            name, pos = self.text, self.pos
-            self.advance()
-            args = self.items(self.expr)
-            op = PRIM_NAMES[name]
-            if len(args) != op.arity:
-                raise self.error(f"{name} takes {op.arity} argument(s), got {len(args)}",
-                                 pos)
-            return Prim(op, args)
-        if kind == "TAG":
-            tag, pos = self.text, self.pos
-            self.advance()
-            args = self.items(self.expr) if self.kind == "(" else ()
-            self.check_tag(tag, len(args), pos)
-            return Construct(tag, args)
-        if kind == "_" or kind in KEYWORDS:
-            self.name()    # raises the error a misplaced name gets
-        raise self.error(f"expected an expression, found {self.text!r}")
-
-    def items(self, parse_item) -> tuple:
-        """``"(" item { "," item } ")"``"""
-        self.expect("(")
-        items = [parse_item()]
-        while self.kind == ",":
-            self.advance()
-            items.append(parse_item())
-        self.expect(")")
-        return tuple(items)
+        # cmp, add and mul in one loop: the operands of "=" and "+" so far,
+        # and of the "*" being read.
+        left = total = product = None
+        while True:
+            start = pos                 # proj: {"fst" | "snd"} app
+            while kind == "fst" or kind == "snd":
+                pos += 1
+                kind = kinds[pos]
+            if pos - start > PROJECTION_LIMIT:
+                raise ParseError("input nested too deeply")
+            first, e = pos, None
+            while True:                 # app: atom {atom}
+                if kind == "NAME":
+                    a = Var(texts[pos])
+                    pos += 1
+                elif kind == "INT":
+                    a = IntLit(self.int_literal(pos))
+                    pos += 1
+                elif kind == "(" or kind == "PRIM" or kind == "TAG":
+                    at = pos
+                    if kind != "(":
+                        pos += 1
+                    items = []
+                    if kinds[pos] == "(":
+                        if depth >= NESTING_LIMIT:
+                            raise ParseError("input nested too deeply")
+                        while True:     # a variable or an integer item is read inline
+                            pos += 1
+                            k = kinds[pos]
+                            if (k == "NAME" or k == "INT") and kinds[pos + 1] in _ITEM_END:
+                                items.append(Var(texts[pos]) if k == "NAME"
+                                             else IntLit(self.int_literal(pos)))
+                                pos += 1
+                            else:
+                                self.pos = pos
+                                items.append(self.expr(depth + 1))
+                                pos = self.pos
+                            if kinds[pos] != "," or kind == "(" and len(items) == 2:
+                                break
+                        if kinds[pos] != ")":
+                            raise self.expected(")", pos)
+                        pos += 1
+                    elif kind == "PRIM":
+                        raise self.expected("(", pos)
+                    if kind == "(":
+                        a = items[0] if len(items) == 1 else Tuple(*items)
+                    elif kind == "PRIM":
+                        op, arity = _PRIMS[texts[at]]
+                        if len(items) != arity:
+                            raise self.error(f"{texts[at]} takes {arity} argument(s), "
+                                             f"got {len(items)}", at)
+                        a = Prim(op, tuple(items))
+                    else:
+                        self.check_tag(texts[at], len(items), at)
+                        a = Construct(texts[at], tuple(items))
+                else:
+                    if kind == "_" or kind in KEYWORDS:
+                        self.name(pos)    # raises the error a misplaced name gets
+                    raise self.error(f"expected an expression, found {texts[pos]!r}", pos)
+                e = a if e is None else App(e, a)
+                kind = kinds[pos]
+                if kind not in _ATOM_START:
+                    break
+            if first != start:
+                for k in range(first - 1, start - 1, -1):
+                    e = Proj1(e) if kinds[k] == "fst" else Proj2(e)
+            product = e if product is None else Prim(_MUL, (product, e))
+            if kind != "*":
+                total = product if total is None else Prim(_ADD, (total, product))
+                product = None
+                if kind != "+":
+                    if kind != "=" or left is not None:
+                        break
+                    left, total = total, None
+            pos += 1
+            kind = kinds[pos]
+        self.pos = pos
+        return total if left is None else Prim(_EQ, (left, total))
 
     # -- patterns ---------------------------------------------------------
 
     def pattern(self) -> Pattern:
-        kind = self.kind
+        """The pattern at ``pos``; its brackets are not counted."""
+        kinds, texts = self.kinds, self.texts
+        pos = self.pos
+        kind = kinds[pos]
+        self.pos = pos + 1
         if kind == "NAME":
-            p = PVar(self.text)
-            self.advance()
-            return p
+            return PVar(texts[pos])
         if kind == "_":
-            self.advance()
             return PWild()
         if kind == "INT":
-            return PInt(self.int_literal())
-        if kind == "TAG":
-            tag, pos = self.text, self.pos
-            self.advance()
-            args = self.items(self.pattern) if self.kind == "(" else ()
-            self.check_tag(tag, len(args), pos)
-            return PConstruct(tag, args)
-        if kind == "(":
-            self.advance()
-            first = self.pattern()
-            if self.kind == ",":
-                self.advance()
-                second = self.pattern()
-                self.expect(")")
-                return PTuple(first, second)
-            self.expect(")")
-            return first
+            return PInt(self.int_literal(pos))
+        if kind == "TAG" or kind == "(":
+            at = pos
+            if kind == "TAG":
+                pos += 1
+            items = []
+            if kinds[pos] == "(":
+                while True:
+                    self.pos = pos + 1
+                    items.append(self.pattern())
+                    pos = self.pos
+                    if kinds[pos] != "," or kind == "(" and len(items) == 2:
+                        break
+                if kinds[pos] != ")":
+                    raise self.expected(")", pos)
+                pos += 1
+            self.pos = pos
+            if kind == "(":
+                return items[0] if len(items) == 1 else PTuple(*items)
+            self.check_tag(texts[at], len(items), at)
+            return PConstruct(texts[at], tuple(items))
         if kind == "PRIM" or kind in KEYWORDS:
-            self.name()    # raises the error a misplaced name gets
-        raise self.error(f"expected a pattern, found {self.text!r}")
+            self.name(pos)    # raises the error a misplaced name gets
+        raise self.error(f"expected a pattern, found {texts[pos]!r}", pos)
 
 
 def parse_met(text: str) -> MetExpr:
@@ -370,9 +407,10 @@ def parse_met(text: str) -> MetExpr:
 def _parse(text: str) -> MetExpr:
     parser = _Parser(text)
     try:
-        expr = parser.expr()
+        expr = parser.expr(0)
     except RecursionError:
         raise ParseError("input nested too deeply") from None
-    if parser.kind != "EOF":
-        raise parser.error(f"trailing input starting at {parser.text!r}")
+    pos = parser.pos
+    if parser.kinds[pos] != "EOF":
+        raise parser.error(f"trailing input starting at {parser.texts[pos]!r}", pos)
     return expr

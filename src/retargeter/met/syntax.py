@@ -78,7 +78,7 @@ def record(cls: type[T]) -> type[T]:
     registers the fields and ``__match_args__`` and builds the slotted
     class.  ``__init__``, ``__eq__``, ``__hash__`` and ``__repr__`` are
     compiled once per field signature, the field names and whether the
-    class has ``__post_init__`` (23 signatures for the package's 46
+    class has ``__post_init__`` (22 signatures for the package's 44
     records), and each class makes its own functions from a copy of that
     code over a namespace of its slot setters; their bodies are those
     ``dataclass`` generates, so building, comparing and hashing cost what

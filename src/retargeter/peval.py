@@ -6,8 +6,12 @@ residual program ``r`` such that running ``r`` on any ``i2`` equals
 running ``e`` on the pair ``(i1, i2)`` whenever the latter is defined.
 
 The specializer is online: binding times are discovered while walking
-the program.  Specialization-time values extend the static/dynamic split
-with two structured forms that the workload needs:
+the program, and a specialization-time value's class is its binding time
+(Jones, Gomard & Sestoft 1993).  A value known at specialization time is
+the ``MetValue`` itself, and residual code standing for a runtime value
+is the ``MetExpr`` itself; the two base classes are disjoint, so neither
+is wrapped, and a binding-time test is a class test.  Two structured
+forms that the workload needs extend that split:
 
 * a tuple whose components have different binding times (the top-level
   argument is exactly that: known program, unknown input), and
@@ -48,7 +52,7 @@ constructor), and binds a known value with the pattern's cached
 Three shapes of the abstract interpreter run as one closure each, as the
 evaluator's superoperators do (Proebsting 1995).  A call ``f (a, b)`` of
 a variable on two leaves (a variable, or a projection path over one)
-reads the leaves inline, through ``SplitTuple`` and ``Static`` tuples,
+reads the leaves inline, through ``SplitTuple`` and known ``VTuple``s,
 and unfolds a ``PEClosure`` itself.  A ``match`` on a leaf reads it
 inline and binds a known constructor inline where its tag's first
 candidate is a constructor over variables and wildcards.  An abstract
@@ -106,26 +110,8 @@ from .met.syntax import (
 # ---------------------------------------------------------------------------
 
 
-class PEValue:
-    __slots__ = ()
-
-
 @record
-class Static(PEValue):
-    """A value fully known at specialization time."""
-
-    value: MetValue
-
-
-@record
-class Dynamic(PEValue):
-    """A residual code fragment standing for a runtime value."""
-
-    expr: MetExpr
-
-
-@record
-class SplitTuple(PEValue):
+class SplitTuple:
     """A tuple whose components have different binding times."""
 
     fst: PEValue
@@ -133,13 +119,17 @@ class SplitTuple(PEValue):
 
 
 @record
-class PEClosure(PEValue):
+class PEClosure:
     """A function known at specialization time; applications unfold."""
 
     param: str
     body: MetExpr
     env: dict[str, PEValue]
     self_name: str | None = None
+
+
+# A known value is a ``MetValue``, a residual fragment a ``MetExpr``.
+PEValue = MetValue | MetExpr | SplitTuple | PEClosure
 
 
 def reify(v: MetValue) -> MetExpr:
@@ -191,33 +181,25 @@ class _Specializer:
 
     def apply(self, vf: PEValue, va: PEValue) -> PEValue:
         t = type(vf)
-        if t is PEClosure:
+        if t is PEClosure or t is VClosure:
             self.spend_unfold()
             call_env = dict(vf.env)
             call_env[vf.param] = va
             if vf.self_name is not None:
                 call_env[vf.self_name] = vf
-            return _code(vf.body)(call_env, self)
-        if t is Static and type(vf.value) is VClosure:
-            closure = vf.value
-            self.spend_unfold()
-            call_env = {k: Static(v) for k, v in closure.env.items()}
-            call_env[closure.param] = va
-            if closure.self_name is not None:
-                call_env[closure.self_name] = vf
-            # The closure came with the static input: compile its body
-            # for this call only, so nothing is cached on that input.
-            body = closure.body
+            body = vf.body
+            if t is PEClosure:
+                return _code(body)(call_env, self)
+            # A closure that came with the static input: its body is
+            # compiled for this call only, so nothing is cached on that input.
             return _COMPILERS[type(body)](body)(call_env, self)
-        if t is Dynamic:
-            return Dynamic(App(vf.expr, self.residualize(va)))
+        if isinstance(vf, MetExpr):
+            return App(vf, self.residualize(va))
         raise StuckError("application of a non-function")
 
     def spend_unfold(self) -> None:
         if self.unfolds_left <= 0:
-            raise FuelExhausted(
-                f"specialization exceeded {self.limit} call unfoldings"
-            )
+            raise FuelExhausted(f"specialization exceeded {self.limit} call unfoldings")
         self.unfolds_left -= 1
 
     def residual_match(self, scrutinee: PEValue,
@@ -226,27 +208,27 @@ class _Specializer:
         out = []
         for pat, names, body in branches:
             renaming = {name: self.fresh(name) for name in names}
-            bound = {old: Dynamic(Var(new)) for old, new in renaming.items()}
+            bound = {old: Var(new) for old, new in renaming.items()}
             body_v = body({**env, **bound}, self)
             out.append((rename_pattern(pat, renaming), self.residualize(body_v)))
-        return Dynamic(Match(self.residualize(scrutinee), tuple(out)))
+        return Match(self.residualize(scrutinee), tuple(out))
 
     def residualize(self, v: PEValue) -> MetExpr:
+        if isinstance(v, MetExpr):
+            return v
+        if isinstance(v, MetValue):
+            return reify(v)
         t = type(v)
-        if t is Dynamic:
-            return v.expr
-        if t is Static:
-            return reify(v.value)
         if t is SplitTuple:
             return Tuple(self.residualize(v.fst), self.residualize(v.snd))
         if t is PEClosure:
             fresh_param = self.fresh(v.param)
-            inner = {**v.env, v.param: Dynamic(Var(fresh_param))}
+            inner = {**v.env, v.param: Var(fresh_param)}
             body = _code(v.body)
             if v.self_name is None:
                 return Lambda(fresh_param, self.residualize(body(inner, self)))
             fresh_self = self.fresh(v.self_name)
-            inner[v.self_name] = Dynamic(Var(fresh_self))
+            inner[v.self_name] = Var(fresh_self)
             rebuilt = self.residualize(body(inner, self))
             return LetRecFun(fresh_self, fresh_param, rebuilt, Var(fresh_self))
         raise TypeError(f"not a specialization-time value: {v!r}")
@@ -259,12 +241,10 @@ def _pe_match_pattern(pat: Pattern, v: PEValue):
         return {}
     if tp is PVar:
         return {pat.name: v}
+    if isinstance(v, MetValue):
+        bindings = binder(pat)(v, {})
+        return _NO_MATCH if bindings is None else bindings
     t = type(v)
-    if t is Static:
-        bindings = binder(pat)(v.value, {})
-        if bindings is None:
-            return _NO_MATCH
-        return {name: Static(val) for name, val in bindings.items()}
     if t is SplitTuple:
         if tp is not PTuple:
             # The runtime value is certainly a tuple.
@@ -278,7 +258,7 @@ def _pe_match_pattern(pat: Pattern, v: PEValue):
         return {**left, **right}
     if t is PEClosure:
         return _NO_MATCH
-    if t is Dynamic:
+    if isinstance(v, MetExpr):
         return _UNKNOWN
     raise TypeError(f"not a specialization-time value: {v!r}")
 
@@ -320,7 +300,7 @@ def _compile_var(node: Var) -> Code:
 
 
 def _compile_int(node: IntLit) -> Code:
-    value = Static(VInt(node.value))
+    value = VInt(node.value)
     return lambda env, spec: value
 
 
@@ -331,8 +311,8 @@ def _compile_tuple(node: Tuple) -> Code:
     def code(env, spec):
         va = fst(env, spec)
         vb = snd(env, spec)
-        if type(va) is Static and type(vb) is Static:
-            return Static(VTuple(va.value, vb.value))
+        if isinstance(va, MetValue) and isinstance(vb, MetValue):
+            return VTuple(va, vb)
         return SplitTuple(va, vb)
     return code
 
@@ -344,20 +324,15 @@ def _compile_proj(node: Proj1 | Proj2) -> Code:
     def code(env, spec):
         v = arg(env, spec)
         t = type(v)
-        if t is SplitTuple:
+        if t is SplitTuple or t is VTuple:
             return v.fst if first else v.snd
-        if t is Static:
-            value = v.value
-            if type(value) is VTuple:
-                return Static(value.fst if first else value.snd)
-            if type(value) is VAbs:
-                # Reached from an abstract static input.  Abstract
-                # primitives (projections included) never run at
-                # specialization time, and residualizing would need a
-                # literal.
-                raise ReifyError("projection of an abstract value at specialization time")
-        elif t is Dynamic:
-            return Dynamic(Proj1(v.expr) if first else Proj2(v.expr))
+        if t is VAbs:
+            # Reached from an abstract static input.  Abstract primitives
+            # (projections included) never run at specialization time,
+            # and residualizing would need a literal.
+            raise ReifyError("projection of an abstract value at specialization time")
+        if isinstance(v, MetExpr):
+            return Proj1(v) if first else Proj2(v)
         raise StuckError("projection of a non-tuple")
     return code
 
@@ -367,11 +342,11 @@ def _compile_construct(node: Construct) -> Code:
     args = tuple(_COMPILERS[type(a)](a) for a in node.args)
 
     def code(env, spec):
-        vs = [a(env, spec) for a in args]
+        vs = tuple([a(env, spec) for a in args])
         for v in vs:
-            if type(v) is not Static:
-                return Dynamic(Construct(tag, tuple([spec.residualize(v) for v in vs])))
-        return Static(VConstruct(tag, tuple([v.value for v in vs])))
+            if not isinstance(v, MetValue):
+                return Construct(tag, tuple([spec.residualize(v) for v in vs]))
+        return VConstruct(tag, vs)
     return code
 
 
@@ -394,30 +369,25 @@ def _compile_match(node: Match) -> Code:
     def code(env, spec):
         v = env.get(name)
         for first in path:
-            t = type(v)
-            if t is SplitTuple:
-                v = v.fst if first else v.snd
-            elif t is Static and type(v.value) is VTuple:
-                v = Static(v.value.fst if first else v.value.snd)
-            else:
+            if type(v) is not SplitTuple and type(v) is not VTuple:
                 v = None
                 break
+            v = v.fst if first else v.snd
         if v is None:
             v = scrutinee(env, spec)
-        t = type(v)
-        if t is Dynamic:
-            return spec.residual_match(v, residual, env)
-        if t is Static and type(v.value) is VConstruct:
-            arity, slots, body = inline.get(v.value.tag, (-1, (), None))   # -1: no arity
-            args = v.value.args
+        if type(v) is VConstruct:
+            arity, slots, body = inline.get(v.tag, (-1, (), None))   # -1: no arity
+            args = v.args
             if len(args) == arity:
                 if not slots:
                     return body(env, spec)
                 inner = dict(env)
                 for i, n in slots:
-                    inner[n] = Static(args[i])
+                    inner[n] = args[i]
                 return body(inner, spec)
-            tried = by_tag.get(v.value.tag, others)
+            tried = by_tag.get(v.tag, others)
+        elif isinstance(v, MetExpr):
+            return spec.residual_match(v, residual, env)
         else:
             tried = others
         for pat, body in tried:
@@ -438,10 +408,10 @@ def _compile_let(node: Let) -> Code:
 
     def code(env, spec):
         bv = bound(env, spec)
-        if type(bv) is Dynamic:
+        if isinstance(bv, MetExpr):
             fresh = spec.fresh(name)
-            result = body({**env, name: Dynamic(Var(fresh))}, spec)
-            return Dynamic(Let(fresh, bv.expr, spec.residualize(result)))
+            result = body({**env, name: Var(fresh)}, spec)
+            return Let(fresh, bv, spec.residualize(result))
         return body({**env, name: bv}, spec)
     return code
 
@@ -489,29 +459,21 @@ def _compile_pair_call(node: App) -> Code:
     def code(env, spec):
         vf, va, vb = env.get(name), env.get(an), env.get(bn)
         for first in apath:
-            t = type(va)
-            if t is SplitTuple:
-                va = va.fst if first else va.snd
-            elif t is Static and type(va.value) is VTuple:
-                va = Static(va.value.fst if first else va.value.snd)
-            else:
+            if type(va) is not SplitTuple and type(va) is not VTuple:
                 va = None
                 break
+            va = va.fst if first else va.snd
         for first in bpath:
-            t = type(vb)
-            if t is SplitTuple:
-                vb = vb.fst if first else vb.snd
-            elif t is Static and type(vb.value) is VTuple:
-                vb = Static(vb.value.fst if first else vb.value.snd)
-            else:
+            if type(vb) is not SplitTuple and type(vb) is not VTuple:
                 vb = None
                 break
+            vb = vb.fst if first else vb.snd
         if type(vf) is not PEClosure or va is None or vb is None or spec.unfolds_left <= 0:
             return slow(env, spec)
         spec.unfolds_left -= 1
         inner = dict(vf.env)
-        if type(va) is Static and type(vb) is Static:
-            inner[vf.param] = Static(VTuple(va.value, vb.value))
+        if isinstance(va, MetValue) and isinstance(vb, MetValue):
+            inner[vf.param] = VTuple(va, vb)
         else:
             inner[vf.param] = SplitTuple(va, vb)
         if vf.self_name is not None:
@@ -535,7 +497,7 @@ def _compile_prim(node: Prim) -> Code:
 
         def code(env, spec):
             va = a(env, spec)
-            return Dynamic(Prim(op, (va.expr if type(va) is Dynamic else spec.residualize(va),)))
+            return Prim(op, (va if isinstance(va, MetExpr) else spec.residualize(va),))
         return code
     if op.is_abstract and len(args) == 2:
         a, b = args
@@ -543,8 +505,8 @@ def _compile_prim(node: Prim) -> Code:
         def code(env, spec):
             va = a(env, spec)
             vb = b(env, spec)
-            return Dynamic(Prim(op, (va.expr if type(va) is Dynamic else spec.residualize(va),
-                                     vb.expr if type(vb) is Dynamic else spec.residualize(vb))))
+            return Prim(op, (va if isinstance(va, MetExpr) else spec.residualize(va),
+                             vb if isinstance(vb, MetExpr) else spec.residualize(vb)))
         return code
     # Concrete arithmetic on known operands folds; it needs no domain.
     implementation = None if op.is_abstract else PRIMITIVES[op]
@@ -553,11 +515,11 @@ def _compile_prim(node: Prim) -> Code:
         vs = [a(env, spec) for a in args]
         if implementation is not None:
             for v in vs:
-                if type(v) is not Static:
+                if not isinstance(v, MetValue):
                     break
             else:
-                return Static(implementation(*[v.value for v in vs], None))
-        return Dynamic(Prim(op, tuple([spec.residualize(v) for v in vs])))
+                return implementation(*vs, None)
+        return Prim(op, tuple([spec.residualize(v) for v in vs]))
     return code
 
 
@@ -604,7 +566,7 @@ def specialize(e: MetExpr, static_input: MetValue) -> MetExpr:
     try:
         fn = _code(e)({}, spec)
         param = spec.fresh("i")
-        arg = SplitTuple(Static(static_input), Dynamic(Var(param)))
+        arg = SplitTuple(static_input, Var(param))
         result = spec.apply(fn, arg)
         return Lambda(param, spec.residualize(result))
     except RecursionError:

@@ -123,11 +123,76 @@ class TestParseErrors:
 
     def test_identifiers_keep_unicode_letters(self):
         assert parse_met("fun \u00e9 -> \u00e9") == Lambda("\u00e9", Var("\u00e9"))
+        assert parse_met("fun _\u00e9 -> _\u00e9") == Lambda("_\u00e9", Var("_\u00e9"))
 
     def test_error_position_counts_comment_lines(self):
         with pytest.raises(ParseError) as err:
             parse_met("# target: single\nfun i -> @")
         assert (err.value.line, err.value.column) == (2, 10)
+
+
+def at_depth(frames: int, f):
+    """``f()``, called ``frames`` host frames below this one."""
+    return f() if frames == 0 else at_depth(frames - 1, f)
+
+
+def parse_afresh(text: str, frames: int):
+    """``parse_met(text)`` called ``frames`` frames down, the memo emptied."""
+    parser._parse.cache_clear()
+    return at_depth(frames, lambda: parse_met(text))
+
+
+def levels(e) -> int:
+    """The nesting of a chain of one-child nodes or of nodes whose last
+    argument nests, counted without recursion."""
+    n = 0
+    while type(e) is not Var:
+        e = e.arg if type(e) is Proj1 else e.args[-1]
+        n += 1
+    return n
+
+
+class TestNestingLimit:
+    """Brackets are counted, so the limit does not depend on how deep in
+    the host stack ``parse_met`` is called."""
+
+    @pytest.mark.parametrize("frames", [0, 300])
+    @pytest.mark.parametrize("opening, nodes", [
+        ("(", 0), ("(x, ", 0), ("eta(", 1), ("aadd(x, ", 1), ("Fst(", 1), ("Pair(1, ", 1),
+    ], ids=["parentheses", "tuples", "arguments", "second-arguments",
+            "constructor-arguments", "second-constructor-arguments"])
+    def test_the_limit_deep_text_parses_and_one_deeper_fails(self, opening, nodes, frames):
+        limit = parser.NESTING_LIMIT
+        assert 246 <= limit < 400
+        deep = parse_afresh(opening * limit + "x" + ")" * limit, frames)
+        if opening != "(x, ":
+            assert levels(deep) == nodes * limit
+        with pytest.raises(ParseError, match="nested too deeply") as err:
+            parse_afresh(opening * (limit + 1) + "x" + ")" * (limit + 1), frames)
+        assert err.value.line is None
+
+    @pytest.mark.parametrize("frames", [0, 300])
+    def test_a_run_of_projections_has_its_own_limit(self, frames):
+        limit = parser.PROJECTION_LIMIT
+        deep = parse_afresh("fun i -> eta(" + "fst " * limit + "i)", frames)
+        assert levels(deep.body) == limit + 1
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_afresh("fst " * (limit + 1) + "i", frames)
+
+    def test_pattern_brackets_are_not_counted(self):
+        depth = parser.NESTING_LIMIT + 100
+        text = f"match x with {'Fst(' * depth}y{')' * depth} -> y"
+        pat = parse_afresh(text, 0).branches[0][0]
+        for _ in range(depth):
+            pat = pat.args[0]
+        assert pat == PVar("y")
+
+    def test_nesting_past_the_limit_inside_let_and_match_fails(self):
+        limit = parser.NESTING_LIMIT
+        inner = "eta(" * limit + "x" + ")" * limit
+        assert parse_afresh(f"let y = 1 in match y with | _ -> {inner}", 0)
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_afresh(f"let y = 1 in match y with | _ -> ({inner})", 0)
 
 
 class TestMemo:

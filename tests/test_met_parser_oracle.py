@@ -1,11 +1,13 @@
 """The ``.met`` parser against ``rule_parser``, the parser it replaced.
 
 Both parse the same texts: printed random ASTs, the printed residuals of
-every target×domain pair and the abstract interpreter, and seeded
-mutations of those texts.  Each text must give an equal AST from both, or
-a ``ParseError`` with an equal message, line and column.  Non-ASCII digits
-are left out of the mutations: the old tokenizer reads them as integer
-literals, the new one rejects them (``test_met_parser.py`` pins that).
+every target×domain pair and the abstract interpreter, the printed
+residuals of random source programs drawn as the ``compile`` benchmark
+draws them, and seeded mutations of those texts.  Each text must give an
+equal AST from both, or a ``ParseError`` with an equal message, line and
+column.  Non-ASCII digits are left out of the mutations: the old
+tokenizer reads them as integer literals, the new one rejects them
+(``test_met_parser.py`` pins that).
 
 Runs under pytest, or alone without it::
 
@@ -24,13 +26,16 @@ from retargeter.domains import DOMAINS
 from retargeter.errors import ParseError
 from retargeter.met.parser import parse_met
 from retargeter.met.printer import print_met
+from retargeter.peval import specialize
 from retargeter.retargeting import retarget
+from retargeter.srclang import embed_src_expr, random_src_expr
 from retargeter.tgtlang import TARGETS
 
 # Printable ASCII, with tab, newline and carriage return, plus a non-ASCII
 # space and a non-ASCII letter.
 ALPHABET = string.printable + "\xa0é"
 MUTATIONS = 6000
+COMPILED = 120      # source programs whose residuals are seed texts
 
 
 def outcome(parse, text: str):
@@ -45,7 +50,12 @@ def seed_texts() -> list[str]:
     texts = [print_met(random_met_expr(rng, rng.randint(0, 5))) for _ in range(300)]
     texts += [f"# target: {t}\n{print_met(retarget(t, d).residual)}"
               for t in TARGETS for d in DOMAINS.values()]
-    texts.append(print_met(build_abstract_interpreter()))
+    interpreter = build_abstract_interpreter()
+    texts.append(print_met(interpreter))
+    rng = random.Random(0)
+    texts += [print_met(specialize(interpreter, embed_src_expr(
+                  random_src_expr(rng, "int", rng.randint(3, 7)))))
+              for _ in range(COMPILED)]
     return texts
 
 

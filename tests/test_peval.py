@@ -106,6 +106,12 @@ class TestSpecializeExamples:
         ok, spec, direct, _ = eq3_holds(expr, VInt(3), VInt(9))
         assert ok and spec == VInt(27)
 
+    def test_a_tuple_of_known_parts_is_known(self):
+        # So a constructor over it is known, the match on that is decided,
+        # and arithmetic on the tuple's parts folds.
+        expr = parse_met("fun x -> match Num((fst x, 2)) with Num(q) -> fst q + snd q")
+        assert specialize(expr, VInt(40)) == Lambda("i", IntLit(42))
+
     def test_residual_let_is_kept_for_dynamic_bindings(self):
         expr = parse_met("fun x -> let d = snd x + 1 in d * d")
         residual = specialize(expr, VInt(0))

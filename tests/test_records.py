@@ -85,7 +85,7 @@ EXAMPLES = [
     srclang.Pair(srclang.X(), srclang.Num(2)), srclang.Fst(srclang.X()), srclang.Snd(srclang.X()),
     srclang.If(srclang.X(), srclang.Num(1), srclang.Num(0)),
     srclang.SInt(7), srclang.SPair(srclang.SInt(1), srclang.SInt(2)),
-    peval.Static(VInt(1)), peval.Dynamic(_x), peval.SplitTuple(peval.Static(VInt(1)), peval.Dynamic(_x)),
+    peval.SplitTuple(VInt(1), _x),
     peval.PEClosure("x", _x, {}), peval.ResidualStats({"Var": 1}, False, {}),
     SignSet.of(Sign.NEG, Sign.ZERO), Interval(-1, None), BOT, TOP, _pos, APair(_pos, TOP),
     tgtlang.TgtProgram((tgtlang.Instr("add", 2),)),
@@ -240,7 +240,7 @@ def test_docstrings_are_those_of_a_plain_frozen_dataclass():
 
 
 def test_replace_asdict_and_foreign_comparisons_are_those_of_the_twin():
-    others = ["x", None, 0, VInt(1), peval.Static(VInt(1))]
+    others = ["x", None, 0, VInt(1), peval.SplitTuple(VInt(1), _x)]
     for k, example in enumerate(EXAMPLES):
         cls = type(example)
         plain = twin(cls)

@@ -26,11 +26,11 @@ def run(hash_seed: str) -> dict:
 def test_counts_are_the_same_on_every_run_and_hash_seed():
     table = run("0")["per_analysis"]
     # Meta-level and residual analysis for two targets and two domains,
-    # the three stages of a specialization round trip, and a command-line
+    # the four phases of a specialization round trip, and a command-line
     # request through the residual and at meta level.
-    assert len(table) == 13
+    assert len(table) == 14
     assert sorted(key for key in table if key.startswith("compile/")) == [
-        "compile/parse_met", "compile/print_met", "compile/specialize"]
+        "compile/embed", "compile/parse_met", "compile/print_met", "compile/specialize"]
     assert sorted(key for key in table if key.startswith("cli/")) == [
         "cli/analyze", "cli/analyze-specialized"]
     for key, row in table.items():

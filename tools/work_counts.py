@@ -14,8 +14,10 @@ entered) and the bytecodes executed by meta-level analysis
 The ``compile`` rows count the specialization round trip the same way,
 per source program: ``N`` programs drawn from ``random.Random(SEED)`` with
 ``random_src_expr`` at depths 3 to 7, as the ``compile`` benchmark draws
-them.  ``specialize`` specializes the abstract interpreter to each,
-``print_met`` prints the residual and ``parse_met`` parses that text.
+them.  ``embed`` embeds each as meta-language data (``embed_src_expr``),
+``specialize`` specializes the abstract interpreter to that, ``print_met``
+prints the residual and ``parse_met`` parses that text: the four phases of
+one ``compile`` op.
 ``parse_met``'s memo is emptied before each parse, since a round trip
 parses a new text every time.
 
@@ -154,12 +156,13 @@ def counts(programs: int) -> dict:
 
     interpreter = build_abstract_interpreter()
     rng = random.Random(SEED)
-    embedded = [embed_src_expr(random_src_expr(rng, "int", rng.randint(3, 7)))
-                for _ in range(programs)]
+    sources = [random_src_expr(rng, "int", rng.randint(3, 7)) for _ in range(programs)]
+    embedded = [embed_src_expr(p) for p in sources]
     residuals = [specialize(interpreter, e) for e in embedded]
     texts = [print_met(r) for r in residuals]
     forget = parser._parse.cache_clear
     stages = {
+        "embed": [lambda p=p: embed_src_expr(p) for p in sources],
         "specialize": [lambda e=e: specialize(interpreter, e) for e in embedded],
         "print_met": [lambda r=r: print_met(r) for r in residuals],
         "parse_met": [lambda t=t: (forget(), parser.parse_met(t)) for t in texts],
