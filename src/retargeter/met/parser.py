@@ -47,8 +47,10 @@ from it.
 The parser spends one host frame per level of nesting.  Brackets in an
 expression (parentheses and argument lists) are counted, and opening one
 more than ``NESTING_LIMIT`` at once is "input nested too deeply" however
-deep in the host stack ``parse_met`` is called; so is a run of more than
-``PROJECTION_LIMIT`` projections.  The host stack bounds the rest (the
+deep in the host stack ``parse_met`` is called.  So are more than
+``PROJECTION_LIMIT`` ``fst``/``snd`` open at once, counted across
+brackets, which bounds every projection chain in the tree; a prefix
+costs no frame.  The host stack bounds the rest (the
 bodies of ``let``, ``fun`` and ``match``, and patterns), and running out
 of it gives the same error.
 
@@ -116,7 +118,10 @@ class _Kinds(dict):
     "INT", "PRIM", "EOF", or the text itself; None for no token."""
 
     def __missing__(self, text):
-        return _FIRST.get(text[0])
+        kind = _FIRST.get(text[0])
+        if kind is None and text[0].isalpha():    # a non-ASCII name or tag
+            kind = "TAG" if text[0].isupper() else "NAME"
+        return kind
 
 
 _KINDS = _Kinds({**{k: k for k in KEYWORDS}, **{p: "PRIM" for p in _PRIMS},
@@ -129,8 +134,8 @@ _IDENT_CHARS = frozenset("0123456789_'")
 _ADD, _MUL, _EQ = PrimOp.ADD, PrimOp.MUL, PrimOp.EQ
 
 # A bracket costs the parser one host frame, so a text this deep parses at
-# any caller depth with room to spare.  A run of projections costs none;
-# its limit keeps the projection paths the evaluator compiles short.
+# any caller depth with room to spare.  A projection costs none, and the
+# parser that spent a frame on each stopped short of this many.
 NESTING_LIMIT = 300
 PROJECTION_LIMIT = 1000
 
@@ -165,14 +170,12 @@ def tokenize(source: str) -> tuple[list[str], list[str]]:
     for text, kind in zip(texts, kinds):
         if kind == "#":
             continue
-        if kind is None or (kind == "NAME" or kind == "TAG") and not text.isascii():
-            c = text[0]
-            if not (c.isalpha() or c == "_"):
-                raise _error(source, f"unexpected character {c!r}", len(kept_texts))
+        if kind is None:
+            raise _error(source, f"unexpected character {text[0]!r}", len(kept_texts))
+        if not text.isascii():          # an identifier that starts with a letter
             for k, ch in enumerate(text):
                 if not (ch.isalpha() or ch in _IDENT_CHARS):
                     raise _error(source, f"unexpected character {ch!r}", len(kept_texts), k)
-            kind = "TAG" if c.isupper() else "NAME"
         kept_texts.append(text)
         kept_kinds.append(kind)
     return kept_texts, kept_kinds
@@ -196,13 +199,8 @@ class _Parser:
         return self.error(f"expected {kind!r}, found {self.texts[pos]!r}", pos)
 
     def int_literal(self, pos: int) -> int:
-        """The literal at ``pos``, which is ASCII digits after an optional "-"."""
         try:
-            return int(self.texts[pos])
-        except ValueError:      # more digits than int() converts
-            pass
-        try:
-            return parse_int(self.texts[pos])    # raises the message every front end gives
+            return parse_int(self.texts[pos])
         except ParseError as err:
             raise self.error(str(err), pos) from None
 
@@ -224,8 +222,9 @@ class _Parser:
 
     # -- expressions ------------------------------------------------------
 
-    def expr(self, depth: int) -> MetExpr:
-        """The expression at ``pos``, inside ``depth`` open brackets."""
+    def expr(self, depth: int, projs: int) -> MetExpr:
+        """The expression at ``pos``, inside ``depth`` open brackets and
+        ``projs`` open projections."""
         kinds, texts = self.kinds, self.texts
         pos = self.pos
         kind = kinds[pos]
@@ -238,23 +237,23 @@ class _Parser:
             if kinds[pos + 2] != "=":
                 raise self.expected("=", pos + 2)
             self.pos = pos + 3
-            bound = self.expr(depth)
+            bound = self.expr(depth, projs)
             pos = self.pos
             if kinds[pos] != "in":
                 raise self.expected("in", pos)
             self.pos = pos + 1
             if rec:
-                return LetRecFun(fname, name, bound, self.expr(depth))
-            return Let(name, bound, self.expr(depth))
+                return LetRecFun(fname, name, bound, self.expr(depth, projs))
+            return Let(name, bound, self.expr(depth, projs))
         if kind == "fun":
             param = self.name(pos + 1)
             if kinds[pos + 2] != "->":
                 raise self.expected("->", pos + 2)
             self.pos = pos + 3
-            return Lambda(param, self.expr(depth))
+            return Lambda(param, self.expr(depth, projs))
         if kind == "match":
             self.pos = pos + 1
-            scrutinee = self.expr(depth)
+            scrutinee = self.expr(depth, projs)
             pos = self.pos
             if kinds[pos] != "with":
                 raise self.expected("with", pos)
@@ -269,7 +268,7 @@ class _Parser:
                 if kinds[pos] != "->":
                     raise self.expected("->", pos)
                 self.pos = pos + 1
-                branches.append((pat, self.expr(depth)))
+                branches.append((pat, self.expr(depth, projs)))
                 pos = self.pos
                 if kinds[pos] != "|":
                     return Match(scrutinee, tuple(branches))
@@ -283,7 +282,8 @@ class _Parser:
             while kind == "fst" or kind == "snd":
                 pos += 1
                 kind = kinds[pos]
-            if pos - start > PROJECTION_LIMIT:
+            opened = projs + pos - start
+            if opened > PROJECTION_LIMIT:
                 raise ParseError("input nested too deeply")
             first, e = pos, None
             while True:                 # app: atom {atom}
@@ -310,7 +310,7 @@ class _Parser:
                                 pos += 1
                             else:
                                 self.pos = pos
-                                items.append(self.expr(depth + 1))
+                                items.append(self.expr(depth + 1, opened))
                                 pos = self.pos
                             if kinds[pos] != "," or kind == "(" and len(items) == 2:
                                 break
@@ -407,7 +407,7 @@ def parse_met(text: str) -> MetExpr:
 def _parse(text: str) -> MetExpr:
     parser = _Parser(text)
     try:
-        expr = parser.expr(0)
+        expr = parser.expr(0, 0)
     except RecursionError:
         raise ParseError("input nested too deeply") from None
     pos = parser.pos

@@ -26,6 +26,7 @@ from retargeter.met.syntax import (
     Prim,
     PrimOp,
     Proj1,
+    Proj2,
     Tuple,
     Var,
 )
@@ -147,7 +148,7 @@ def levels(e) -> int:
     argument nests, counted without recursion."""
     n = 0
     while type(e) is not Var:
-        e = e.arg if type(e) is Proj1 else e.args[-1]
+        e = e.arg if type(e) in (Proj1, Proj2) else e.args[-1]
         n += 1
     return n
 
@@ -178,6 +179,26 @@ class TestNestingLimit:
         assert levels(deep.body) == limit + 1
         with pytest.raises(ParseError, match="nested too deeply"):
             parse_afresh("fst " * (limit + 1) + "i", frames)
+
+    @pytest.mark.parametrize("frames", [0, 300])
+    def test_projections_are_counted_across_brackets(self, frames):
+        # The projections of a chain add up whatever brackets split it,
+        # so no projection chain in a parsed tree is longer than the limit.
+        half = parser.PROJECTION_LIMIT // 2
+        deep = parse_afresh("fun i -> eta(" + "fst " * half + "((" + "snd " * half + "i)))",
+                            frames)
+        assert levels(deep.body) == 2 * half + 1
+        for text in ("fst " * 600 + "(" + "fst " * 600 + "i)",
+                     "fun i -> eta(" + ("fst " * 1000 + "(") * 50 + "i" + ")" * 51,
+                     "fst " * half + "(let y = 1 in " + "snd " * (half + 1) + "y)"):
+            with pytest.raises(ParseError, match="nested too deeply"):
+                parse_afresh(text, frames)
+
+    def test_projection_runs_side_by_side_are_not_added(self):
+        limit = parser.PROJECTION_LIMIT
+        run = "fst " * limit + "x"
+        pair = parse_afresh(f"({run}, {run} + {run})", 0)
+        assert levels(pair.fst) == limit
 
     def test_pattern_brackets_are_not_counted(self):
         depth = parser.NESTING_LIMIT + 100
