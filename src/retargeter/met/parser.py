@@ -134,8 +134,8 @@ _IDENT_CHARS = frozenset("0123456789_'")
 _ADD, _MUL, _EQ = PrimOp.ADD, PrimOp.MUL, PrimOp.EQ
 
 # A bracket costs the parser one host frame, so a text this deep parses at
-# any caller depth with room to spare.  A projection costs none, and the
-# parser that spent a frame on each stopped short of this many.
+# any caller depth.  A projection costs none; its limit bounds the chains
+# that the evaluator compiles in space quadratic in their length.
 NESTING_LIMIT = 300
 PROJECTION_LIMIT = 1000
 
