@@ -520,6 +520,22 @@ def abs_proj(a: AbsValue, first: bool) -> AbsValue:
     raise TypeError(f"not an abstract value: {a!r}")
 
 
+def abs_proj_path(a: AbsValue, path: tuple[bool, ...]) -> AbsValue:
+    """``abs_proj`` applied along ``path``, innermost projection first
+    (True for first), in one walk: Top stays Top and a number or Bot
+    projects to Bot, whatever levels remain."""
+    for first in path:
+        if type(a) is not APair:
+            t = type(a)
+            if t is Top:
+                return TOP
+            if t is Num or t is Bot:
+                return BOT
+            raise TypeError(f"not an abstract value: {a!r}")
+        a = a.fst if first else a.snd
+    return a
+
+
 # ---------------------------------------------------------------------------
 # Bridges to meta-language values
 # ---------------------------------------------------------------------------

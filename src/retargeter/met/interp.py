@@ -20,9 +20,10 @@ are fused into superoperators (Proebsting, "Optimizing an ANSI C
 interpreter with superoperators", 1995):
 
 * A path of k projections over a variable, such as ``snd (fst (fst x))``,
-  is one closure.  It walks the path, calls ``domains.abs_proj`` once per
-  level from the first abstract value on, boxes the result once, and
-  spends its k + 1 steps at once.
+  is one closure.  It walks the tuples on the path, hands the rest of the
+  path, from the first abstract value on, to one
+  ``domains.abs_proj_path`` call, boxes the result once, and spends its
+  k + 1 steps at once.
 * ``eta`` of an integer literal is computed once, when its node is
   compiled, and spends its two steps at once.
 * An application of a variable, ``f e``, is one closure.  It spends the
@@ -47,24 +48,42 @@ interpreter with superoperators", 1995):
   tag's first candidate branch is a constructor over variables and
   wildcards (:func:`_flat`), a value of that tag and arity binds inline,
   without calling the binder.
-* Abstract primitives and fused paths box a result through ``VAbs``'s
-  slot setter, as ``domains._num`` does, which runs no host frame.
+* An abstract primitive (``aadd``, ``amul``, ``aeq``, ``ajoin``,
+  ``fne0``, ``feq0``) computes with unboxed operands (Peyton Jones &
+  Launchbury, "Unboxed values as first class citizens", 1991) and calls
+  its domain function itself.  An operand that is an abstract primitive,
+  ``eta`` of a literal or a leaf returns its abstract value without a
+  ``VAbs`` box; any other operand runs its own code.  The primitive runs
+  both operands, then reads each as an abstract value (a ``VAbs``'s value,
+  or ``domains.met_value_to_abs`` of any other meta value), so an operand
+  that is not abstract is stuck only after the other has run, as in the
+  tree walk.  It boxes its result only where a meta value is needed, that
+  is, anywhere but as another abstract primitive's operand.
+* Boxing goes through ``VAbs``'s slot setter, as ``domains._num`` does,
+  which runs no host frame.
 
 A fused form runs only when its whole cost fits in the fuel and every
 read succeeds.  Otherwise the node-by-node code, compiled on first need,
 spends the steps one at a time and raises what the tree walk raises.
-An inline leaf read calls no domain function, so the fallback repeats
-none.
+An inline leaf read calls no domain function, and a fused path calls
+``abs_proj_path`` only once its fuel check and its walk over tuples have
+succeeded, so the fallback repeats no domain call.
 Step counts, the step at which the budget runs out and every
 ``StuckError`` are therefore the same as for a direct tree walk.  A
 tracer that rebinds ``domains`` functions sees every domain call made
-while evaluating except two: ``eta`` of a literal, made once at compile
-time, and the unboxing of an abstract primitive's ``VAbs`` argument,
-which reads the value inline.
+while evaluating, with three differences from the tree walk: ``eta`` of
+a literal is computed once, at compile time; an abstract primitive reads
+a ``VAbs`` operand's value inline, without ``met_value_to_abs``; and a
+fused path asks for the projections on an abstract value in one
+``abs_proj_path`` call, where the tree walk calls ``abs_proj`` once per
+level.
 
-Each primitive operator has one implementation, in :data:`PRIMITIVES`;
-compiled ``Prim`` nodes call it, and so does the specializer when it
-folds concrete arithmetic on known operands.
+Each primitive operator has one implementation, in :data:`PRIMITIVES`.
+``_ABSTRACT`` names the domain function of each abstract operator, once:
+it builds that operator's implementation, and compiled code calls the
+function it names directly.  Other compiled ``Prim`` nodes call their
+implementation, and so does the specializer when it folds concrete
+arithmetic on known operands.
 
 Compiled code is cached on the node it was compiled from, keyed by
 domain, in the ``_compiled`` slot that every ``MetExpr`` has, so it
@@ -81,7 +100,7 @@ import operator
 from typing import Callable, Iterable, Mapping, TypeVar
 
 from .. import domains
-from ..domains import NumericDomain
+from ..domains import AbsValue, NumericDomain
 from ..errors import FuelExhausted, StuckError
 from .syntax import (
     App,
@@ -235,85 +254,50 @@ def _int_rule(symbol: str, fn) -> Callable[..., MetValue]:
 # Domain functions are looked up through the ``domains`` module on every
 # call rather than captured, so rebinding a module attribute (as a tracer
 # does) takes effect in code that is already compiled.
+_DOMAIN_FUNCTIONS = vars(domains)
 
 
 def _eta(a, domain):
     return VAbs(domains.eta_met_value(a, domain))
 
 
-# An abstract primitive reads an abstract argument's value inline, saving
-# a call per argument on every abstract step; only a tuple of abstract
-# values goes through ``met_value_to_abs``.  It boxes its result through
-# the slot setters, as ``domains._num`` does, so boxing runs no host frame.
-_new = object.__new__
-_set_abs = VAbs.value.__set__
-_set_fst, _set_snd = VTuple.fst.__set__, VTuple.snd.__set__
+# Abstract primitive -> the name of the ``domains`` function that computes
+# it, and whether that function takes the numeric domain.
+_ABSTRACT: dict[PrimOp, tuple[str, bool]] = {
+    PrimOp.AADD: ("abs_add", True),
+    PrimOp.AMUL: ("abs_mul", True),
+    PrimOp.AEQ: ("abs_eq", True),
+    PrimOp.AJOIN: ("join", False),
+    PrimOp.AFILTER_NE0: ("filter_nonzero", False),
+    PrimOp.AFILTER_EQ0: ("filter_zero", False),
+}
 
 
-def _aadd(a, b, domain):
-    v = _new(VAbs)
-    _set_abs(v, domains.abs_add(
-        a.value if type(a) is VAbs else domains.met_value_to_abs(a),
-        b.value if type(b) is VAbs else domains.met_value_to_abs(b),
-        domain))
-    return v
-
-
-def _amul(a, b, domain):
-    v = _new(VAbs)
-    _set_abs(v, domains.abs_mul(
-        a.value if type(a) is VAbs else domains.met_value_to_abs(a),
-        b.value if type(b) is VAbs else domains.met_value_to_abs(b),
-        domain))
-    return v
-
-
-def _aeq(a, b, domain):
-    v = _new(VAbs)
-    _set_abs(v, domains.abs_eq(
-        a.value if type(a) is VAbs else domains.met_value_to_abs(a),
-        b.value if type(b) is VAbs else domains.met_value_to_abs(b),
-        domain))
-    return v
-
-
-def _ajoin(a, b, domain):
-    v = _new(VAbs)
-    _set_abs(v, domains.join(
-        a.value if type(a) is VAbs else domains.met_value_to_abs(a),
-        b.value if type(b) is VAbs else domains.met_value_to_abs(b)))
-    return v
-
-
-def _afilter_ne0(a, b, domain):
-    v = _new(VAbs)
-    _set_abs(v, domains.filter_nonzero(
-        a.value if type(a) is VAbs else domains.met_value_to_abs(a),
-        b.value if type(b) is VAbs else domains.met_value_to_abs(b)))
-    return v
-
-
-def _afilter_eq0(a, b, domain):
-    v = _new(VAbs)
-    _set_abs(v, domains.filter_zero(
-        a.value if type(a) is VAbs else domains.met_value_to_abs(a),
-        b.value if type(b) is VAbs else domains.met_value_to_abs(b)))
-    return v
+def _abstract_rule(name: str, takes_domain: bool) -> Callable[..., MetValue]:
+    """The abstract operator computed by the ``domains`` function ``name``."""
+    def rule(a, b, domain):
+        a = a.value if type(a) is VAbs else domains.met_value_to_abs(a)
+        b = b.value if type(b) is VAbs else domains.met_value_to_abs(b)
+        fn = _DOMAIN_FUNCTIONS[name]
+        return VAbs(fn(a, b, domain) if takes_domain else fn(a, b))
+    return rule
 
 
 # The one implementation of each primitive: ``PRIMITIVES[op](*args, domain)``.
+# Compiled code computes an abstract primitive itself, from the same table.
 PRIMITIVES: dict[PrimOp, Callable[..., MetValue]] = {
     PrimOp.ADD: _int_rule("+", operator.add),
     PrimOp.MUL: _int_rule("*", operator.mul),
     PrimOp.EQ: _int_rule("=", lambda x, y: 1 if x == y else 0),
     PrimOp.ETA: _eta,
-    PrimOp.AADD: _aadd,
-    PrimOp.AMUL: _amul,
-    PrimOp.AEQ: _aeq,
-    PrimOp.AJOIN: _ajoin,
-    PrimOp.AFILTER_NE0: _afilter_ne0,
-    PrimOp.AFILTER_EQ0: _afilter_eq0,
+    **{op: _abstract_rule(*spec) for op, spec in _ABSTRACT.items()},
 }
+
+# Boxing through the slot setters, as ``domains._num`` does, runs no host
+# frame.
+_new = object.__new__
+_set_abs = VAbs.value.__set__
+_set_fst, _set_snd = VTuple.fst.__set__, VTuple.snd.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +397,28 @@ def _compile_proj(node: Proj1 | Proj2, domain) -> Code:
     leaf = _leaf(node)
     if leaf is None:
         return _compile_proj_node(node, domain)
-    name, path = leaf
-    suffixes = tuple(path[i:] for i in range(len(path)))
+    return _compile_leaf(node, *leaf, domain, True)
+
+
+def _compile_leaf(node: MetExpr, name: str, path: tuple[bool, ...], domain,
+                  box: bool) -> Code:
+    """A leaf, ``name`` read along ``path``, as one closure.  It walks the
+    tuples on the path, makes one ``domains.abs_proj_path`` call for the
+    rest from the first abstract value on, and returns an abstract result
+    boxed if ``box`` and unboxed otherwise; any other result is the meta
+    value read."""
+    if not path:
+        # A variable, read as an abstract primitive's operand.
+        def code(env, budget):
+            if budget.steps_used >= budget.fuel:
+                budget.tick()
+            budget.steps_used += 1
+            try:
+                v = env[name]
+            except KeyError:
+                raise StuckError(f"unbound variable {name!r}") from None
+            return v.value if type(v) is VAbs else v
+        return code
     cost = len(path) + 1            # a step for each projection and the variable
     fallback = _lazy(lambda: _compile_proj_node(node, domain))
 
@@ -426,22 +430,28 @@ def _compile_proj(node: Proj1 | Proj2, domain) -> Code:
             v = env[name]
         except KeyError:
             return fallback(env, budget)
-        for rest in suffixes:
-            t = type(v)
-            if t is VTuple:
-                v = v.fst if rest[0] else v.snd
-            elif t is VAbs:
-                # Abstract from here on: one abs_proj per level, one box.
-                a = v.value
-                for first in rest:
-                    a = domains.abs_proj(a, first)
-                v = _new(VAbs)
-                _set_abs(v, a)
-                break
+        if type(v) is VAbs:
+            a = domains.abs_proj_path(v.value, path)
+        else:
+            for i, first in enumerate(path):
+                t = type(v)
+                if t is VTuple:
+                    v = v.fst if first else v.snd
+                elif t is VAbs:
+                    # Abstract from here on: one call for the rest.
+                    a = domains.abs_proj_path(v.value, path[i:])
+                    break
+                else:
+                    return fallback(env, budget)
             else:
-                return fallback(env, budget)
+                budget.steps_used = steps
+                return v if box or type(v) is not VAbs else v.value
         budget.steps_used = steps
-        return v
+        if box:
+            v = _new(VAbs)
+            _set_abs(v, a)
+            return v
+        return a
     return code
 
 
@@ -660,24 +670,15 @@ def _compile_pair_call(node: App, domain) -> Code:
 
 
 def _compile_prim(node: Prim, domain) -> Code:
+    op = node.op
+    if op in _ABSTRACT:
+        return _compile_abstract(node, domain, True)
     try:
-        implementation = PRIMITIVES[node.op]
+        implementation = PRIMITIVES[op]
     except KeyError:
-        raise TypeError(f"unknown primitive {node.op!r}") from None
-    if node.op is PrimOp.ETA and len(node.args) == 1 and type(node.args[0]) is IntLit:
-        # eta of a literal is one value under one domain: a constant.
-        value = implementation(VInt(node.args[0].value), domain)
-
-        def code(env, budget):
-            steps = budget.steps_used + 2   # the Prim node and its literal
-            if steps > budget.fuel:
-                # At most one step is left: spend it, then raise where the
-                # per-node code would.
-                budget.tick()
-                budget.tick()
-            budget.steps_used = steps
-            return value
-        return code
+        raise TypeError(f"unknown primitive {op!r}") from None
+    if _eta_literal(node):
+        return _constant(implementation(VInt(node.args[0].value), domain))
     args = tuple(_COMPILERS[type(a)](a, domain) for a in node.args)
     if len(args) == 1:
         (a,) = args
@@ -695,6 +696,69 @@ def _compile_prim(node: Prim, domain) -> Code:
                 budget.tick()
             budget.steps_used += 1
             return implementation(a(env, budget), b(env, budget), domain)
+    return code
+
+
+def _eta_literal(node: Prim) -> bool:
+    """Whether ``node`` is ``eta`` of an integer literal: one value under
+    one domain, a constant."""
+    return node.op is PrimOp.ETA and len(node.args) == 1 and type(node.args[0]) is IntLit
+
+
+def _constant(value) -> Code:
+    """``eta`` of a literal, whose ``value`` was computed at compile time."""
+    def code(env, budget):
+        steps = budget.steps_used + 2   # the Prim node and its literal
+        if steps > budget.fuel:
+            # At most one step is left: spend it, then raise where the
+            # per-node code would.
+            budget.tick()
+            budget.tick()
+        budget.steps_used = steps
+        return value
+    return code
+
+
+def _compile_abstract(node: Prim, domain, box: bool) -> Code:
+    """An abstract primitive, which calls its domain function itself and
+    returns the result boxed if ``box`` and unboxed otherwise.  An operand
+    that is itself an abstract primitive, ``eta`` of a literal or a leaf
+    gives its abstract value unboxed; any other operand runs its own code.
+    Both operands run before either is read as an abstract value, as in
+    the walker, so an error in reading the first comes after the second
+    has run."""
+    name, takes_domain = _ABSTRACT[node.op]
+    functions = _DOMAIN_FUNCTIONS
+    operands = []
+    for a in node.args:
+        t, leaf = type(a), _leaf(a)
+        if t is Prim and a.op in _ABSTRACT:
+            operands.append(_compile_abstract(a, domain, False))
+        elif t is Prim and _eta_literal(a):
+            operands.append(_constant(domains.eta_met_value(VInt(a.args[0].value), domain)))
+        elif leaf is not None:
+            operands.append(_compile_leaf(a, *leaf, domain, False))
+        else:
+            operands.append(_COMPILERS[t](a, domain))
+    left, right = operands
+
+    def code(env, budget):
+        if budget.steps_used >= budget.fuel:
+            budget.tick()
+        budget.steps_used += 1
+        a = left(env, budget)
+        b = right(env, budget)
+        if not isinstance(a, AbsValue):
+            a = a.value if type(a) is VAbs else domains.met_value_to_abs(a)
+        if not isinstance(b, AbsValue):
+            b = b.value if type(b) is VAbs else domains.met_value_to_abs(b)
+        fn = functions[name]
+        r = fn(a, b, domain) if takes_domain else fn(a, b)
+        if box:
+            v = _new(VAbs)
+            _set_abs(v, r)
+            return v
+        return r
     return code
 
 
@@ -744,12 +808,18 @@ def apply_met_function(fn: MetExpr, arg: MetValue, domain: NumericDomain,
     """Evaluate ``fn`` to a closure and apply it to ``arg``.
 
     This sidesteps literal syntax for the argument, so the argument may
-    contain abstract values.
+    contain abstract values.  Errors are those of :func:`eval_met`; the
+    application itself costs one step.
     """
     if budget is None:
         budget = EvalBudget()
-    vf = eval_met(fn, {}, domain, budget)
-    if not isinstance(vf, VClosure):
-        raise StuckError("program did not evaluate to a function")
-    budget.tick()
-    return eval_met(vf.body, _call_env(vf, arg), domain, budget)
+    try:
+        vf = compiled(fn, domain)({}, budget)
+        if not isinstance(vf, VClosure):
+            raise StuckError("program did not evaluate to a function")
+        if budget.steps_used >= budget.fuel:
+            budget.tick()
+        budget.steps_used += 1
+        return compiled(vf.body, domain)(_call_env(vf, arg), budget)
+    except RecursionError:
+        raise FuelExhausted("evaluation exceeded the host recursion depth") from None

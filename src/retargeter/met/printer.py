@@ -45,12 +45,15 @@ from .syntax import (
 # context it is printed in is parenthesized.
 _OPEN, _CMP, _ADD, _MUL, _PROJ, _APP, _ATOM = range(7)
 
-# The infix primitives: operator -> level, left context, right context.
+# The infix primitives: spelling -> level, left context, right context.
 # Comparison is non-associative, so both sides exclude a comparison.
+# Keyed by spelling, which ``_show_prim`` reads from the member's
+# ``_value_`` attribute: an enum member's hash and its ``value`` property
+# each run a host frame.
 _INFIX = {
-    PrimOp.EQ: (_CMP, _ADD, _ADD),
-    PrimOp.ADD: (_ADD, _ADD, _MUL),
-    PrimOp.MUL: (_MUL, _MUL, _PROJ),
+    PrimOp.EQ.value: (_CMP, _ADD, _ADD),
+    PrimOp.ADD.value: (_ADD, _ADD, _MUL),
+    PrimOp.MUL.value: (_MUL, _MUL, _PROJ),
 }
 
 
@@ -120,16 +123,16 @@ def _show_app(e: App, ctx: int) -> str:
 
 
 def _show_prim(e: Prim, ctx: int) -> str:
-    op, args = e.op, e.args
-    infix = _INFIX.get(op)
+    spelling, args = e.op._value_, e.args
+    infix = _INFIX.get(spelling)
     if infix is None:
         parts = []
         for a in args:
             parts.append(_SHOW[type(a)](a, _OPEN))
-        return f"{op.value}({', '.join(parts)})"
+        return f"{spelling}({', '.join(parts)})"
     level, lhs_ctx, rhs_ctx = infix
     lhs, rhs = args[0], args[1]
-    text = f"{_SHOW[type(lhs)](lhs, lhs_ctx)} {op.value} {_SHOW[type(rhs)](rhs, rhs_ctx)}"
+    text = f"{_SHOW[type(lhs)](lhs, lhs_ctx)} {spelling} {_SHOW[type(rhs)](rhs, rhs_ctx)}"
     return f"({text})" if ctx > level else text
 
 

@@ -24,6 +24,7 @@ from retargeter.domains import (
     abs_eq,
     abs_mul,
     abs_proj,
+    abs_proj_path,
     contains,
     eta_met_value,
     filter_nonzero,
@@ -155,6 +156,24 @@ class TestExamples:
         assert abs_proj(p, False) == Num(Interval(3, 4))
         assert abs_proj(TOP, True) == TOP
         assert abs_proj(Num(Interval(1, 1)), True) == BOT
+
+    @given(abs_values(intervals()), st.lists(st.booleans(), max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_a_projection_path_is_a_projection_per_level(self, a, path):
+        expected = a
+        for first in path:
+            expected = abs_proj(expected, first)
+        assert abs_proj_path(a, tuple(path)) == expected
+
+    def test_projection_paths(self):
+        p = APair(APair(TOP, Num(Interval(1, 2))), Num(Interval(3, 4)))
+        assert abs_proj_path(p, ()) is p
+        assert abs_proj_path(p, (True, False)) == Num(Interval(1, 2))
+        assert abs_proj_path(p, (True, True, False, True)) == TOP
+        assert abs_proj_path(p, (False, True, True)) == BOT
+        assert abs_proj_path(BOT, (True,)) == BOT
+        with pytest.raises(TypeError, match="not an abstract value"):
+            abs_proj_path(Interval(1, 2), (True,))
 
     def test_interval_mul_with_infinities(self):
         assert Interval(None, -1).mul(Interval(None, -1)) == Interval(1, None)

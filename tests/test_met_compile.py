@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+import tracemalloc
 from types import MappingProxyType
 
 import pytest
@@ -236,20 +237,33 @@ class TestCompiledForm:
         apply_met_function(fn, VAbs(TOP), INTERVAL)
         assert compiled(fn.body, INTERVAL) is code
 
-    def test_domain_functions_are_looked_up_when_called(self, monkeypatch):
+    @pytest.mark.parametrize("function,text,calls", [
+        ("abs_add", "aadd(v, eta(1))", 1),
+        ("abs_mul", "amul(eta(1), amul(fst v, v))", 2),
+        ("abs_eq", "aeq(fst (snd v), eta(0))", 1),
+        ("join", "ajoin(fst (snd v), eta(1))", 1),
+        ("join", "ajoin(fne0(v, v), feq0(v, v))", 1),
+        ("filter_nonzero", "fne0(aeq(v, v), let w = fne0(v, v) in w)", 2),
+        ("filter_zero", "feq0(v, (v, snd v))", 1),
+        ("abs_proj_path", "aadd(fst (snd v), snd v)", 2),
+        ("abs_proj_path", "(snd (fst v), fst v)", 2),
+    ])
+    def test_domain_functions_are_looked_up_when_called(self, function, text, calls,
+                                                        monkeypatch):
         # A tracer rebinds module attributes after code is compiled.
-        fn = parse_met("fun v -> aadd(v, eta(1))")
-        apply_met_function(fn, VAbs(TOP), INTERVAL)
-        calls = []
-        original = domains.abs_add
+        fn = parse_met(f"fun v -> {text}")
+        arg = VAbs(make_pair(TOP, make_pair(Num(Interval(0, 2)), TOP)))
+        expected = apply_met_function(fn, arg, INTERVAL)
+        seen = []
+        original = getattr(domains, function)
 
         def counting(*args):
-            calls.append(args)
+            seen.append(args)
             return original(*args)
 
-        monkeypatch.setattr(domains, "abs_add", counting)
-        apply_met_function(fn, VAbs(TOP), INTERVAL)
-        assert len(calls) == 1
+        monkeypatch.setattr(domains, function, counting)
+        assert apply_met_function(fn, arg, INTERVAL) == expected
+        assert len(seen) == calls
 
     def test_one_primitive_table(self):
         assert set(PRIMITIVES) == set(PrimOp)
@@ -580,17 +594,23 @@ class TestMetaSuperoperators:
                                       "match snd (fst (snd x)) with | w -> w",
                                       "snd (fst (snd x))"])
     def test_abs_proj_calls_are_those_of_the_walker(self, text, monkeypatch):
-        # A tracer that rebinds ``abs_proj`` counts every projection of an
-        # abstract value, also where a fused form meets one and runs its
-        # node-by-node code instead, and where the fuel runs out.
+        # A tracer that rebinds ``abs_proj`` and ``abs_proj_path`` sees
+        # every projection of an abstract value requested, also where a
+        # fused form meets one and runs its node-by-node code instead, and
+        # where the fuel runs out.  A path call requests each of its levels.
         calls = []
-        original = domains.abs_proj
+        original, original_path = domains.abs_proj, domains.abs_proj_path
 
         def counting(a, first):
             calls.append(first)
             return original(a, first)
 
+        def counting_path(a, path):
+            calls.extend(path)
+            return original_path(a, path)
+
         monkeypatch.setattr(domains, "abs_proj", counting)
+        monkeypatch.setattr(domains, "abs_proj_path", counting_path)
         identity = walker.eval_met(parse_met("fun p -> p"), {}, SIGN)
         expr = parse_met(text)
         for domain in (SIGN, INTERVAL):
@@ -684,3 +704,80 @@ class TestMetaSuperoperators:
                                   fuel=10**6)
                 for fuel in range(1, full + 2):
                     assert_same_apply(interpreter, arg, domain, fuel)
+
+
+class TestUnboxedOperands:
+    """An abstract primitive computes with its operands' abstract values
+    unboxed and boxes its result only where a meta value is needed.  Every
+    kind of operand, in either position, must agree with the walker at
+    every budget, from one step to the full run plus one, under both
+    domains."""
+
+    at_every_fuel = staticmethod(TestSuperoperators.assert_same_at_every_fuel)
+
+    OPS = ("aadd", "amul", "aeq", "ajoin", "fne0", "feq0")
+
+    # One operand of each kind: a leaf over tuples (to an abstract value,
+    # and to a tuple of them), a leaf over an abstract value, a mixed path,
+    # a variable, eta of a literal, a nested abstract primitive, a pair
+    # call, a let, an unbound variable and path, and variables bound to an
+    # integer, a constructor and a closure.
+    OPERANDS = ("fst (snd t)", "snd t", "snd (fst x)", "snd (fst (snd m))", "y",
+                "eta(-2)", "aadd(fst x, eta(1))", "f (y, snd x)", "let z = fst x in z",
+                "u", "fst u", "n", "c", "k")
+
+    @staticmethod
+    def env_of(domain):
+        tree = TestSuperoperators.abstract_tree(domain)
+
+        def num(n):
+            return VAbs(Num(domain.eta_int(n)))
+        identity = walker.eval_met(parse_met("fun p -> fst p"), {}, domain)
+        return {"t": VTuple(num(0), VTuple(num(3), VTuple(VAbs(TOP), num(-1)))),
+                "x": VAbs(tree), "m": VTuple(VInt(1), VAbs(tree)), "y": num(2),
+                "f": identity, "n": VInt(3), "c": VConstruct("X", ()), "k": identity}
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_every_operand_kind_in_either_position(self, op):
+        for a, b in itertools.product(self.OPERANDS, repeat=2):
+            self.at_every_fuel(parse_met(f"{op}({a}, {b})"), self.env_of)
+
+    @pytest.mark.parametrize("text", [
+        # A result bound by let, put in a tuple or a constructor, or
+        # returned, is boxed; one used as an operand is not.
+        "let p = aeq(fst x, eta(0)) in (p, fne0(p, snd x))",
+        "let w = amul(y, snd x) in w",
+        "(ajoin(y, eta(1)), Num(amul(y, y)))",
+        "let p = aeq(fst (snd m), eta(0)) in ajoin(fne0(p, aadd(y, p)), feq0(p, y))",
+        "aeq(ajoin(fst x, y), let w = amul(y, snd x) in w) + 1",
+        "match aadd(y, eta(1)) with | (a, b) -> a | w -> w",
+        "f (aadd(y, y), fne0(y, eta(1)))",
+    ])
+    def test_a_result_is_boxed_where_a_meta_value_is_needed(self, text):
+        self.at_every_fuel(parse_met(text), self.env_of)
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_a_stuck_first_operand_waits_for_the_second(self, op):
+        # Reading the first operand as an abstract value fails only after
+        # the second has run, so where the second runs out of fuel the
+        # error is the budget's.
+        second = "aadd(fst (snd x), ajoin(snd (fst x), let z = y in aeq(z, eta(4))))"
+        for first in ("n", "c", "k", "(n, y)"):
+            self.at_every_fuel(parse_met(f"{op}({first}, {second})"), self.env_of)
+
+    def test_a_long_projection_path_compiles_in_linear_space(self):
+        # Paths this long are only built through the constructors: the
+        # parser caps a chain of projections.
+        expr = Var("x")
+        for _ in range(3000):
+            expr = Proj1(expr)
+        budget = EvalBudget()
+        tracemalloc.start()
+        try:
+            value = eval_met(expr, {"x": VAbs(TOP)}, INTERVAL, budget)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value == VAbs(TOP)
+        assert budget.steps_used == 3001
+        assert peak < 10 * 2**20

@@ -10,6 +10,11 @@ untraced so that every cache is warm, and then runs each again under ``sys.settr
 ``f_trace_opcodes``.  It prints, per analysis, the Python calls (frames
 entered) and the bytecodes executed by meta-level analysis
 (``analyze_meta_target``) and by the residual (``run_specialized``).
+The ``residual_abstract`` rows run the residual on the same programs
+with abstract inputs (``run_specialized_abstract``), drawn next from the
+same generator as the ``residual`` benchmark draws them: an interval in
+[-1000, 1000], one in five of them unbounded on one side, or a nonempty
+sign set.
 
 The ``compile`` rows count the specialization round trip the same way,
 per source program: ``N`` programs drawn from ``random.Random(SEED)`` with
@@ -104,13 +109,24 @@ def counts(programs: int) -> dict:
     sys.path.insert(0, str(SRC))
     from retargeter import cli, retarget
     from retargeter.analyzer import analyze_meta_target, build_abstract_interpreter
-    from retargeter.domains import DOMAINS
+    from retargeter.domains import DOMAINS, INTERVAL, Interval, Num, Sign, SignSet
     from retargeter.met import parser
     from retargeter.met.printer import print_met
     from retargeter.peval import specialize
-    from retargeter.retargeting import run_specialized
+    from retargeter.retargeting import run_specialized, run_specialized_abstract
     from retargeter.srclang import embed_src_expr, random_src_expr
     from retargeter.tgtlang import TARGETS, print_tgt_program, random_tgt_program
+
+    def abstract_input(rng, domain):
+        if domain is INTERVAL:
+            lo, shape = rng.randint(-1000, 1000), rng.random()
+            if shape < 0.1:
+                return Num(Interval(None, lo))
+            if shape < 0.2:
+                return Num(Interval(lo, None))
+            return Num(Interval(lo, lo + rng.randint(0, 200)))
+        signs = [s for s in Sign if rng.random() < 0.5] or [rng.choice(list(Sign))]
+        return Num(SignSet(frozenset(signs)))
 
     result = {}
     counter = Counter()
@@ -138,6 +154,7 @@ def counts(programs: int) -> dict:
             rng = random.Random(SEED)
             cases = [(random_tgt_program(rng, target), rng.randint(-1000, 1000))
                      for _ in range(programs)]
+            inputs = [abstract_input(rng, domain) for _ in cases]
             residual = f"{files.name}/{target}-{name}.met"
             command(["retarget", "--target", target, "--domain", name, "--emit", residual])
             for n, (p, v) in enumerate(cases):
@@ -150,6 +167,8 @@ def counts(programs: int) -> dict:
             paths = {
                 "meta": [lambda p=p, v=v: analyze_meta_target(domain, p, v) for p, v in cases],
                 "residual": [lambda p=p, v=v: run_specialized(analyzer, p, v) for p, v in cases],
+                "residual_abstract": [lambda p=p, a=a: run_specialized_abstract(analyzer, p, a)
+                                      for (p, _), a in zip(cases, inputs)],
             }
             for path, ops in paths.items():
                 measure(f"{target}/{name}/{path}", ops)
@@ -191,9 +210,9 @@ def main(argv=None) -> int:
           f"seed {SEED}, {version}")
     print("(counts compare only within one CPython minor version; work inside C "
           "functions is not counted)")
-    print(f"{'target/domain/path':<28}{'calls':>12}{'bytecodes':>14}")
+    print(f"{'target/domain/path':<33}{'calls':>12}{'bytecodes':>14}")
     for key, row in table.items():
-        print(f"{key:<28}{row['calls']:>12.2f}{row['bytecodes']:>14.2f}")
+        print(f"{key:<33}{row['calls']:>12.2f}{row['bytecodes']:>14.2f}")
     return 0
 
 
