@@ -52,8 +52,9 @@ interpreter with superoperators", 1995):
   ``fne0``, ``feq0``) computes with unboxed operands (Peyton Jones &
   Launchbury, "Unboxed values as first class citizens", 1991) and calls
   its domain function itself.  An operand that is an abstract primitive,
-  ``eta`` of a literal or a leaf returns its abstract value without a
-  ``VAbs`` box; any other operand runs its own code.  The primitive runs
+  ``eta`` of a literal or a projection path over a variable returns its
+  abstract value without a ``VAbs`` box; any other operand, a variable
+  included, runs its own code.  The primitive runs
   both operands, then reads each as an abstract value (a ``VAbs``'s value,
   or ``domains.met_value_to_abs`` of any other meta value), so an operand
   that is not abstract is stuck only after the other has run, as in the
@@ -397,28 +398,16 @@ def _compile_proj(node: Proj1 | Proj2, domain) -> Code:
     leaf = _leaf(node)
     if leaf is None:
         return _compile_proj_node(node, domain)
-    return _compile_leaf(node, *leaf, domain, True)
+    return _compile_path(node, *leaf, domain, True)
 
 
-def _compile_leaf(node: MetExpr, name: str, path: tuple[bool, ...], domain,
+def _compile_path(node: Proj1 | Proj2, name: str, path: tuple[bool, ...], domain,
                   box: bool) -> Code:
-    """A leaf, ``name`` read along ``path``, as one closure.  It walks the
-    tuples on the path, makes one ``domains.abs_proj_path`` call for the
-    rest from the first abstract value on, and returns an abstract result
-    boxed if ``box`` and unboxed otherwise; any other result is the meta
-    value read."""
-    if not path:
-        # A variable, read as an abstract primitive's operand.
-        def code(env, budget):
-            if budget.steps_used >= budget.fuel:
-                budget.tick()
-            budget.steps_used += 1
-            try:
-                v = env[name]
-            except KeyError:
-                raise StuckError(f"unbound variable {name!r}") from None
-            return v.value if type(v) is VAbs else v
-        return code
+    """``name`` read along the nonempty ``path``, as one closure.  It walks
+    the tuples on the path, makes one ``domains.abs_proj_path`` call for
+    the rest from the first abstract value on, and returns an abstract
+    result boxed if ``box`` and unboxed otherwise; any other result is the
+    meta value read."""
     cost = len(path) + 1            # a step for each projection and the variable
     fallback = _lazy(lambda: _compile_proj_node(node, domain))
 
@@ -722,22 +711,22 @@ def _constant(value) -> Code:
 def _compile_abstract(node: Prim, domain, box: bool) -> Code:
     """An abstract primitive, which calls its domain function itself and
     returns the result boxed if ``box`` and unboxed otherwise.  An operand
-    that is itself an abstract primitive, ``eta`` of a literal or a leaf
-    gives its abstract value unboxed; any other operand runs its own code.
-    Both operands run before either is read as an abstract value, as in
-    the walker, so an error in reading the first comes after the second
-    has run."""
+    that is itself an abstract primitive, ``eta`` of a literal or a
+    projection path over a variable gives its abstract value unboxed; any
+    other operand, a variable included, runs its own code.  Both operands
+    run before either is read as an abstract value, as in the walker, so an
+    error in reading the first comes after the second has run."""
     name, takes_domain = _ABSTRACT[node.op]
-    functions = _DOMAIN_FUNCTIONS
     operands = []
     for a in node.args:
-        t, leaf = type(a), _leaf(a)
+        t = type(a)
+        leaf = _leaf(a) if t is Proj1 or t is Proj2 else None
         if t is Prim and a.op in _ABSTRACT:
             operands.append(_compile_abstract(a, domain, False))
         elif t is Prim and _eta_literal(a):
             operands.append(_constant(domains.eta_met_value(VInt(a.args[0].value), domain)))
         elif leaf is not None:
-            operands.append(_compile_leaf(a, *leaf, domain, False))
+            operands.append(_compile_path(a, *leaf, domain, False))
         else:
             operands.append(_COMPILERS[t](a, domain))
     left, right = operands
@@ -752,7 +741,7 @@ def _compile_abstract(node: Prim, domain, box: bool) -> Code:
             a = a.value if type(a) is VAbs else domains.met_value_to_abs(a)
         if not isinstance(b, AbsValue):
             b = b.value if type(b) is VAbs else domains.met_value_to_abs(b)
-        fn = functions[name]
+        fn = _DOMAIN_FUNCTIONS[name]
         r = fn(a, b, domain) if takes_domain else fn(a, b)
         if box:
             v = _new(VAbs)
