@@ -60,15 +60,20 @@ interpreter with superoperators", 1995):
   that is not abstract is stuck only after the other has run, as in the
   tree walk.  It boxes its result only where a meta value is needed, that
   is, anywhere but as another abstract primitive's operand.
+* So is an abstract primitive over two *direct* operands, each ``eta`` of
+  a literal, a variable or a projection path over one (a residual's
+  ``aeq(fst snd fst iabs, eta(0))``).  It spends the steps of the
+  primitive and its operands at once and reads both inline when both
+  variables hold abstract values.
 * Boxing goes through ``VAbs``'s slot setter, as ``domains._num`` does,
   which runs no host frame.
 
 A fused form runs only when its whole cost fits in the fuel and every
 read succeeds.  Otherwise the node-by-node code, compiled on first need,
 spends the steps one at a time and raises what the tree walk raises.
-An inline leaf read calls no domain function, and a fused path calls
-``abs_proj_path`` only once its fuel check and its walk over tuples have
-succeeded, so the fallback repeats no domain call.
+An inline leaf read calls no domain function, and a fused path or
+primitive calls ``abs_proj_path`` only once its fuel check and its reads
+have succeeded, so the fallback repeats no domain call.
 Step counts, the step at which the budget runs out and every
 ``StuckError`` are therefore the same as for a direct tree walk.  A
 tracer that rebinds ``domains`` functions sees every domain call made
@@ -715,18 +720,30 @@ def _compile_abstract(node: Prim, domain, box: bool) -> Code:
     projection path over a variable gives its abstract value unboxed; any
     other operand, a variable included, runs its own code.  Both operands
     run before either is read as an abstract value, as in the walker, so an
-    error in reading the first comes after the second has run."""
-    name, takes_domain = _ABSTRACT[node.op]
+    error in reading the first comes after the second has run.
+
+    When both operands are *direct*, each ``eta`` of a literal, a variable
+    or a projection path over one, the primitive and its operands are one
+    closure.  It spends all their steps at once and reads both operands
+    inline when both variables hold abstract values; otherwise it runs the
+    code above, so no domain function is called twice."""
+    function, takes_domain = _ABSTRACT[node.op]
     operands = []
+    direct = []                     # (variable or None, path, constant, cost)
     for a in node.args:
         t = type(a)
-        leaf = _leaf(a) if t is Proj1 or t is Proj2 else None
+        leaf = _leaf(a) if t is Var or t is Proj1 or t is Proj2 else None
         if t is Prim and a.op in _ABSTRACT:
             operands.append(_compile_abstract(a, domain, False))
         elif t is Prim and _eta_literal(a):
-            operands.append(_constant(domains.eta_met_value(VInt(a.args[0].value), domain)))
+            value = domains.eta_met_value(VInt(a.args[0].value), domain)
+            operands.append(_constant(value))
+            direct.append((None, (), VAbs(value), 2))
         elif leaf is not None:
-            operands.append(_compile_path(a, *leaf, domain, False))
+            name, path = leaf
+            operands.append(_compile_path(a, name, path, domain, False) if path
+                            else _COMPILERS[t](a, domain))
+            direct.append((name, path, None, len(path) + 1))
         else:
             operands.append(_COMPILERS[t](a, domain))
     left, right = operands
@@ -741,14 +758,36 @@ def _compile_abstract(node: Prim, domain, box: bool) -> Code:
             a = a.value if type(a) is VAbs else domains.met_value_to_abs(a)
         if not isinstance(b, AbsValue):
             b = b.value if type(b) is VAbs else domains.met_value_to_abs(b)
-        fn = _DOMAIN_FUNCTIONS[name]
+        fn = _DOMAIN_FUNCTIONS[function]
         r = fn(a, b, domain) if takes_domain else fn(a, b)
         if box:
             v = _new(VAbs)
             _set_abs(v, r)
             return v
         return r
-    return code
+
+    if len(direct) < 2:
+        return code
+    (an, apath, aval, acost), (bn, bpath, bval, bcost) = direct
+    cost = 1 + acost + bcost        # the Prim node and both operands
+
+    def fused(env, budget):
+        steps = budget.steps_used + cost
+        va = aval if an is None else env.get(an)
+        vb = bval if bn is None else env.get(bn)
+        if steps > budget.fuel or type(va) is not VAbs or type(vb) is not VAbs:
+            return code(env, budget)
+        budget.steps_used = steps
+        a = domains.abs_proj_path(va.value, apath) if apath else va.value
+        b = domains.abs_proj_path(vb.value, bpath) if bpath else vb.value
+        fn = _DOMAIN_FUNCTIONS[function]
+        r = fn(a, b, domain) if takes_domain else fn(a, b)
+        if box:
+            v = _new(VAbs)
+            _set_abs(v, r)
+            return v
+        return r
+    return fused
 
 
 _COMPILERS = _Compilers({

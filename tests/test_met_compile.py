@@ -592,7 +592,8 @@ class TestMetaSuperoperators:
                                       "f (snd (fst (snd x)), z)", "f (fst x, fst y)",
                                       "f (fst x, snd x)", "g (fst x, snd (fst (snd x)))",
                                       "match snd (fst (snd x)) with | w -> w",
-                                      "snd (fst (snd x))"])
+                                      "snd (fst (snd x))", "aadd(snd (fst x), fst (snd x))",
+                                      "fne0(fst x, y)", "ajoin(aeq(fst (snd x), eta(0)), fst y)"])
     def test_abs_proj_calls_are_those_of_the_walker(self, text, monkeypatch):
         # A tracer that rebinds ``abs_proj`` and ``abs_proj_path`` sees
         # every projection of an abstract value requested, also where a
