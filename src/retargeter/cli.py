@@ -201,6 +201,14 @@ positive_int = _int_at_least(1, "positive")
 nonnegative_int = _int_at_least(0, "nonnegative")
 
 
+def path(text: str) -> str:
+    """An argparse type for file paths.  ``open`` rejects a NUL byte, which
+    no file system takes, with ``ValueError``; here it is a usage error."""
+    if "\0" in text:
+        raise argparse.ArgumentTypeError("a path cannot hold a NUL byte")
+    return text
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process.  Its ``commands``
@@ -221,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("run", help="run a target program")
-    p.add_argument("program", help="target program file (e.g. add42.tgt)")
+    p.add_argument("program", type=path, help="target program file (e.g. add42.tgt)")
     p.add_argument("--input", type=integer, required=True)
     p.set_defaults(fn=cmd_run)
 
@@ -235,20 +243,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("analyze", parents=[domain_arg],
                 help="analyze a target program meta-level")
-    p.add_argument("program")
+    p.add_argument("program", type=path)
     add_analysis_inputs(p)
     p.set_defaults(fn=cmd_analyze)
 
     p = command("retarget", parents=[domain_arg],
                 help="specialize the abstract interpreter to a target")
     p.add_argument("--target", choices=TARGETS, required=True)
-    p.add_argument("--emit", help="write the residual program to this file")
+    p.add_argument("--emit", type=path, help="write the residual program to this file")
     p.set_defaults(fn=cmd_retarget)
 
     p = command("analyze-specialized", parents=[domain_arg],
                 help="analyze using an emitted residual")
-    p.add_argument("residual", help="residual program file (.met)")
-    p.add_argument("program")
+    p.add_argument("residual", type=path, help="residual program file (.met)")
+    p.add_argument("program", type=path)
     add_analysis_inputs(p)
     p.set_defaults(fn=cmd_analyze_specialized)
 
@@ -294,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     except FuelExhausted as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FUEL
-    except (RetargeterError, ValueError) as err:
+    except RetargeterError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -19,23 +19,25 @@ Node sequences on the hot paths of residuals and of meta-level analysis
 are fused into superoperators (Proebsting, "Optimizing an ANSI C
 interpreter with superoperators", 1995):
 
-* A path of k projections over a variable, such as ``snd (fst (fst x))``,
-  is one closure.  It walks the tuples on the path, hands the rest of the
-  path, from the first abstract value on, to one
-  ``domains.abs_proj_path`` call, boxes the result once, and spends its
-  k + 1 steps at once.
+* A chain of k projections over any expression, such as
+  ``snd (fst (fst x))`` or ``fst (f (x, y))``, is one closure, which nests
+  one host frame at any length.  Every projection's step comes before its
+  argument runs, so it spends its k steps at once (k + 1 over a variable,
+  which it reads inline), runs its base, walks the tuples on the path and
+  hands the rest of the path, from the first abstract value on, to one
+  ``domains.abs_proj_path`` call, and boxes the result once.  It has no
+  fallback: when fewer steps are left it spends them and raises, as the
+  tree walk does, and it is stuck at the level that meets a value that is
+  neither a tuple nor abstract.
 * ``eta`` of an integer literal is computed once, when its node is
   compiled, and spends its two steps at once.
-* An application of a variable, ``f e``, is one closure.  It spends the
-  ``App`` and ``Var`` steps at once, looks ``f`` up, evaluates the
-  argument before it tests for a closure, and builds the call's
-  environment and reads the body's cached code itself.
-* So is ``f (a, b)`` where ``a`` and ``b`` are *leaves*, each a variable
-  or a projection path over one (meta-level analysis's
-  ``evalabs (e1, snd ev)``).  It spends the ``App``, ``Var``, ``Tuple``
-  and leaf steps at once, reads the leaves inline, builds the pair and
-  enters the body.  An inline leaf read follows tuples only; abstract
-  projection and its boxing stay in the path's own closure.
+* An application ``f (a, b)`` of a variable to a pair of *leaves*, each a
+  variable or a projection path over one (meta-level analysis's
+  ``evalabs (e1, snd ev)``), is one closure.  It spends the ``App``,
+  ``Var``, ``Tuple`` and leaf steps at once, reads the leaves inline,
+  builds the pair and the call's environment, and enters the body's
+  cached code.  An inline leaf read follows tuples only; abstract
+  projection and its boxing stay in the projection chain's closure.
 * A ``match`` tries, in order, only the branches that :func:`tag_table`
   finds can match the scrutinee's tag, and binds each with its pattern's
   :func:`binder`, compiled once and cached on the pattern.  A constructor
@@ -52,9 +54,9 @@ interpreter with superoperators", 1995):
   ``fne0``, ``feq0``) computes with unboxed operands (Peyton Jones &
   Launchbury, "Unboxed values as first class citizens", 1991) and calls
   its domain function itself.  An operand that is an abstract primitive,
-  ``eta`` of a literal or a projection path over a variable returns its
-  abstract value without a ``VAbs`` box; any other operand, a variable
-  included, runs its own code.  The primitive runs
+  ``eta`` of a literal or a projection chain returns its abstract value
+  without a ``VAbs`` box; any other operand, a variable included, runs its
+  own code.  The primitive runs
   both operands, then reads each as an abstract value (a ``VAbs``'s value,
   or ``domains.met_value_to_abs`` of any other meta value), so an operand
   that is not abstract is stuck only after the other has run, as in the
@@ -68,10 +70,10 @@ interpreter with superoperators", 1995):
 * Boxing goes through ``VAbs``'s slot setter, as ``domains._num`` does,
   which runs no host frame.
 
-A fused form runs only when its whole cost fits in the fuel and every
-read succeeds.  Otherwise the node-by-node code, compiled on first need,
-spends the steps one at a time and raises what the tree walk raises.
-An inline leaf read calls no domain function, and a fused path or
+Every other fused form runs only when its whole cost fits in the fuel
+and every read succeeds.  Otherwise the node-by-node code, compiled on
+first need, spends the steps one at a time and raises what the tree walk
+raises.  An inline leaf read calls no domain function, and a fused
 primitive calls ``abs_proj_path`` only once its fuel check and its reads
 have succeeded, so the fallback repeats no domain call.
 Step counts, the step at which the budget runs out and every
@@ -80,16 +82,15 @@ tracer that rebinds ``domains`` functions sees every domain call made
 while evaluating, with three differences from the tree walk: ``eta`` of
 a literal is computed once, at compile time; an abstract primitive reads
 a ``VAbs`` operand's value inline, without ``met_value_to_abs``; and a
-fused path asks for the projections on an abstract value in one
+projection chain asks for its levels on an abstract value in one
 ``abs_proj_path`` call, where the tree walk calls ``abs_proj`` once per
 level.
 
-Each primitive operator has one implementation, in :data:`PRIMITIVES`.
-``_ABSTRACT`` names the domain function of each abstract operator, once:
-it builds that operator's implementation, and compiled code calls the
-function it names directly.  Other compiled ``Prim`` nodes call their
-implementation, and so does the specializer when it folds concrete
-arithmetic on known operands.
+Each primitive operator has one implementation.  ``_ABSTRACT`` names the
+domain function of each abstract operator, once, and compiled code calls
+that function directly; :data:`PRIMITIVES` holds every other operator's.
+Compiled concrete ``Prim`` nodes call their implementation, and so does
+the specializer when it folds concrete arithmetic on known operands.
 
 Compiled code is cached on the node it was compiled from, keyed by
 domain, in the ``_compiled`` slot that every ``MetExpr`` has, so it
@@ -279,24 +280,14 @@ _ABSTRACT: dict[PrimOp, tuple[str, bool]] = {
 }
 
 
-def _abstract_rule(name: str, takes_domain: bool) -> Callable[..., MetValue]:
-    """The abstract operator computed by the ``domains`` function ``name``."""
-    def rule(a, b, domain):
-        a = a.value if type(a) is VAbs else domains.met_value_to_abs(a)
-        b = b.value if type(b) is VAbs else domains.met_value_to_abs(b)
-        fn = _DOMAIN_FUNCTIONS[name]
-        return VAbs(fn(a, b, domain) if takes_domain else fn(a, b))
-    return rule
-
-
-# The one implementation of each primitive: ``PRIMITIVES[op](*args, domain)``.
-# Compiled code computes an abstract primitive itself, from the same table.
+# The implementation of each primitive but the abstract ones:
+# ``PRIMITIVES[op](*args, domain)``.  Compiled code computes an abstract
+# primitive itself, with the function ``_ABSTRACT`` names.
 PRIMITIVES: dict[PrimOp, Callable[..., MetValue]] = {
     PrimOp.ADD: _int_rule("+", operator.add),
     PrimOp.MUL: _int_rule("*", operator.mul),
     PrimOp.EQ: _int_rule("=", lambda x, y: 1 if x == y else 0),
     PrimOp.ETA: _eta,
-    **{op: _abstract_rule(*spec) for op, spec in _ABSTRACT.items()},
 }
 
 # Boxing through the slot setters, as ``domains._num`` does, runs no host
@@ -326,8 +317,9 @@ def compiled(node: MetExpr, domain: NumericDomain) -> Code:
 
 class _Compilers(dict):
     """Node class -> compiler.  Compilers index this table themselves
-    rather than call a dispatching helper, so compiling nests one host
-    frame per tree level, no deeper than evaluating."""
+    rather than call a dispatching helper, so compiling nests at most one
+    host frame per tree level, no deeper than evaluating.  The specializer
+    builds its own table from this class."""
 
     def __missing__(self, cls):
         raise TypeError(f"not a meta-language expression: {cls.__name__}")
@@ -382,52 +374,59 @@ def _lazy(compile_code: Callable[[], Code]) -> Code:
     return run
 
 
-def _leaf(node: MetExpr) -> tuple[str, tuple[bool, ...]] | None:
-    """``(name, path)`` for a variable, or a projection path over one:
-    ``path`` lists the projections innermost first, True for fst, and
-    reading the leaf costs ``len(path) + 1`` steps.  None for any other
-    node."""
+def _chain(node: MetExpr) -> tuple[MetExpr, tuple[bool, ...]]:
+    """``(base, path)`` for a chain of projections over ``base``: ``path``
+    lists the projections innermost first, True for fst, and is empty when
+    ``node`` is not a projection."""
     path = []                       # outermost first
     while type(node) is Proj1 or type(node) is Proj2:
         path.append(type(node) is Proj1)
         node = node.arg
-    if type(node) is not Var:
-        return None
-    return node.name, tuple(reversed(path))
+    return node, tuple(reversed(path))
 
 
-def _compile_proj(node: Proj1 | Proj2, domain) -> Code:
-    """A path of projections over a variable, such as ``snd (fst (fst x))``,
-    compiles to one superoperator; a chain over any other node compiles
-    node by node."""
-    leaf = _leaf(node)
-    if leaf is None:
-        return _compile_proj_node(node, domain)
-    return _compile_path(node, *leaf, domain, True)
+def _leaf(node: MetExpr) -> tuple[str, tuple[bool, ...]] | None:
+    """``(name, path)`` for a variable, or a projection path over one, as
+    :func:`_chain` gives it; reading the leaf costs ``len(path) + 1``
+    steps.  None for any other node."""
+    base, path = _chain(node)
+    return (base.name, path) if type(base) is Var else None
 
 
-def _compile_path(node: Proj1 | Proj2, name: str, path: tuple[bool, ...], domain,
-                  box: bool) -> Code:
-    """``name`` read along the nonempty ``path``, as one closure.  It walks
-    the tuples on the path, makes one ``domains.abs_proj_path`` call for
-    the rest from the first abstract value on, and returns an abstract
-    result boxed if ``box`` and unboxed otherwise; any other result is the
-    meta value read."""
-    cost = len(path) + 1            # a step for each projection and the variable
-    fallback = _lazy(lambda: _compile_proj_node(node, domain))
+def _compile_proj(node: Proj1 | Proj2, domain, box: bool = True) -> Code:
+    """A chain of k projections over any base, such as ``snd (fst (fst x))``
+    or ``fst (f (x, y))``, as one closure, with no host frame per level.
+    Every projection's step comes before its argument runs, so the closure
+    spends the k steps, and the variable's if the base is one, at once,
+    then reads or runs the base.  It walks the tuples on the path, makes
+    one ``domains.abs_proj_path`` call for the rest from the first abstract
+    value on, and returns an abstract result boxed if ``box`` and unboxed
+    otherwise; any other result is the meta value read.  A level that
+    meets any other value is stuck."""
+    base, path = _chain(node)
+    name = base.name if type(base) is Var else None
+    run = None if name is not None else _COMPILERS[type(base)](base, domain)
+    cost = len(path) + (name is not None)
 
     def code(env, budget):
         steps = budget.steps_used + cost
         if steps > budget.fuel:
-            return fallback(env, budget)
-        try:
-            v = env[name]
-        except KeyError:
-            return fallback(env, budget)
+            # Spend what is left and raise, as the tree walk does.
+            budget.steps_used = budget.fuel
+            budget.tick()
+        budget.steps_used = steps
+        if run is None:
+            try:
+                v = env[name]
+            except KeyError:
+                raise StuckError(f"unbound variable {name!r}") from None
+        else:
+            v = run(env, budget)
         if type(v) is VAbs:
             a = domains.abs_proj_path(v.value, path)
         else:
-            for i, first in enumerate(path):
+            i = 0                   # counted by hand: cheaper than enumerate
+            for first in path:
                 t = type(v)
                 if t is VTuple:
                     v = v.fst if first else v.snd
@@ -436,39 +435,15 @@ def _compile_path(node: Proj1 | Proj2, name: str, path: tuple[bool, ...], domain
                     a = domains.abs_proj_path(v.value, path[i:])
                     break
                 else:
-                    return fallback(env, budget)
+                    raise StuckError("fst of a non-tuple" if first else "snd of a non-tuple")
+                i += 1
             else:
-                budget.steps_used = steps
                 return v if box or type(v) is not VAbs else v.value
-        budget.steps_used = steps
         if box:
             v = _new(VAbs)
             _set_abs(v, a)
             return v
         return a
-    return code
-
-
-def _compile_proj_node(node: Proj1 | Proj2, domain) -> Code:
-    """One projection node, nesting one host frame per level of a chain."""
-    first = type(node) is Proj1
-    stuck = "fst of a non-tuple" if first else "snd of a non-tuple"
-    a = node.arg
-    if type(a) is Proj1 or type(a) is Proj2:
-        arg = _compile_proj_node(a, domain)
-    else:
-        arg = _COMPILERS[type(a)](a, domain)
-
-    def code(env, budget):
-        if budget.steps_used >= budget.fuel:
-            budget.tick()
-        budget.steps_used += 1
-        v = arg(env, budget)
-        if isinstance(v, VTuple):
-            return v.fst if first else v.snd
-        if isinstance(v, VAbs):
-            return VAbs(domains.abs_proj(v.value, first))
-        raise StuckError(stuck)
     return code
 
 
@@ -571,11 +546,13 @@ def _compile_lambda(node: Lambda, domain) -> Code:
 
 
 def _compile_app(node: App, domain) -> Code:
-    if type(node.fun) is Var:
-        a = node.arg
-        if type(a) is Tuple and _leaf(a.fst) and _leaf(a.snd):
-            return _compile_pair_call(node, domain)
-        return _compile_call(node.fun.name, _COMPILERS[type(a)](a, domain), domain)
+    a = node.arg
+    if type(node.fun) is Var and type(a) is Tuple and _leaf(a.fst) and _leaf(a.snd):
+        return _compile_pair_call(node, domain)
+    return _compile_app_node(node, domain)
+
+
+def _compile_app_node(node: App, domain) -> Code:
     fun = _COMPILERS[type(node.fun)](node.fun, domain)
     arg = _COMPILERS[type(node.arg)](node.arg, domain)
 
@@ -591,45 +568,13 @@ def _compile_app(node: App, domain) -> Code:
     return code
 
 
-def _compile_call(name: str, arg: Code, domain) -> Code:
-    """``f e`` for a variable ``f``: the application and the variable as
-    one closure, which builds the call's environment and finds the body's
-    compiled code itself."""
-    def code(env, budget):
-        steps = budget.steps_used + 2   # the App node and its variable
-        if steps > budget.fuel:
-            # At most one step is left: spend it, then raise where the
-            # per-node code would.
-            budget.tick()
-            budget.tick()
-        budget.steps_used = steps
-        try:
-            vf = env[name]
-        except KeyError:
-            raise StuckError(f"unbound variable {name!r}") from None
-        va = arg(env, budget)
-        if not isinstance(vf, VClosure):
-            raise StuckError("application of a non-function")
-        inner = dict(vf.env)
-        inner[vf.param] = va
-        if vf.self_name is not None:
-            inner[vf.self_name] = vf
-        body = vf.body
-        try:
-            run = body._compiled[domain]
-        except (AttributeError, KeyError):
-            run = compiled(body, domain)
-        return run(inner, budget)
-    return code
-
-
 def _compile_pair_call(node: App, domain) -> Code:
     """``f (a, b)`` for a variable ``f`` and leaves ``a`` and ``b``: the
     application, the variable, the pair and its leaves as one closure."""
     name = node.fun.name
     (an, apath), (bn, bpath) = _leaf(node.arg.fst), _leaf(node.arg.snd)
     cost = len(apath) + len(bpath) + 5      # App, Var, Tuple and the two leaves
-    slow = _lazy(lambda: _compile_call(name, _compile_tuple(node.arg, domain), domain))
+    slow = _lazy(lambda: _compile_app_node(node, domain))
 
     def code(env, budget):
         vf, va, vb = env.get(name), env.get(an), env.get(bn)
@@ -717,8 +662,8 @@ def _compile_abstract(node: Prim, domain, box: bool) -> Code:
     """An abstract primitive, which calls its domain function itself and
     returns the result boxed if ``box`` and unboxed otherwise.  An operand
     that is itself an abstract primitive, ``eta`` of a literal or a
-    projection path over a variable gives its abstract value unboxed; any
-    other operand, a variable included, runs its own code.  Both operands
+    projection chain gives its abstract value unboxed; any other operand,
+    a variable included, runs its own code.  Both operands
     run before either is read as an abstract value, as in the walker, so an
     error in reading the first comes after the second has run.
 
@@ -732,20 +677,18 @@ def _compile_abstract(node: Prim, domain, box: bool) -> Code:
     direct = []                     # (variable or None, path, constant, cost)
     for a in node.args:
         t = type(a)
-        leaf = _leaf(a) if t is Var or t is Proj1 or t is Proj2 else None
         if t is Prim and a.op in _ABSTRACT:
             operands.append(_compile_abstract(a, domain, False))
         elif t is Prim and _eta_literal(a):
             value = domains.eta_met_value(VInt(a.args[0].value), domain)
             operands.append(_constant(value))
             direct.append((None, (), VAbs(value), 2))
-        elif leaf is not None:
-            name, path = leaf
-            operands.append(_compile_path(a, name, path, domain, False) if path
-                            else _COMPILERS[t](a, domain))
-            direct.append((name, path, None, len(path) + 1))
         else:
-            operands.append(_COMPILERS[t](a, domain))
+            operands.append(_compile_proj(a, domain, False) if t is Proj1 or t is Proj2
+                            else _COMPILERS[t](a, domain))
+            leaf = _leaf(a)
+            if leaf is not None:
+                direct.append((*leaf, None, len(leaf[1]) + 1))
     left, right = operands
 
     def code(env, budget):

@@ -72,7 +72,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .errors import FuelExhausted, ReifyError, StuckError
-from .met.interp import PRIMITIVES, _flat, _lazy, _leaf, binder, tag_table
+from .met.interp import PRIMITIVES, _Compilers, _flat, _lazy, _leaf, binder, tag_table
 from .met.printer import count_nodes
 from .met.syntax import (
     App,
@@ -277,15 +277,6 @@ def _code(node: MetExpr) -> Code:
         code = _COMPILERS[type(node)](node)
         object.__setattr__(node, "_pe_code", code)
         return code
-
-
-class _Compilers(dict):
-    """Node class -> compiler.  Compilers index this table themselves
-    rather than call a dispatching helper, so compiling nests one host
-    frame per tree level."""
-
-    def __missing__(self, cls):
-        raise TypeError(f"not a meta-language expression: {cls.__name__}")
 
 
 def _compile_var(node: Var) -> Code:

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from retargeter import analyzer, retargeting
+from retargeter import analyzer, cli, retargeting
 from retargeter.cli import build_parser, main
 from retargeter.domains import TOP
 from retargeter.met import interp, parser
@@ -337,6 +337,30 @@ class TestInputsAndFlags:
         ):
             code, out, err = run_cli(capsys, *argv)
             assert code == 2 and out == "" and err.startswith("error: "), argv
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "{}", "--input", "1"],
+        ["analyze", "{}", "--domain", "sign", "--input", "1"],
+        ["analyze-specialized", "{}", "p.tgt", "--domain", "sign", "--input", "1"],
+        ["analyze-specialized", "r.met", "{}", "--domain", "sign", "--input", "1"],
+        ["retarget", "--target", "single", "--domain", "sign", "--emit", "{}"],
+    ])
+    def test_a_path_with_a_nul_byte_is_a_usage_error(self, capsys, argv):
+        # Only an in-process request can pass one: argv holds no NUL bytes.
+        with pytest.raises(SystemExit) as exit_:
+            main([word.format("a\0b") for word in argv])
+        assert exit_.value.code == 2
+        assert "a path cannot hold a NUL byte" in capsys.readouterr().err
+
+    def test_an_unexpected_value_error_is_not_a_property_failure(self, monkeypatch, add42):
+        # Exit 1 means a property failed.  Every input is checked where it
+        # is read, so a ValueError that reaches ``main`` is a bug and
+        # propagates.
+        def planted(p, i):
+            raise ValueError("planted")
+        monkeypatch.setattr(cli, "eval_tgt", planted)
+        with pytest.raises(ValueError, match="planted"):
+            main(["run", add42, "--input", "1"])
 
 
 class TestResultTooLargeToPrint:

@@ -36,8 +36,15 @@ from retargeter.domains import (
     SignSet,
     make_pair,
 )
-from retargeter.errors import FuelExhausted
-from retargeter.met.interp import PRIMITIVES, apply_met_function, binder, compiled, eval_met
+from retargeter.errors import FuelExhausted, StuckError
+from retargeter.met.interp import (
+    _ABSTRACT,
+    PRIMITIVES,
+    apply_met_function,
+    binder,
+    compiled,
+    eval_met,
+)
 from retargeter.met.parser import parse_met
 from retargeter.met.syntax import (
     EvalBudget,
@@ -180,7 +187,16 @@ class TestDepth:
 
     @staticmethod
     def nested(depth: int):
+        """Tuples nested ``depth`` deep, which compile one host frame per
+        level."""
         expr = Var("x")
+        for _ in range(depth):
+            expr = Tuple(expr, IntLit(0))
+        return expr
+
+    @staticmethod
+    def chain(depth: int, base):
+        expr = base
         for _ in range(depth):
             expr = Proj1(expr)
         return expr
@@ -196,11 +212,23 @@ class TestDepth:
         # Past half the host's limit, one frame per tree level still fits,
         # as it does for the tree walk.
         depth = sys.getrecursionlimit() * 3 // 5
-        lets, projections = Var("x"), Var("x")
+        lets = Var("x")
         for _ in range(depth):
-            lets, projections = Let("x", IntLit(1), lets), Proj1(projections)
-        for expr, env in ((lets, {}), (projections, {"x": VAbs(TOP)})):
+            lets = Let("x", IntLit(1), lets)
+        for expr, env in ((lets, {}), (self.chain(depth, Var("x")), {"x": VAbs(TOP)})):
             assert eval_met(expr, env, INTERVAL) == walker.eval_met(expr, env, INTERVAL)
+
+    def test_a_projection_chain_runs_in_one_host_frame_at_any_length(self):
+        # Beyond the host stack for the tree walk, which runs out of it.
+        for base, steps in ((Let("y", Var("x"), Var("y")), 5003), (Var("x"), 5001)):
+            budget = EvalBudget()
+            assert eval_met(self.chain(5000, base), {"x": VAbs(TOP)}, INTERVAL,
+                            budget) == VAbs(TOP)
+            assert budget.steps_used == steps
+        budget = EvalBudget()
+        with pytest.raises(StuckError, match="^fst of a non-tuple$"):
+            eval_met(self.chain(5000, Var("x")), {"x": VInt(1)}, INTERVAL, budget)
+        assert budget.steps_used == 5001
 
     def test_running_too_deep_a_recursion(self):
         source = "let rec f n = match n with | 0 -> 0 | m -> 1 + f (m + -1) in f"
@@ -214,8 +242,7 @@ class TestDepth:
         deep = self.nested(5000)
         with pytest.raises(FuelExhausted):
             eval_met(deep, {"x": VInt(1)}, INTERVAL)
-        tuple_ = VTuple(VInt(7), VInt(8))
-        assert eval_met(self.nested(1), {"x": tuple_}, INTERVAL) == VInt(7)
+        assert eval_met(self.nested(1), {"x": VInt(7)}, INTERVAL) == VTuple(VInt(7), VInt(0))
 
 
 class TestCompiledForm:
@@ -247,6 +274,7 @@ class TestCompiledForm:
         ("filter_zero", "feq0(v, (v, snd v))", 1),
         ("abs_proj_path", "aadd(fst (snd v), snd v)", 2),
         ("abs_proj_path", "(snd (fst v), fst v)", 2),
+        ("abs_proj_path", "let f = fun p -> p in fst (snd (f v))", 1),
     ])
     def test_domain_functions_are_looked_up_when_called(self, function, text, calls,
                                                         monkeypatch):
@@ -266,7 +294,10 @@ class TestCompiledForm:
         assert len(seen) == calls
 
     def test_one_primitive_table(self):
-        assert set(PRIMITIVES) == set(PrimOp)
+        # Each operator has one implementation: the abstract ones in
+        # ``_ABSTRACT``, every other one in ``PRIMITIVES``.
+        assert set(PRIMITIVES).isdisjoint(_ABSTRACT)
+        assert set(PRIMITIVES) | set(_ABSTRACT) == set(PrimOp)
         assert PRIMITIVES[PrimOp.ADD](VInt(2), VInt(3), None) == VInt(5)
 
 
@@ -285,11 +316,12 @@ class TestSuperoperators:
                 assert_same_eval(expr, env, domain, fuel)
 
     @staticmethod
-    def paths(max_length: int = 5):
-        """Every projection path over ``x`` of 1 to ``max_length`` levels."""
+    def paths(max_length: int = 5, base: str = "x"):
+        """Every projection path over ``base``, the text of an expression,
+        of 1 to ``max_length`` levels."""
         for length in range(1, max_length + 1):
             for bits in range(2 ** length):
-                expr = Var("x")
+                expr = parse_met(base)
                 for level in range(length):
                     expr = (Proj1 if bits >> level & 1 else Proj2)(expr)
                 yield expr
@@ -346,6 +378,34 @@ class TestSuperoperators:
         for expr in self.paths():
             self.assert_same_at_every_fuel(expr, lambda d: {"x": value})
 
+    @classmethod
+    def chain_values(cls, domain):
+        """Abstract values, tuples of them, and tuples with a non-tuple at
+        each level."""
+        tree = cls.abstract_tree(domain)
+        pairs = [VAbs(tree), VAbs(TOP), VAbs(Num(domain.eta_int(-1))), VAbs(domains.BOT)]
+        values = [VAbs(tree), VAbs(TOP), cls.tuple_tree(2, lambda i: pairs[i])]
+        for leaf in (VInt(3), VConstruct("X", ())):
+            for stuck_at in range(4):
+                value = leaf
+                for _ in range(stuck_at):
+                    value = VTuple(value, value)
+                values.append(value)
+        return values
+
+    # Bases other than a variable: a let, a pair call, an abstract
+    # primitive and a tuple literal.
+    @pytest.mark.parametrize("base", ["let z = x in z", "f (x, y)", "ajoin(x, y)",
+                                      "(x, (y, 1))"])
+    def test_paths_over_any_base(self, base):
+        for k in range(11):
+            def env_of(d, k=k):
+                values = self.chain_values(d)
+                identity = walker.eval_met(parse_met("fun p -> p"), {}, d)
+                return {"x": values[k], "y": values[(k + 1) % len(values)], "f": identity}
+            for expr in self.paths(4, base):
+                self.assert_same_at_every_fuel(expr, env_of)
+
     def test_unbound_variable(self):
         for expr in self.paths(3):
             self.assert_same_at_every_fuel(expr, lambda d: {"y": VInt(1)})
@@ -372,8 +432,9 @@ class TestSuperoperators:
 
 class TestMetaSuperoperators:
     """The fused forms on meta-level analysis's hot paths: an application
-    of a variable runs as one closure, and so does one to a pair of leaves
-    (variables or projection paths over one); a match on a leaf reads it
+    of a variable to a pair of leaves (variables or projection paths over
+    one) runs as one closure, and any other application node by node; a
+    match on a leaf reads it
     inline; a match branch whose pattern is a variable, or a constructor
     over variables and wildcards, extends the environment directly.  Each
     must agree with the walker at every budget, from one step to the full
@@ -593,7 +654,9 @@ class TestMetaSuperoperators:
                                       "f (fst x, snd x)", "g (fst x, snd (fst (snd x)))",
                                       "match snd (fst (snd x)) with | w -> w",
                                       "snd (fst (snd x))", "aadd(snd (fst x), fst (snd x))",
-                                      "fne0(fst x, y)", "ajoin(aeq(fst (snd x), eta(0)), fst y)"])
+                                      "fne0(fst x, y)", "ajoin(aeq(fst (snd x), eta(0)), fst y)",
+                                      "fst (f (x, y))", "snd (fst (let z = x in z))",
+                                      "snd (snd (ajoin(x, x)))", "aadd(fst (snd (f (x, y))), y)"])
     def test_abs_proj_calls_are_those_of_the_walker(self, text, monkeypatch):
         # A tracer that rebinds ``abs_proj`` and ``abs_proj_path`` sees
         # every projection of an abstract value requested, also where a
@@ -721,11 +784,12 @@ class TestUnboxedOperands:
     # One operand of each kind: a leaf over tuples (to an abstract value,
     # and to a tuple of them), a leaf over an abstract value, a mixed path,
     # a variable, eta of a literal, a nested abstract primitive, a pair
-    # call, a let, an unbound variable and path, and variables bound to an
+    # call, a let, a path over a let, an unbound variable and path, and
+    # variables bound to an
     # integer, a constructor and a closure.
     OPERANDS = ("fst (snd t)", "snd t", "snd (fst x)", "snd (fst (snd m))", "y",
                 "eta(-2)", "aadd(fst x, eta(1))", "f (y, snd x)", "let z = fst x in z",
-                "u", "fst u", "n", "c", "k")
+                "snd (fst (let z = (x, t) in z))", "u", "fst u", "n", "c", "k")
 
     @staticmethod
     def env_of(domain):
