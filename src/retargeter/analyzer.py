@@ -10,7 +10,9 @@ Meta-level analysis of a target program runs this interpreter over the
 target's embedded definitional interpreter (:func:`analyze_meta_target`).
 That embedding is a constant of the target, like
 ``tgtlang.interpreter_fixture``, so it is built once per target and
-cached; only the encoded program and input are embedded per call.
+cached; only the encoded program and input are embedded per call.  Its
+equal subtrees are one object, and each analysis gives the evaluator a
+memo of its pair calls, so each distinct ``evalabs`` call runs once.
 
 Every entry point reports a source program or input nested too deeply
 for the host stack to embed as :class:`FuelExhausted`, as the evaluator
@@ -32,7 +34,7 @@ from .domains import (
 from .errors import FuelExhausted
 from .met.interp import apply_met_function
 from .met.parser import parse_met
-from .met.syntax import EvalBudget, MetExpr, MetValue, VAbs, VTuple
+from .met.syntax import EvalBudget, MetExpr, MetValue, VAbs, VConstruct, VTuple
 from .srclang import SPair, SrcExpr, SrcValue, embed_src_expr, embed_src_value
 from .tgtlang import (
     TgtProgram,
@@ -91,8 +93,21 @@ def _embed(embed, data) -> MetValue:
 
 @lru_cache(maxsize=None)
 def _embedded_interpreter(target: str) -> MetValue:
-    """``target``'s definitional interpreter, embedded; one value per target."""
-    return embed_src_expr(interpreter_fixture(target))
+    """``target``'s definitional interpreter, embedded; one value per target.
+
+    The embedding is shared: equal subtrees are one object (Filliatre &
+    Conchon, "Type-safe modular hash-consing", 2006), so the evaluator's
+    pair-call memo, keyed by identity, runs each distinct ``evalabs``
+    call of :func:`analyze_meta_target` once."""
+    return _shared(embed_src_expr(interpreter_fixture(target)), {})
+
+
+def _shared(v: MetValue, table: dict) -> MetValue:
+    """``v`` with equal subtrees made one object, the first of them met in
+    ``table``."""
+    if type(v) is VConstruct:
+        v = VConstruct(v.tag, tuple([_shared(a, table) for a in v.args]))
+    return table.setdefault(v, v)
 
 
 def analyze_meta(domain: NumericDomain, src_program: SrcExpr, src_input: SrcValue,
@@ -130,7 +145,9 @@ def analyze_meta_target(domain: NumericDomain, program: TgtProgram, i: int | Abs
     The same as ``analyze_meta`` (for an abstract ``i``,
     ``analyze_meta_abstract`` over ``abstract_target_input``) over
     ``interpreter_fixture(t)`` for the program's target ``t``, in result,
-    error and steps, but the interpreter is embedded once per target.
+    error and steps, but the interpreter is embedded once per target, with
+    its equal subtrees shared, and the evaluator memoizes its ``evalabs``
+    calls for the length of the analysis (``EvalBudget.memo``).
     """
     encoded = encode_tgt_program(program)
     if isinstance(i, int):
@@ -138,7 +155,13 @@ def analyze_meta_target(domain: NumericDomain, program: TgtProgram, i: int | Abs
     else:
         data = VAbs(check_domain(abstract_target_input(domain, encoded, i), domain))
     arg = VTuple(_embedded_interpreter(target_of(program)), data)
-    return _run(domain, arg, budget)
+    if budget is None:
+        budget = EvalBudget()
+    budget.memo = {}
+    try:
+        return _run(domain, arg, budget)
+    finally:
+        budget.memo = None
 
 
 def abstract_target_input(domain: NumericDomain, encoded_program: SrcValue,

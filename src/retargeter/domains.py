@@ -127,7 +127,8 @@ class SignSet:
         return _SIGN_JOIN_TABLE[self.signs, other.signs]
 
     def contains(self, n: int) -> bool:
-        return _sign_of(n) in self.signs
+        neg, zero, pos = _SIGN_MEMBERS[self.signs]
+        return neg if n < 0 else zero if n == 0 else pos
 
     def add(self, other: "SignSet") -> "SignSet":
         return _SIGN_ADD_TABLE[self.signs, other.signs]
@@ -139,10 +140,11 @@ class SignSet:
         return _SIGN_EQ_TABLE[self.signs, other.signs]
 
     def may_be_nonzero(self) -> bool:
-        return _NEG in self.signs or _POS in self.signs
+        neg, _, pos = _SIGN_MEMBERS[self.signs]
+        return neg or pos
 
     def may_be_zero(self) -> bool:
-        return _ZERO in self.signs
+        return _SIGN_MEMBERS[self.signs][1]
 
     def __str__(self) -> str:
         order = [Sign.NEG, Sign.ZERO, Sign.POS]
@@ -327,6 +329,9 @@ _SIGN_ADD_TABLE = _tabulate(operator.add)
 _SIGN_MUL_TABLE = _tabulate(operator.mul)
 _SIGN_EQ_TABLE = _tabulate(lambda x, y: int(x == y))
 _SIGN_JOIN_TABLE = {(a, b): _SIGN_SETS[a | b] for a in _SIGN_SETS for b in _SIGN_SETS}
+# Whether each sign set holds NEG, ZERO and POS.  Looking a frozenset up
+# uses its cached hash, where ``_ZERO in signs`` runs ``Sign.__hash__``.
+_SIGN_MEMBERS = {a: (_NEG in a, _ZERO in a, _POS in a) for a in _SIGN_SETS}
 
 # A numeric domain is its carrier class.
 NumericDomain = type[SignSet] | type[Interval]

@@ -38,6 +38,24 @@ interpreter with superoperators", 1995):
   builds the pair and the call's environment, and enters the body's
   cached code.  An inline leaf read follows tuples only; abstract
   projection and its boxing stay in the projection chain's closure.
+* The pair call is memoized when the budget carries a memo
+  (``EvalBudget.memo``, a dict), as "Abstracting Definitional
+  Interpreters" (Darais et al., 2017) caches configurations.  The key is
+  the identity of the closure and of both argument values; an entry holds
+  those three objects, so no id is reused while it lives, with the result
+  and the steps the body took.  A hit spends the call's own steps and the
+  body's at once and returns the result, when all of them fit in the
+  fuel; otherwise the call runs as a miss.  Only results are stored: an
+  error ends the evaluation.  Each entry is made by a miss, which spends
+  at least five steps, so a memo holds at most one entry per five steps.
+  A memo pays only where argument objects recur, so its owner decides:
+  ``analyzer.analyze_meta_target``, whose interpreter's equal subtrees
+  are one object, gives each analysis a fresh memo and drops it when the
+  analysis returns, and each distinct ``evalabs`` call then runs once.
+  Every other evaluation has none, and its pair calls read one attribute
+  more; an embedded source program's equal subtrees are distinct
+  objects, on which a memo found no hit and made ``analyze_meta`` 13%
+  slower.
 * A ``match`` tries, in order, only the branches that :func:`tag_table`
   finds can match the scrutinee's tag, and binds each with its pattern's
   :func:`binder`, compiled once and cached on the pattern.  A constructor
@@ -79,12 +97,14 @@ have succeeded, so the fallback repeats no domain call.
 Step counts, the step at which the budget runs out and every
 ``StuckError`` are therefore the same as for a direct tree walk.  A
 tracer that rebinds ``domains`` functions sees every domain call made
-while evaluating, with three differences from the tree walk: ``eta`` of
+while evaluating, with four differences from the tree walk: ``eta`` of
 a literal is computed once, at compile time; an abstract primitive reads
-a ``VAbs`` operand's value inline, without ``met_value_to_abs``; and a
+a ``VAbs`` operand's value inline, without ``met_value_to_abs``; a
 projection chain asks for its levels on an abstract value in one
 ``abs_proj_path`` call, where the tree walk calls ``abs_proj`` once per
-level.
+level; and a memo hit makes no domain call at all.  A hit also nests no
+host frame, so an evaluation whose repeated calls would have gone
+deeper than the host stack allows may now finish.
 
 Each primitive operator has one implementation.  ``_ABSTRACT`` names the
 domain function of each abstract operator, once, and compiled code calls
@@ -591,6 +611,13 @@ def _compile_pair_call(node: App, domain) -> Code:
         steps = budget.steps_used + cost
         if type(vf) is not VClosure or va is None or vb is None or steps > budget.fuel:
             return slow(env, budget)
+        memo = budget.memo
+        if memo is not None:
+            key = (id(vf), id(va), id(vb))
+            hit = memo.get(key)
+            if hit is not None and steps + hit[4] <= budget.fuel:
+                budget.steps_used = steps + hit[4]
+                return hit[3]
         budget.steps_used = steps
         pair = _new(VTuple)
         _set_fst(pair, va)
@@ -604,7 +631,12 @@ def _compile_pair_call(node: App, domain) -> Code:
             run = body._compiled[domain]
         except (AttributeError, KeyError):
             run = compiled(body, domain)
-        return run(inner, budget)
+        if memo is None:
+            return run(inner, budget)
+        result = run(inner, budget)
+        # Holding the three objects keeps their ids from being reused.
+        memo[key] = (vf, va, vb, result, budget.steps_used - steps)
+        return result
     return code
 
 

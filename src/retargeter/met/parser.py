@@ -44,15 +44,16 @@ kept: when a ``ParseError`` is raised, the text is scanned again for the
 offending token's offset, and the 1-based line and column are computed
 from it.
 
-The parser spends one host frame per level of nesting.  Brackets in an
-expression (parentheses and argument lists) are counted, and opening one
-more than ``NESTING_LIMIT`` at once is "input nested too deeply" however
-deep in the host stack ``parse_met`` is called.  So are more than
-``PROJECTION_LIMIT`` ``fst``/``snd`` open at once, counted across
-brackets, which bounds every projection chain in the tree; a prefix
-costs no frame.  The host stack bounds the rest (the
-bodies of ``let``, ``fun`` and ``match``, and patterns), and running out
-of it gives the same error.
+The parser spends one host frame per level of nesting, and every level
+is counted: a bracket in an expression or a pattern (parentheses and
+argument lists), and the bound expression, body, scrutinee or branch of
+a ``let``, ``fun`` or ``match`` (a pattern is one level inside its
+``match``).  More than ``NESTING_LIMIT`` levels open at once is "input
+nested too deeply" however deep in the host stack ``parse_met`` is
+called: a chain of more than 300 ``let`` bodies fails at every depth of
+the caller, the top level included.  More than ``PROJECTION_LIMIT``
+``fst``/``snd`` open at once, counted across brackets, is the same error,
+which bounds every projection chain in the tree; a prefix costs no frame.
 
 ``parse_met`` is memoized on its text: a text parsed again while it is
 among the ``MEMO_SIZE`` most recently parsed gives the same tree object,
@@ -133,9 +134,9 @@ _IDENT_CHARS = frozenset("0123456789_'")
 
 _ADD, _MUL, _EQ = PrimOp.ADD, PrimOp.MUL, PrimOp.EQ
 
-# A bracket costs the parser one host frame, so a text this deep parses at
-# any caller depth.  A projection costs none; its limit bounds the chains
-# that the evaluator compiles in space quadratic in their length.
+# A level of nesting costs the parser one host frame, so a text this deep
+# parses at any caller depth.  A projection costs none; its limit bounds
+# the chains that the evaluator compiles in space quadratic in their length.
 NESTING_LIMIT = 300
 PROJECTION_LIMIT = 1000
 
@@ -229,6 +230,9 @@ class _Parser:
         pos = self.pos
         kind = kinds[pos]
         if kind == "let":
+            depth += 1              # the bound expression and the body are inside
+            if depth > NESTING_LIMIT:
+                raise ParseError("input nested too deeply")
             rec = kinds[pos + 1] == "rec"
             if rec:
                 fname = self.name(pos + 2)
@@ -246,12 +250,18 @@ class _Parser:
                 return LetRecFun(fname, name, bound, self.expr(depth, projs))
             return Let(name, bound, self.expr(depth, projs))
         if kind == "fun":
+            depth += 1              # the body is inside
+            if depth > NESTING_LIMIT:
+                raise ParseError("input nested too deeply")
             param = self.name(pos + 1)
             if kinds[pos + 2] != "->":
                 raise self.expected("->", pos + 2)
             self.pos = pos + 3
             return Lambda(param, self.expr(depth, projs))
         if kind == "match":
+            depth += 1              # the scrutinee, patterns and branches are inside
+            if depth > NESTING_LIMIT:
+                raise ParseError("input nested too deeply")
             self.pos = pos + 1
             scrutinee = self.expr(depth, projs)
             pos = self.pos
@@ -261,7 +271,7 @@ class _Parser:
             branches = []
             while True:
                 self.pos = pos
-                pat = self.pattern()
+                pat = self.pattern(depth)
                 if not is_linear(pat):
                     raise self.error("pattern binds the same variable twice", pos)
                 pos = self.pos
@@ -356,8 +366,8 @@ class _Parser:
 
     # -- patterns ---------------------------------------------------------
 
-    def pattern(self) -> Pattern:
-        """The pattern at ``pos``; its brackets are not counted."""
+    def pattern(self, depth: int) -> Pattern:
+        """The pattern at ``pos``, inside ``depth`` levels of nesting."""
         kinds, texts = self.kinds, self.texts
         pos = self.pos
         kind = kinds[pos]
@@ -374,9 +384,11 @@ class _Parser:
                 pos += 1
             items = []
             if kinds[pos] == "(":
+                if depth >= NESTING_LIMIT:
+                    raise ParseError("input nested too deeply")
                 while True:
                     self.pos = pos + 1
-                    items.append(self.pattern())
+                    items.append(self.pattern(depth + 1))
                     pos = self.pos
                     if kinds[pos] != "," or kind == "(" and len(items) == 2:
                         break

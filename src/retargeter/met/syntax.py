@@ -409,6 +409,10 @@ class EvalBudget:
 
     fuel: int = DEFAULT_FUEL
     steps_used: int = 0
+    # The pair-call memo of the evaluation running on this budget, if its
+    # caller gives one (see ``met.interp``).  Not a field: it is neither
+    # compared nor shown.
+    memo = None
 
     def tick(self) -> None:
         if self.steps_used >= self.fuel:

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import walker
 from retargeter import analyzer
 from retargeter.analyzer import (
     abstract_target_input,
@@ -25,10 +26,11 @@ from retargeter.domains import (
     TOP,
     contains,
     leq,
+    met_value_to_abs,
 )
 from retargeter.errors import FuelExhausted, StuckError
 from retargeter.met.printer import count_nodes
-from retargeter.met.syntax import EvalBudget, Match
+from retargeter.met.syntax import EvalBudget, Match, VConstruct, VTuple
 from retargeter.srclang import (
     Add,
     Mul,
@@ -36,6 +38,8 @@ from retargeter.srclang import (
     SInt,
     SPair,
     X,
+    embed_src_expr,
+    embed_src_value,
     eval_src,
     random_src_expr,
     random_src_value,
@@ -202,6 +206,75 @@ class TestAnalyzeMetaTarget:
                 analyze_meta_target(domain, random_tgt_program(rng, target), 1)
             assert analyzer._embedded_interpreter(target) is analyzer._embedded_interpreter(target)
         assert analyzer._embedded_interpreter.cache_info().currsize <= len(TARGETS)
+
+    @pytest.mark.parametrize("target", TARGETS)
+    @pytest.mark.parametrize("domain", [INTERVAL, SIGN], ids=["interval", "sign"])
+    def test_the_memo_agrees_with_the_walker_at_every_fuel(self, domain, target):
+        # The walker has no memo and runs every repeated evalabs call.
+        rng = random.Random(47)
+        program = random_tgt_program(rng, target)
+        value = rng.randint(-1000, 1000)
+        arg = VTuple(embed_src_expr(interpreter_fixture(target)),
+                     embed_src_value(SPair(encode_tgt_program(program), encode_tgt_value(value))))
+
+        def walk(budget):
+            return met_value_to_abs(walker.apply_met_function(
+                build_abstract_interpreter(), arg, domain, budget))
+        _, full = self.outcome(walk, fuel=10**6)
+        for fuel in range(1, full + 2):
+            assert (self.outcome(analyze_meta_target, domain, program, value, fuel=fuel)
+                    == self.outcome(walk, fuel=fuel))
+
+    def test_each_analysis_has_its_own_memo(self):
+        class Watched(EvalBudget):
+            """A budget that records each memo given to it."""
+
+            def __init__(self, fuel):
+                super().__init__(fuel)
+                self.given = []
+
+            @property
+            def memo(self):
+                return self.__dict__.get("_memo")
+
+            @memo.setter
+            def memo(self, value):
+                if value is not None:
+                    assert value == {}
+                    self.given.append(value)
+                self.__dict__["_memo"] = value
+
+        program = random_tgt_program(random.Random(53), "seq2")
+        once = EvalBudget()
+        analyze_meta_target(INTERVAL, program, 7, once)
+        budget = Watched(10**6)
+        for _ in range(3):
+            analyze_meta_target(INTERVAL, program, 7, budget)
+            assert budget.memo is None
+        assert budget.steps_used == 3 * once.steps_used
+        assert len({id(m) for m in budget.given}) == 3
+        # One entry per distinct evalabs call: the interpreter's 18
+        # distinct subtrees.
+        assert [len(m) for m in budget.given] == [18] * 3
+        starved = Watched(100)
+        with pytest.raises(FuelExhausted):
+            analyze_meta_target(INTERVAL, program, 7, starved)
+        assert starved.memo is None and len(starved.given) == 1
+
+    @pytest.mark.parametrize("target, nodes, distinct", [("single", 18, 10), ("seq2", 59, 18)])
+    def test_the_embedding_shares_equal_subtrees(self, target, nodes, distinct):
+        # Equal subtrees are one object, so the evaluator's pair-call memo,
+        # keyed by identity, hits on them.
+        shared = analyzer._embedded_interpreter(target)
+        assert shared == embed_src_expr(interpreter_fixture(target))
+        found, stack = [], [shared]
+        while stack:
+            node = stack.pop()
+            if type(node) is VConstruct:
+                found.append(node)
+                stack.extend(node.args)
+        assert len(found) == nodes
+        assert len({id(n) for n in found}) == len(set(found)) == distinct
 
 
 class TestAnalyzeMetaAbstract:

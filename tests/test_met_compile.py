@@ -10,10 +10,12 @@ evaluator bug; this comparison can.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 import sys
 import tracemalloc
+import weakref
 from types import MappingProxyType
 
 import pytest
@@ -23,7 +25,7 @@ from hypothesis import strategies as st
 import walker
 from astgen import NAMES, random_met_expr
 from corpus import CORPUS
-from retargeter import domains, retarget
+from retargeter import analyzer, domains, retarget
 from retargeter import srclang as src
 from retargeter.analyzer import build_abstract_interpreter
 from retargeter.domains import (
@@ -846,3 +848,119 @@ class TestUnboxedOperands:
         assert value == VAbs(TOP)
         assert budget.steps_used == 3001
         assert peak < 10 * 2**20
+
+
+class Held(VConstruct):
+    """A constructor value that a weak reference can follow."""
+
+
+def memo_outcome(run, *args, fuel):
+    """``outcome`` on a budget that carries a pair-call memo."""
+    budget = EvalBudget(fuel=fuel)
+    budget.memo = {}
+    try:
+        result = ("value", run(*args, budget))
+    except Exception as err:
+        result = ("error", type(err), str(err))
+    return result, budget.steps_used
+
+
+class TestPairCallMemo:
+    """The pair call ``f (a, b)`` is memoized when the budget carries a
+    memo, keyed by the identity of the closure and of both arguments.  A
+    hit must spend the steps the call took the first time, run out of
+    fuel on the same step as the walker, which has no memo, and never
+    stand in for a call on other arguments."""
+
+    @staticmethod
+    def at_every_fuel(expr, env_of):
+        for domain in (SIGN, INTERVAL):
+            env = env_of(domain)
+            _, full = outcome(walker.eval_met, expr, env, domain, fuel=10**6)
+            for fuel in range(1, full + 2):
+                assert (memo_outcome(eval_met, expr, env, domain, fuel=fuel)
+                        == outcome(walker.eval_met, expr, env, domain, fuel=fuel))
+
+    # evalabs's shape over a tree whose equal subtrees are one object.
+    RECURSIVE = parse_met("""
+        let rec f p = match fst p with
+          | X -> snd p
+          | Num(n) -> eta(n)
+          | Add(a, b) -> aadd(f (a, snd p), f (b, snd p))
+          | Pair(a, b) -> (f (a, snd p), f (b, snd p))
+        in f (x, y)""")
+
+    @staticmethod
+    def shared_tree():
+        """``Add(s, Pair(s, Add(s, s)))`` with ``s`` one object."""
+        s = VConstruct("Add", (VConstruct("Num", (VInt(1),)), VConstruct("X", ())))
+        pair = VConstruct("Pair", (s, VConstruct("Add", (s, s))))
+        return VConstruct("Add", (s, pair))
+
+    @staticmethod
+    def inputs(domain):
+        """Abstract inputs, then non-abstract ones, on which ``aadd`` is
+        stuck after the first calls have been stored."""
+        return (VAbs(Num(domain.eta_int(3))), VAbs(TOP), VAbs(domains.BOT),
+                VConstruct("X", ()), VInt(2))
+
+    def test_repeated_calls_on_the_same_objects(self):
+        tree = self.shared_tree()
+        for k in range(5):
+            self.at_every_fuel(self.RECURSIVE,
+                               lambda d, k=k: {"x": tree, "y": self.inputs(d)[k]})
+
+    @pytest.mark.parametrize("calls", [
+        "(g (x, fst y), (g (x, snd y), g (x, fst y)))",
+        "(g (x, snd y), g (snd y, x))",
+        "(g (x, fst y), (g (x, fst y), g (x, snd y)))",
+    ], ids=["same-first-other-second", "swapped", "repeated-then-another"])
+    def test_the_same_first_argument_with_another_second(self, calls):
+        expr = parse_met(f"let g = fun q -> aadd(fst q, snd q) in {calls}")
+
+        def env_of(d, second):
+            return {"x": VAbs(Num(d.eta_int(1))),
+                    "y": VTuple(VAbs(Num(d.eta_int(5))), second(d))}
+        for second in (lambda d: VAbs(Num(d.eta_int(-7))), lambda d: VAbs(TOP),
+                       lambda d: VConstruct("X", ()), lambda d: VInt(0)):
+            self.at_every_fuel(expr, lambda d, second=second: env_of(d, second))
+
+    def test_a_hit_makes_no_domain_call(self, monkeypatch):
+        calls = []
+        original = domains.abs_add
+
+        def counting(a, b, domain):
+            calls.append((a, b))
+            return original(a, b, domain)
+
+        monkeypatch.setattr(domains, "abs_add", counting)
+        env = {"x": self.shared_tree(), "y": VAbs(TOP)}
+        for run in (walker.eval_met, eval_met):
+            # The walker adds at the root, at Add(s, s) and at each of
+            # four s; so does the evaluator without a memo.
+            calls.clear()
+            run(self.RECURSIVE, env, INTERVAL)
+            assert len(calls) == 6
+        budget = EvalBudget()
+        budget.memo = {}
+        calls.clear()
+        eval_met(self.RECURSIVE, env, INTERVAL, budget)
+        assert len(calls) == 3
+        # One entry per distinct call: the root, s, Num(1), X, the Pair
+        # and Add(s, s).
+        assert len(budget.memo) == 6
+
+    def test_the_evaluator_keeps_no_memo_of_its_own(self):
+        held = Held("X", ())
+        ref = weakref.ref(held)
+        budget = EvalBudget()
+        expr = parse_met("""fun p ->
+            let g = fun q -> snd q in
+            let h = fun r -> (g (fst r, snd r), g (fst r, snd r)) in
+            h (fst p, snd p)""")
+        assert apply_met_function(expr, VTuple(held, VInt(1)), SIGN, budget) == VTuple(
+            VInt(1), VInt(1))
+        assert budget.memo is None
+        del held
+        gc.collect()
+        assert ref() is None

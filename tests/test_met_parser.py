@@ -154,8 +154,9 @@ def levels(e) -> int:
 
 
 class TestNestingLimit:
-    """Brackets are counted, so the limit does not depend on how deep in
-    the host stack ``parse_met`` is called."""
+    """Brackets, pattern brackets and the bodies of ``let``, ``fun`` and
+    ``match`` are counted, so the limit does not depend on how deep in the
+    host stack ``parse_met`` is called."""
 
     @pytest.mark.parametrize("frames", [0, 300])
     @pytest.mark.parametrize("opening, nodes", [
@@ -200,20 +201,53 @@ class TestNestingLimit:
         pair = parse_afresh(f"({run}, {run} + {run})", 0)
         assert levels(pair.fst) == limit
 
-    def test_pattern_brackets_are_not_counted(self):
-        depth = parser.NESTING_LIMIT + 100
-        text = f"match x with {'Fst(' * depth}y{')' * depth} -> y"
-        pat = parse_afresh(text, 0).branches[0][0]
-        for _ in range(depth):
-            pat = pat.args[0]
-        assert pat == PVar("y")
-
-    def test_nesting_past_the_limit_inside_let_and_match_fails(self):
+    @pytest.mark.parametrize("frames", [0, 600])
+    @pytest.mark.parametrize("chain", [
+        lambda n: "let y = 1 in " * n + "y",
+        lambda n: "let rec f y = y in " * n + "f",
+        lambda n: "let y = " * n + "1" + " in y" * n,
+        lambda n: "fun y -> " * n + "y",
+        lambda n: "match y with | _ -> " * n + "y",
+        lambda n: "match " * n + "y" + " with y -> y" * n,
+    ], ids=["let-bodies", "let-rec-bodies", "let-bounds", "fun-bodies", "match-branches",
+            "match-scrutinees"])
+    def test_let_fun_and_match_bodies_are_counted(self, chain, frames):
+        # Each body costs the parser a host frame, as a bracket does, so a
+        # chain of them past the limit fails at every depth of the caller.
         limit = parser.NESTING_LIMIT
-        inner = "eta(" * limit + "x" + ")" * limit
-        assert parse_afresh(f"let y = 1 in match y with | _ -> {inner}", 0)
+        assert parse_afresh(chain(limit), frames)
+        with pytest.raises(ParseError, match="nested too deeply") as err:
+            parse_afresh(chain(limit + 1), frames)
+        assert err.value.line is None
         with pytest.raises(ParseError, match="nested too deeply"):
-            parse_afresh(f"let y = 1 in match y with | _ -> ({inner})", 0)
+            parse_afresh(chain(500), frames)
+
+    @pytest.mark.parametrize("frames", [0, 600])
+    @pytest.mark.parametrize("opening", ["Fst(", "(", "(_, ", "Pair(_, "],
+                             ids=["constructor", "parentheses", "tuple", "second-argument"])
+    def test_pattern_brackets_are_counted(self, opening, frames):
+        # A pattern is inside its match, one level down.
+        depth = parser.NESTING_LIMIT - 1
+
+        def text(n):
+            return f"match x with {opening * n}z{')' * n} -> z"
+        pat = parse_afresh(text(depth), frames).branches[0][0]
+        if opening == "Fst(":
+            for _ in range(depth):
+                pat = pat.args[0]
+            assert pat == PVar("z")
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_afresh(text(depth + 1), frames)
+
+    def test_brackets_and_bodies_share_the_limit(self):
+        limit = parser.NESTING_LIMIT
+        inner = "eta(" * (limit - 2) + "x" + ")" * (limit - 2)
+        assert parse_afresh(f"let y = 1 in match y with | _ -> {inner}", 0)
+        for text in (f"let y = 1 in match y with | _ -> ({inner})",
+                     f"let y = 1 in fun z -> match y with | _ -> {inner}",
+                     "(" * (limit - 1) + "let y = 1 in (y))" + ")" * (limit - 2)):
+            with pytest.raises(ParseError, match="nested too deeply"):
+                parse_afresh(text, 0)
 
 
 class TestMemo:

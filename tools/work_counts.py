@@ -14,7 +14,12 @@ The ``residual_abstract`` rows run the residual on the same programs
 with abstract inputs (``run_specialized_abstract``), drawn next from the
 same generator as the ``residual`` benchmark draws them: an interval in
 [-1000, 1000], one in five of them unbounded on one side, or a nonempty
-sign set.
+sign set.  The ``harness`` rows count the trial loop of the ``harness``
+benchmark, per trial of ``check_soundness`` plus one of
+``check_equivalence``: each runs ``N`` trials from seed ``SEED`` in one
+call, as ``_harness`` runs them (a program and an input drawn, meta-level
+analysis, the residual and the verdict), and the counts are divided by
+``N``.
 
 The ``compile`` rows count the specialization round trip the same way,
 per source program: ``N`` programs drawn from ``random.Random(SEED)`` with
@@ -113,7 +118,12 @@ def counts(programs: int) -> dict:
     from retargeter.met import parser
     from retargeter.met.printer import print_met
     from retargeter.peval import specialize
-    from retargeter.retargeting import run_specialized, run_specialized_abstract
+    from retargeter.retargeting import (
+        check_equivalence,
+        check_soundness,
+        run_specialized,
+        run_specialized_abstract,
+    )
     from retargeter.srclang import embed_src_expr, random_src_expr
     from retargeter.tgtlang import TARGETS, print_tgt_program, random_tgt_program
 
@@ -131,11 +141,12 @@ def counts(programs: int) -> dict:
     result = {}
     counter = Counter()
 
-    def measure(key, ops):
+    def measure(key, ops, per=1):
+        """Count ``ops``, each standing for ``per`` units of work."""
         for op in ops:
             op()
         calls, bytecodes = counter.count(ops)
-        result[key] = {"calls": calls, "bytecodes": bytecodes}
+        result[key] = {"calls": calls / per, "bytecodes": bytecodes / per}
 
     requests = {"analyze-specialized": [], "analyze": []}
     files = tempfile.TemporaryDirectory()
@@ -172,6 +183,10 @@ def counts(programs: int) -> dict:
             }
             for path, ops in paths.items():
                 measure(f"{target}/{name}/{path}", ops)
+            measure(f"{target}/{name}/harness",
+                    [lambda: (check_soundness(domain, target, programs, SEED),
+                              check_equivalence(domain, target, programs, SEED))],
+                    per=programs)
 
     interpreter = build_abstract_interpreter()
     rng = random.Random(SEED)
