@@ -10,7 +10,7 @@ Meta-level analysis of a target program runs this interpreter over the
 target's embedded definitional interpreter (:func:`analyze_meta_target`).
 That embedding is a constant of the target, like
 ``tgtlang.interpreter_fixture``, so it is built once per target and
-cached; only the encoded program and input are embedded per call.  Its
+cached; only the encoded program is embedded per call.  Its
 equal subtrees are one object, and each analysis gives the evaluator a
 memo of its pair calls, so each distinct ``evalabs`` call runs once.
 
@@ -25,6 +25,7 @@ from functools import lru_cache
 
 from .domains import (
     AbsValue,
+    Num,
     NumericDomain,
     check_domain,
     eta_met_value,
@@ -35,14 +36,8 @@ from .errors import FuelExhausted
 from .met.interp import apply_met_function
 from .met.parser import parse_met
 from .met.syntax import EvalBudget, MetExpr, MetValue, VAbs, VConstruct, VTuple
-from .srclang import SPair, SrcExpr, SrcValue, embed_src_expr, embed_src_value
-from .tgtlang import (
-    TgtProgram,
-    encode_tgt_program,
-    encode_tgt_value,
-    interpreter_fixture,
-    target_of,
-)
+from .srclang import SrcExpr, SrcValue, embed_src_expr, embed_src_value
+from .tgtlang import TgtProgram, encode_tgt_program, interpreter_fixture, target_of
 
 # One match arm per source constructor.  A conditional filters the
 # abstract predicate against "nonzero" on the then-branch and "zero" on
@@ -140,20 +135,19 @@ def analyze_meta_target(domain: NumericDomain, program: TgtProgram, i: int | Abs
                         budget: EvalBudget | None = None) -> AbsValue:
     """Meta-level analysis of a target program on a concrete or abstract
     input: the abstract interpreter run over the target's definitional
-    interpreter.
+    interpreter.  A concrete input is its singleton abstraction, as for
+    the residual, and the program and input are the residual's argument
+    (:func:`target_argument`).
 
-    The same as ``analyze_meta`` (for an abstract ``i``,
-    ``analyze_meta_abstract`` over ``abstract_target_input``) over
-    ``interpreter_fixture(t)`` for the program's target ``t``, in result,
-    error and steps, but the interpreter is embedded once per target, with
-    its equal subtrees shared, and the evaluator memoizes its ``evalabs``
-    calls for the length of the analysis (``EvalBudget.memo``).
+    The same as ``analyze_meta_abstract`` over ``interpreter_fixture(t)``
+    for the program's target ``t`` and ``abstract_target_input``, in
+    result, error and steps, but the interpreter is embedded once per
+    target, with its equal subtrees shared, and the evaluator memoizes its
+    ``evalabs`` calls for the length of the analysis (``EvalBudget.memo``).
     """
-    encoded = encode_tgt_program(program)
     if isinstance(i, int):
-        data = _embed(embed_src_value, SPair(encoded, encode_tgt_value(i)))
-    else:
-        data = VAbs(check_domain(abstract_target_input(domain, encoded, i), domain))
+        i = Num(domain.eta_int(i))
+    data = target_argument(program, check_domain(i, domain))
     arg = VTuple(_embedded_interpreter(target_of(program)), data)
     if budget is None:
         budget = EvalBudget()
@@ -164,8 +158,17 @@ def analyze_meta_target(domain: NumericDomain, program: TgtProgram, i: int | Abs
         budget.memo = None
 
 
+def target_argument(program: TgtProgram, abstract_input: AbsValue) -> MetValue:
+    """The argument of both analyses of a target program, meta-level and
+    residual: the encoded program, embedded, paired with the abstract
+    input.  The abstract interpreter abstracts it with ``eta`` first,
+    which gives :func:`abstract_target_input`'s value."""
+    return VTuple(embed_src_value(encode_tgt_program(program)), VAbs(abstract_input))
+
+
 def abstract_target_input(domain: NumericDomain, encoded_program: SrcValue,
                           abstract_value: AbsValue) -> AbsValue:
     """Abstract input pairing an exactly-known encoded program with an
-    abstract target value, for analyzing a target program meta-level."""
+    abstract target value: what meta-level analysis of a target program
+    abstracts its data to."""
     return make_pair(eta_met_value(embed_src_value(encoded_program), domain), abstract_value)

@@ -56,18 +56,15 @@ interpreter with superoperators", 1995):
   more; an embedded source program's equal subtrees are distinct
   objects, on which a memo found no hit and made ``analyze_meta`` 13%
   slower.
-* A ``match`` tries, in order, only the branches that :func:`tag_table`
-  finds can match the scrutinee's tag, and binds each with its pattern's
-  :func:`binder`, compiled once and cached on the pattern.  A constructor
-  over variables and wildcards copies the environment once and stores
-  the bindings; later bindings win, and a branch that binds nothing runs
-  in the environment it was given.  The specializer uses the same table
-  and binders for a ``match`` on a known value.
+* A ``match`` tries, in order, only the branches that can match the
+  scrutinee's tag, and binds each with its pattern's :func:`binder`,
+  compiled once and cached on the pattern; later bindings win, and a
+  branch that binds nothing runs in the environment it was given.
 * A ``match`` on a leaf (``match fst ev with``) reads it inline, over
   tuples only, and spends its steps with the ``Match`` step.  Where a
   tag's first candidate branch is a constructor over variables and
-  wildcards (:func:`_flat`), a value of that tag and arity binds inline,
-  without calling the binder.
+  wildcards, a value of that tag and arity binds inline: it copies the
+  environment once and stores the bindings, without calling the binder.
 * An abstract primitive (``aadd``, ``amul``, ``aeq``, ``ajoin``,
   ``fne0``, ``feq0``) computes with unboxed operands (Peyton Jones &
   Launchbury, "Unboxed values as first class citizens", 1991) and calls
@@ -88,9 +85,14 @@ interpreter with superoperators", 1995):
 * Boxing goes through ``VAbs``'s slot setter, as ``domains._num`` does,
   which runs no host frame.
 
+Which applications are pair calls (:func:`pair_call`) and each match's
+leaf, candidate branches and inline bindings (:func:`match_plan`) are
+decided at compile time, by one function each, which the specializer
+calls too.
+
 Every other fused form runs only when its whole cost fits in the fuel
-and every read succeeds.  Otherwise the node-by-node code, compiled on
-first need, spends the steps one at a time and raises what the tree walk
+and every read succeeds.  Otherwise the node-by-node code, compiled with
+it, spends the steps one at a time and raises what the tree walk
 raises.  An inline leaf read calls no domain function, and a fused
 primitive calls ``abs_proj_path`` only once its fuel check and its reads
 have succeeded, so the fallback repeats no domain call.
@@ -124,7 +126,7 @@ compiled the first time the closure is applied.
 from __future__ import annotations
 
 import operator
-from typing import Callable, Iterable, Mapping, TypeVar
+from typing import Callable, Mapping, TypeVar
 
 from .. import domains
 from ..domains import AbsValue, NumericDomain
@@ -178,8 +180,7 @@ def binder(pat: Pattern) -> Binder:
     the pattern node.
 
     Each binder checks its own tag, arity, integer or tuple shape, so it is
-    correct nested or on its own.  A constructor over variables and
-    wildcards copies ``env`` once and stores the arguments."""
+    correct nested or on its own."""
     try:
         return pat._binder
     except AttributeError:
@@ -210,22 +211,6 @@ def _compile_binder(pat: Pattern) -> Binder:
     if t is not PConstruct:
         raise TypeError(f"not a pattern: {pat!r}")
     tag, arity = pat.tag, len(pat.args)
-    flat = _flat(pat)
-    if flat is not None:
-        slots = flat[1]
-        if not slots:
-            return lambda value, env: (
-                env if type(value) is VConstruct and value.tag == tag
-                and len(value.args) == arity else None)
-
-        def bind(value, env):
-            if type(value) is not VConstruct or value.tag != tag or len(value.args) != arity:
-                return None
-            args, inner = value.args, dict(env)
-            for i, name in slots:
-                inner[name] = args[i]
-            return inner
-        return bind
     binders = tuple(binder(p) for p in pat.args)
 
     def bind(value, env):
@@ -237,31 +222,6 @@ def _compile_binder(pat: Pattern) -> Binder:
                 return None
         return env
     return bind
-
-
-def _flat(pat: Pattern) -> tuple[int, tuple[tuple[int, str], ...]] | None:
-    """``(arity, slots)`` for a constructor pattern over variables and
-    wildcards, which binds by storing ``args[i]`` as ``name`` for each
-    ``(i, name)`` in ``slots``; None for any other pattern."""
-    if type(pat) is PConstruct and all(type(p) is PVar or type(p) is PWild for p in pat.args):
-        return len(pat.args), tuple((i, p.name) for i, p in enumerate(pat.args) if type(p) is PVar)
-    return None
-
-
-def tag_table(pairs: Iterable[tuple[Pattern, T]]
-              ) -> tuple[dict[str, tuple[T, ...]], tuple[T, ...]]:
-    """``(by_tag, others)`` for the branches of a ``match``, given as
-    ``(pattern, item)`` pairs in order.  A constructor pattern matches only
-    its own tag, so ``by_tag[tag]`` holds the items of the branches that can
-    match a constructor of ``tag``, and ``others`` those of the branches
-    that can match any other value, both still in order."""
-    pairs = tuple(pairs)
-
-    def candidates(tag):
-        return tuple(item for pat, item in pairs
-                     if type(pat) is not PConstruct or pat.tag == tag)
-    by_tag = {pat.tag: candidates(pat.tag) for pat, _ in pairs if type(pat) is PConstruct}
-    return by_tag, candidates(None)
 
 
 # ---------------------------------------------------------------------------
@@ -382,18 +342,6 @@ def _compile_tuple(node: Tuple, domain) -> Code:
     return code
 
 
-def _lazy(compile_code: Callable[[], Code]) -> Code:
-    """A fused form's fallback: ``compile_code()``'s code, made on first need."""
-    code = None
-
-    def run(env, budget):
-        nonlocal code
-        if code is None:
-            code = compile_code()
-        return code(env, budget)
-    return run
-
-
 def _chain(node: MetExpr) -> tuple[MetExpr, tuple[bool, ...]]:
     """``(base, path)`` for a chain of projections over ``base``: ``path``
     lists the projections innermost first, True for fst, and is empty when
@@ -411,6 +359,42 @@ def _leaf(node: MetExpr) -> tuple[str, tuple[bool, ...]] | None:
     steps.  None for any other node."""
     base, path = _chain(node)
     return (base.name, path) if type(base) is Var else None
+
+
+def match_plan(scrutinee: MetExpr, branches: tuple[tuple[Pattern, T], ...]):
+    """``((name, path), (by_tag, others), inline)``: the compile-time plan
+    of a ``match`` on ``scrutinee`` with ``branches``, ``(pattern, item)``
+    pairs in order.  ``(name, path)`` is the scrutinee as a leaf
+    (:func:`_leaf`), or ``(None, ())``.  A constructor pattern matches
+    only its own tag, so ``by_tag[tag]`` holds the branches that can match
+    a constructor of ``tag``, and ``others`` those that can match any
+    other value, both in order.  ``inline[tag]`` is ``(arity, slots,
+    item)`` where the tag's first candidate is a constructor over
+    variables and wildcards: a value of that tag and arity binds by
+    storing ``args[i]`` as ``name`` for each ``(i, name)`` in ``slots``."""
+    def candidates(tag):
+        return tuple((pat, item) for pat, item in branches
+                     if type(pat) is not PConstruct or pat.tag == tag)
+    by_tag = {pat.tag: candidates(pat.tag) for pat, _ in branches if type(pat) is PConstruct}
+    inline = {}
+    for tag, ((pat, item), *_) in by_tag.items():
+        if type(pat) is PConstruct and all(type(p) is PVar or type(p) is PWild
+                                           for p in pat.args):
+            slots = tuple((i, p.name) for i, p in enumerate(pat.args) if type(p) is PVar)
+            inline[tag] = (len(pat.args), slots, item)
+    return _leaf(scrutinee) or (None, ()), (by_tag, candidates(None)), inline
+
+
+def pair_call(node: App):
+    """``(f, (a, apath), (b, bpath))`` for an application ``f (a, b)`` of a
+    variable to a pair of leaves: its name and each leaf as :func:`_leaf`
+    gives it.  None for any other application."""
+    fun, arg = node.fun, node.arg
+    if type(fun) is Var and type(arg) is Tuple:
+        a, b = _leaf(arg.fst), _leaf(arg.snd)
+        if a is not None and b is not None:
+            return fun.name, a, b
+    return None
 
 
 def _compile_proj(node: Proj1 | Proj2, domain, box: bool = True) -> Code:
@@ -481,19 +465,9 @@ def _compile_construct(node: Construct, domain) -> Code:
 
 def _compile_match(node: Match, domain) -> Code:
     scrutinee = _COMPILERS[type(node.scrutinee)](node.scrutinee, domain)
-    # A leaf scrutinee is read inline; None, the name of no variable,
-    # makes every other scrutinee run its code.
-    name, path = _leaf(node.scrutinee) or (None, ())
-    cost = len(path) + 2            # the Match node and the leaf
     branches = tuple((pat, _COMPILERS[type(body)](body, domain)) for pat, body in node.branches)
-    by_tag, others = tag_table((pat, (binder(pat), body)) for pat, body in branches)
-    # Tag -> (arity, slots, body) where the tag's first candidate is a
-    # constructor over variables and wildcards, which binds inline.
-    inline = {}
-    for tag, ((pat, body), *_) in tag_table((p, (p, b)) for p, b in branches)[0].items():
-        flat = _flat(pat)
-        if flat is not None:
-            inline[tag] = (*flat, body)
+    (name, path), (by_tag, others), inline = match_plan(node.scrutinee, branches)
+    cost = len(path) + 2            # the Match node and the leaf
 
     def code(env, budget):
         v = env.get(name)
@@ -520,8 +494,8 @@ def _compile_match(node: Match, domain) -> Code:
                 for i, n in slots:
                     inner[n] = args[i]
                 return body(inner, budget)
-        for bind, body in by_tag.get(v.tag, others) if type(v) is VConstruct else others:
-            inner = bind(v, env)
+        for pat, body in by_tag.get(v.tag, others) if type(v) is VConstruct else others:
+            inner = binder(pat)(v, env)
             if inner is not None:
                 return body(inner, budget)
         raise StuckError(f"no branch matches {v!r}")
@@ -566,17 +540,14 @@ def _compile_lambda(node: Lambda, domain) -> Code:
 
 
 def _compile_app(node: App, domain) -> Code:
-    a = node.arg
-    if type(node.fun) is Var and type(a) is Tuple and _leaf(a.fst) and _leaf(a.snd):
-        return _compile_pair_call(node, domain)
-    return _compile_app_node(node, domain)
-
-
-def _compile_app_node(node: App, domain) -> Code:
+    """An application.  ``f (a, b)`` for a variable ``f`` and leaves ``a``
+    and ``b``, as :func:`pair_call` plans it, is one closure for the
+    application, the variable, the pair and its leaves, which falls back
+    on the node-by-node code."""
     fun = _COMPILERS[type(node.fun)](node.fun, domain)
     arg = _COMPILERS[type(node.arg)](node.arg, domain)
 
-    def code(env, budget):
+    def slow(env, budget):
         if budget.steps_used >= budget.fuel:
             budget.tick()
         budget.steps_used += 1
@@ -585,16 +556,11 @@ def _compile_app_node(node: App, domain) -> Code:
         if not isinstance(vf, VClosure):
             raise StuckError("application of a non-function")
         return compiled(vf.body, domain)(_call_env(vf, va), budget)
-    return code
-
-
-def _compile_pair_call(node: App, domain) -> Code:
-    """``f (a, b)`` for a variable ``f`` and leaves ``a`` and ``b``: the
-    application, the variable, the pair and its leaves as one closure."""
-    name = node.fun.name
-    (an, apath), (bn, bpath) = _leaf(node.arg.fst), _leaf(node.arg.snd)
+    plan = pair_call(node)
+    if plan is None:
+        return slow
+    name, (an, apath), (bn, bpath) = plan
     cost = len(apath) + len(bpath) + 5      # App, Var, Tuple and the two leaves
-    slow = _lazy(lambda: _compile_app_node(node, domain))
 
     def code(env, budget):
         vf, va, vb = env.get(name), env.get(an), env.get(bn)

@@ -135,8 +135,10 @@ _IDENT_CHARS = frozenset("0123456789_'")
 _ADD, _MUL, _EQ = PrimOp.ADD, PrimOp.MUL, PrimOp.EQ
 
 # A level of nesting costs the parser one host frame, so a text this deep
-# parses at any caller depth.  A projection costs none; its limit bounds
-# the chains that the evaluator compiles in space quadratic in their length.
+# parses at any caller depth.  A projection costs none, nor does it in the
+# evaluator or the printer; its limit bounds the chains that records' ``==``,
+# ``hash`` and ``repr``, the specializer's compiler (which reports running
+# out of host stack as ``FuelExhausted``) and the oracles recurse through.
 NESTING_LIMIT = 300
 PROJECTION_LIMIT = 1000
 

@@ -10,8 +10,8 @@ Every walker dispatches on the node's class through one table keyed by
 it, as the evaluator and the specializer do.  An expression printer
 takes the precedence context of its position, parenthesizes itself, and
 calls its children's printers straight from the table, so each level of
-an expression costs one host frame; ``_absorbs_bar`` and ``count_nodes``
-loop and cost none.  A value of any other class is a ``TypeError``.
+an expression but a projection costs one host frame; a projection chain,
+``_absorbs_bar`` and ``count_nodes`` loop.  Any other class is a ``TypeError``.
 """
 
 from __future__ import annotations
@@ -71,10 +71,23 @@ class _Table(dict):
         return reject
 
 
-def _show_proj(e: Proj1 | Proj2, ctx: int) -> str:
-    arg = e.arg
-    text = f"{'fst' if type(e) is Proj1 else 'snd'} {_SHOW[type(arg)](arg, _PROJ)}"
-    return f"({text})" if ctx > _PROJ else text
+def _projection_printer(word: str):
+    """The printer of a projection spelled ``word``.  It prints the chain
+    below it in one frame, so every chain the parser reads prints."""
+    def show(e: Proj1 | Proj2, ctx: int) -> str:
+        prefix = word
+        e = e.arg
+        cls = type(e)
+        while cls in _PROJ_WORDS:
+            prefix += _PROJ_WORDS[cls]
+            e = e.arg
+            cls = type(e)
+        text = prefix + _SHOW[cls](e, _PROJ)
+        return f"({text})" if ctx > _PROJ else text
+    return show
+
+
+_PROJ_WORDS = {Proj1: "fst ", Proj2: "snd "}
 
 
 def _show_construct(e: Construct, ctx: int) -> str:
@@ -141,8 +154,8 @@ _SHOW = _Table("meta-language expression", {
     IntLit: lambda e, ctx: str(e.value),
     Tuple: lambda e, ctx: (f"({_SHOW[type(e.fst)](e.fst, _OPEN)}, "
                            f"{_SHOW[type(e.snd)](e.snd, _OPEN)})"),
-    Proj1: _show_proj,
-    Proj2: _show_proj,
+    Proj1: _projection_printer(_PROJ_WORDS[Proj1]),
+    Proj2: _projection_printer(_PROJ_WORDS[Proj2]),
     Construct: _show_construct,
     Match: _show_match,
     Let: _show_binder,

@@ -44,7 +44,7 @@ as long as every program specialized; the body of a closure that came
 with the static input is compiled for each application and not kept.
 
 A ``match`` on a known value is decided as the evaluator decides it: it
-tries, in order, only the branches that the evaluator's ``tag_table``
+tries, in order, only the branches that the evaluator's ``match_plan``
 finds can match the value's constructor tag (or a value that is not a
 constructor), and binds a known value with the pattern's cached
 ``binder``.
@@ -57,8 +57,10 @@ and unfolds a ``PEClosure`` itself.  A ``match`` on a leaf reads it
 inline and binds a known constructor inline where its tag's first
 candidate is a constructor over variables and wildcards.  An abstract
 primitive of arity 1 or 2 specializes its arguments, then residualizes
-them.  A fused form runs only when every inline read succeeds and, for a
-call, an unfolding is left; otherwise the node-by-node code runs.
+them.  The evaluator's ``pair_call`` and ``match_plan`` plan the calls
+and matches for both compilers.  A fused form runs only when every
+inline read succeeds and, for a call, an unfolding is left; otherwise
+the node-by-node code runs.
 
 The compiled code applies the same rules as a tree walk, in the same
 order: children are specialized left to right, fresh names are drawn at
@@ -72,7 +74,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .errors import FuelExhausted, ReifyError, StuckError
-from .met.interp import PRIMITIVES, _Compilers, _flat, _lazy, _leaf, binder, tag_table
+from .met.interp import PRIMITIVES, _Compilers, binder, match_plan, pair_call
 from .met.printer import count_nodes
 from .met.syntax import (
     App,
@@ -343,19 +345,11 @@ def _compile_construct(node: Construct) -> Code:
 
 def _compile_match(node: Match) -> Code:
     scrutinee = _COMPILERS[type(node.scrutinee)](node.scrutinee)
-    # A leaf scrutinee is read inline; None, the name of no variable,
-    # makes every other scrutinee run its code.
-    name, path = _leaf(node.scrutinee) or (None, ())
     branches = tuple((pat, _COMPILERS[type(body)](body)) for pat, body in node.branches)
     residual = tuple((pat, pattern_vars(pat), body) for pat, body in branches)
-    by_tag, others = tag_table((pat, (pat, body)) for pat, body in branches)
-    # Tag -> (arity, slots, body) where the tag's first candidate is a
-    # constructor over variables and wildcards, which binds inline.
-    inline = {}
-    for tag, ((pat, body), *_) in by_tag.items():
-        flat = _flat(pat)
-        if flat is not None:
-            inline[tag] = (*flat, body)
+    # A leaf scrutinee is read inline; None, the name of no variable,
+    # makes every other scrutinee run its code.
+    (name, path), (by_tag, others), inline = match_plan(node.scrutinee, branches)
 
     def code(env, spec):
         v = env.get(name)
@@ -423,29 +417,19 @@ def _compile_lambda(node: Lambda) -> Code:
 
 
 def _compile_app(node: App) -> Code:
-    a = node.arg
-    if type(node.fun) is Var and type(a) is Tuple and _leaf(a.fst) and _leaf(a.snd):
-        return _compile_pair_call(node)
-    return _compile_app_node(node)
-
-
-def _compile_app_node(node: App) -> Code:
+    """An application.  A call ``f (a, b)`` of a variable on two leaves, as
+    ``pair_call`` plans it, is one closure, which unfolds a ``PEClosure``
+    itself and falls back on the node-by-node code."""
     fun = _COMPILERS[type(node.fun)](node.fun)
     arg = _COMPILERS[type(node.arg)](node.arg)
 
-    def code(env, spec):
+    def slow(env, spec):
         vf = fun(env, spec)
         return spec.apply(vf, arg(env, spec))
-    return code
-
-
-def _compile_pair_call(node: App) -> Code:
-    """``f (a, b)`` for a variable ``f`` and leaves ``a`` and ``b``: the
-    application, the variable, the pair and its leaves as one closure,
-    which unfolds a ``PEClosure`` itself."""
-    name = node.fun.name
-    (an, apath), (bn, bpath) = _leaf(node.arg.fst), _leaf(node.arg.snd)
-    slow = _lazy(lambda: _compile_app_node(node))
+    plan = pair_call(node)
+    if plan is None:
+        return slow
+    name, (an, apath), (bn, bpath) = plan
 
     def code(env, spec):
         vf, va, vb = env.get(name), env.get(an), env.get(bn)

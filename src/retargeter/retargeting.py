@@ -18,16 +18,20 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass, field
 
-from .analyzer import analyze_meta_target, build_abstract_interpreter, check_domain
+from .analyzer import (
+    analyze_meta_target,
+    build_abstract_interpreter,
+    check_domain,
+    target_argument,
+)
 from .domains import AbsValue, Num, NumericDomain, contains, format_abs, met_value_to_abs
 from .met.interp import apply_met_function
-from .met.syntax import EvalBudget, MetExpr, VAbs, VTuple, record
+from .met.syntax import EvalBudget, MetExpr, record
 from .peval import residual_stats, specialize
-from .srclang import embed_src_expr, embed_src_value
+from .srclang import embed_src_expr
 from .tgtlang import (
     TgtProgram,
     check_target,
-    encode_tgt_program,
     encode_tgt_value,
     eval_tgt,
     interpreter_fixture,
@@ -76,8 +80,7 @@ def run_specialized_abstract(analyzer: RetargetedAnalyzer, p: TgtProgram,
                              budget: EvalBudget | None = None) -> AbsValue:
     """Analyze a program on an abstract input with the residual."""
     _check_program(analyzer, p)
-    check_domain(abstract_input, analyzer.domain)
-    arg = VTuple(embed_src_value(encode_tgt_program(p)), VAbs(abstract_input))
+    arg = target_argument(p, check_domain(abstract_input, analyzer.domain))
     return met_value_to_abs(apply_met_function(analyzer.residual, arg, analyzer.domain, budget))
 
 

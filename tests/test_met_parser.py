@@ -201,6 +201,14 @@ class TestNestingLimit:
         pair = parse_afresh(f"({run}, {run} + {run})", 0)
         assert levels(pair.fst) == limit
 
+    def test_a_chain_at_the_limit_prints_as_it_parses(self):
+        # Texts are compared, not trees: ``==`` on a chain this long
+        # recurses once per level.
+        half = parser.PROJECTION_LIMIT // 2
+        for text in ("fun i -> " + "fst " * 2 * half + "i",
+                     "fun i -> f (" + "snd fst " * half + "(i, i))"):
+            assert print_met(parse_met(text)) == text
+
     @pytest.mark.parametrize("frames", [0, 600])
     @pytest.mark.parametrize("chain", [
         lambda n: "let y = 1 in " * n + "y",

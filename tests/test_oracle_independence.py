@@ -4,6 +4,9 @@ A differential oracle that imports the module under test shares its
 faults and cannot see them.  This reads each oracle's imports with
 ``ast``, without running it, and fails if it names a module it checks,
 or, for an oracle with an allow-list, a package module outside it.
+
+One product rule is read the same way: the specializer imports no private
+name of the evaluator but its compiler table's class.
 """
 
 from __future__ import annotations
@@ -87,3 +90,49 @@ def test_the_guard_sees_an_import(source):
 ])
 def test_the_guard_allows_other_imports(source):
     assert not forbidden_imports(source, CHECKED["pe_walker.py"])
+
+
+# The specializer shares the evaluator's compile-time plans through public
+# functions; of the evaluator's private names it takes only the class its
+# compiler table is built from.
+PRODUCT = TESTS.parent / "src" / "retargeter"
+SPECIALIZER_MAY_IMPORT_PRIVATE = {"_Compilers"}
+
+
+def imported_names(source: str, package: str) -> set[str]:
+    """Every module an ``import`` names and every ``module.name`` a ``from``
+    import takes, with a relative import resolved within ``package``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            parts = package.split(".")
+            base = parts[:len(parts) - node.level + 1] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def private_names_from_interp(source: str) -> set[str]:
+    interp = "retargeter.met.interp"
+    return {name for name in imported_names(source, "retargeter")
+            if name == interp or name.startswith(f"{interp}._")}
+
+
+def test_the_specializer_imports_no_private_evaluator_name():
+    source = (PRODUCT / "peval.py").read_text(encoding="utf-8")
+    names = imported_names(source, "retargeter")
+    assert {"retargeter.met.interp.pair_call", "retargeter.met.interp.match_plan"} <= names
+    assert private_names_from_interp(source) == {
+        f"retargeter.met.interp.{name}" for name in SPECIALIZER_MAY_IMPORT_PRIVATE}
+
+
+@pytest.mark.parametrize("source", [
+    "from .met.interp import _leaf",
+    "from retargeter.met.interp import tag_table, _flat",
+    "from .met import interp",
+    "import retargeter.met.interp",
+])
+def test_the_private_name_rule_sees_an_import(source):
+    assert private_names_from_interp(source) - {"retargeter.met.interp._Compilers"}
