@@ -25,7 +25,6 @@ from functools import lru_cache
 
 from .domains import (
     AbsValue,
-    Num,
     NumericDomain,
     check_domain,
     eta_met_value,
@@ -146,7 +145,7 @@ def analyze_meta_target(domain: NumericDomain, program: TgtProgram, i: int | Abs
     ``evalabs`` calls for the length of the analysis (``EvalBudget.memo``).
     """
     if isinstance(i, int):
-        i = Num(domain.eta_int(i))
+        i = domain.eta_int(i)
     data = target_argument(program, check_domain(i, domain))
     arg = VTuple(_embedded_interpreter(target_of(program)), data)
     if budget is None:

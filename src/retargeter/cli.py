@@ -41,7 +41,7 @@ import functools
 import sys
 
 from .analyzer import analyze_meta_target
-from .domains import DOMAINS, AbsValue, Num, get_domain, parse_abs
+from .domains import DOMAINS, AbsValue, get_domain, parse_abs
 from .errors import FuelExhausted, ParseError, RetargeterError, StuckError
 from .met.parser import parse_met
 from .met.printer import print_met
@@ -104,7 +104,7 @@ def _resolve_input(args, domain) -> AbsValue:
     its input before anything else, so both analyze to the same result
     in the same number of steps."""
     if args.input is not None:
-        return Num(domain.eta_int(args.input))
+        return domain.eta_int(args.input)
     return parse_abs(args.abs_input, domain)
 
 

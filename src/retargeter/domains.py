@@ -1,14 +1,15 @@
 """Structured abstract values over pluggable numeric domains.
 
 An abstract value mirrors the shape of source-language values: ``Bot``
-(no concrete value), ``Num`` (an abstraction of a set of integers),
+(no concrete value), a number (an abstraction of a set of integers),
 ``APair`` (componentwise abstraction of pairs), and ``Top`` (anything,
 including shape mismatches).  The numeric layer is parametric: a
 numeric domain is its carrier class, and two ship, sign sets
-(:class:`SignSet`) and intervals (:class:`Interval`).  Everything the
-rest of the package needs from a domain (its name, ``eta_int``, ``top``,
-the lattice and arithmetic operators, its literal syntax and sampling)
-is a method or class attribute of the carrier.
+(:class:`SignSet`) and intervals (:class:`Interval`); a number is a value
+of its carrier class, unboxed.  Everything the rest of the package needs
+from a domain (its name, ``eta_int``, ``top``, the lattice and arithmetic
+operators, its literal syntax and sampling) is a method or class
+attribute of the carrier.
 
 Concretization is exposed as a membership test (:func:`contains`) rather
 than as a set constructor, which is what the soundness harnesses need.
@@ -20,9 +21,9 @@ component, and :func:`parse_abs` reports those as parse errors.  They
 also reject, with ``ValueError``, a bound that is not an ``int`` (a
 ``bool`` included) or ``None`` and a sign set member that is not a
 :class:`Sign`.  No operator can produce such a value, so operator
-results are built with the unchecked builders ``_interval``, ``_num``
-and ``_pair``.  The operators run on every step of a derived analyzer:
-they dispatch on ``type(x) is C`` with the common case first, sign
+results are built with the unchecked builders ``_interval`` and
+``_pair``.  The operators run on every step of a derived analyzer:
+they dispatch on ``type(x)`` with the common case first, sign
 operators return one of seven shared sign sets, and ``Interval.eq`` one
 of three shared intervals.
 """
@@ -43,6 +44,10 @@ from .srclang import SInt, SPair, SrcValue, parse_int, random_src_value
 # ---------------------------------------------------------------------------
 # Numeric abstractions
 # ---------------------------------------------------------------------------
+
+
+class AbsValue:
+    __slots__ = ()
 
 
 class Sign(enum.Enum):
@@ -70,7 +75,7 @@ _new = object.__new__
 
 
 @record
-class SignSet:
+class SignSet(AbsValue):
     """A nonempty subset of {negative, zero, positive}."""
 
     name: ClassVar[str] = "sign"
@@ -162,7 +167,7 @@ def _parse_bound(s: str, sign: int) -> int | None:
 
 
 @record
-class Interval:
+class Interval(AbsValue):
     """Integer interval; ``None`` bounds mean unbounded on that side."""
 
     name: ClassVar[str] = "interval"
@@ -299,8 +304,6 @@ _INTERVAL_TOP = _interval(None, None)
 # The three results of ``Interval.eq``: equal, unequal, either.
 _INTERVAL_TRUE, _INTERVAL_FALSE, _INTERVAL_BOOL = _interval(1, 1), _interval(0, 0), _interval(0, 1)
 
-NumAbs = SignSet | Interval
-
 
 # Each sign operator is its best transformer alpha . op . gamma (Cousot &
 # Cousot 1979), tabulated at import for every pair of nonempty sign sets.
@@ -337,6 +340,7 @@ _SIGN_MEMBERS = {a: (_NEG in a, _ZERO in a, _POS in a) for a in _SIGN_SETS}
 NumericDomain = type[SignSet] | type[Interval]
 SIGN, INTERVAL = SignSet, Interval
 DOMAINS = {d.name: d for d in (SIGN, INTERVAL)}
+_CARRIERS = frozenset(DOMAINS.values())
 
 
 def get_domain(name: str) -> NumericDomain:
@@ -351,10 +355,6 @@ def get_domain(name: str) -> NumericDomain:
 # ---------------------------------------------------------------------------
 
 
-class AbsValue:
-    __slots__ = ()
-
-
 @record
 class Bot(AbsValue):
     def __str__(self) -> str:
@@ -365,14 +365,6 @@ class Bot(AbsValue):
 class Top(AbsValue):
     def __str__(self) -> str:
         return "top"
-
-
-@record
-class Num(AbsValue):
-    num: NumAbs
-
-    def __str__(self) -> str:
-        return str(self.num)
 
 
 @record
@@ -392,14 +384,13 @@ BOT = Bot()
 TOP = Top()
 
 
-_set_num = Num.num.__set__
+def Num(n: SignSet | Interval) -> SignSet | Interval:
+    """``n``: a number is its carrier value.  Kept for ``perfbench/``, which
+    builds ``domains.Num(domains.Interval(…))``, until ROADMAP item 1."""
+    return n
+
+
 _set_fst, _set_snd = APair.fst.__set__, APair.snd.__set__
-
-
-def _num(n: NumAbs) -> Num:
-    v = _new(Num)
-    _set_num(v, n)
-    return v
 
 
 def _pair(a: AbsValue, b: AbsValue) -> APair:
@@ -417,14 +408,14 @@ def make_pair(a: AbsValue, b: AbsValue) -> AbsValue:
 
 
 def check_domain(a: AbsValue, domain: NumericDomain) -> AbsValue:
-    """``a``, after checking that every number in it is of ``domain``: an
-    operator given one of the other domain fails with an AttributeError."""
-    if type(a) is APair:
+    """``a``, after checking that every number in it is of ``domain``: the
+    arithmetic operators take a number of another domain for numeric top."""
+    t = type(a)
+    if t is APair:
         check_domain(a.fst, domain)
         check_domain(a.snd, domain)
-    elif type(a) is Num and type(a.num) is not domain:
-        found = getattr(type(a.num), "name", type(a.num).__name__)
-        raise ValueError(f"abstract input is of the {found!r} domain "
+    elif t is not domain and t in _CARRIERS:
+        raise ValueError(f"abstract input is of the {t.name!r} domain "
                          f"but the analysis is of the {domain.name!r} domain")
     return a
 
@@ -432,8 +423,8 @@ def check_domain(a: AbsValue, domain: NumericDomain) -> AbsValue:
 def contains(a: AbsValue, v: SrcValue) -> bool:
     """Concretization membership: is ``v`` described by ``a``?"""
     t = type(a)
-    if t is Num:
-        return isinstance(v, SInt) and a.num.contains(v.value)
+    if t in _CARRIERS:
+        return isinstance(v, SInt) and a.contains(v.value)
     if t is APair:
         return isinstance(v, SPair) and contains(a.fst, v.fst) and contains(a.snd, v.snd)
     if t is Top:
@@ -450,8 +441,8 @@ def leq(a: AbsValue, b: AbsValue) -> bool:
         return True
     if ta is Top or tb is Bot:
         return False
-    if ta is Num:
-        return tb is Num and type(a.num) is type(b.num) and a.num.leq(b.num)
+    if ta in _CARRIERS:
+        return ta is tb and a.leq(b)
     if ta is APair and tb is APair:
         return leq(a.fst, b.fst) and leq(a.snd, b.snd)
     return False
@@ -464,8 +455,8 @@ def join(a: AbsValue, b: AbsValue) -> AbsValue:
         return b
     if tb is Bot:
         return a
-    if ta is Num and tb is Num and type(a.num) is type(b.num):
-        return _num(a.num.join(b.num))
+    if ta is tb and ta in _CARRIERS:
+        return a.join(b)
     if ta is APair and tb is APair:
         return make_pair(join(a.fst, b.fst), join(a.snd, b.snd))
     # Top, and mismatched shapes, which are only related through Top.
@@ -473,13 +464,13 @@ def join(a: AbsValue, b: AbsValue) -> AbsValue:
 
 
 def _binary_arith(a: AbsValue, b: AbsValue, domain: NumericDomain, op) -> AbsValue:
-    if type(a) is Num and type(b) is Num:
-        return _num(op(a.num, b.num))
+    if type(a) is domain and type(b) is domain:
+        return op(a, b)
     if type(a) is Bot or type(b) is Bot:
         return BOT
     # The concrete operator is only defined on integers, so numeric top
     # covers every defined outcome even when an operand might be a pair.
-    return _num(domain.top())
+    return domain.top()
 
 
 def abs_add(a: AbsValue, b: AbsValue, domain: NumericDomain) -> AbsValue:
@@ -497,8 +488,8 @@ def abs_eq(a: AbsValue, b: AbsValue, domain: NumericDomain) -> AbsValue:
 def filter_nonzero(pred: AbsValue, v: AbsValue) -> AbsValue:
     """Keep ``v`` if the predicate may be nonzero, else Bot."""
     t = type(pred)
-    if t is Num:
-        return v if pred.num.may_be_nonzero() else BOT
+    if t in _CARRIERS:
+        return v if pred.may_be_nonzero() else BOT
     # Top keeps ``v``; Bot and a pair (on which the concrete conditional
     # is stuck) give Bot.
     return v if t is Top else BOT
@@ -507,8 +498,8 @@ def filter_nonzero(pred: AbsValue, v: AbsValue) -> AbsValue:
 def filter_zero(pred: AbsValue, v: AbsValue) -> AbsValue:
     """Keep ``v`` if the predicate may be zero, else Bot."""
     t = type(pred)
-    if t is Num:
-        return v if pred.num.may_be_zero() else BOT
+    if t in _CARRIERS:
+        return v if pred.may_be_zero() else BOT
     return v if t is Top else BOT
 
 
@@ -520,7 +511,7 @@ def abs_proj(a: AbsValue, first: bool) -> AbsValue:
         return a.fst if first else a.snd
     if t is Top:
         return TOP
-    if t is Num or t is Bot:
+    if t is Bot or t in _CARRIERS:
         return BOT
     raise TypeError(f"not an abstract value: {a!r}")
 
@@ -534,7 +525,7 @@ def abs_proj_path(a: AbsValue, path: tuple[bool, ...]) -> AbsValue:
             t = type(a)
             if t is Top:
                 return TOP
-            if t is Num or t is Bot:
+            if t is Bot or t in _CARRIERS:
                 return BOT
             raise TypeError(f"not an abstract value: {a!r}")
         a = a.fst if first else a.snd
@@ -569,7 +560,7 @@ def eta_met_value(v: MetValue, domain: NumericDomain) -> AbsValue:
     """
     t = type(v)
     if t is VInt:
-        return _num(domain.eta_int(v.value))
+        return domain.eta_int(v.value)
     if t is VTuple:
         return make_pair(eta_met_value(v.fst, domain), eta_met_value(v.snd, domain))
     if t is VAbs:
@@ -632,7 +623,7 @@ def parse_abs(text: str, domain: NumericDomain) -> AbsValue:
             raise ParseError(f"expected {carrier.delimiters[1]!r} to close {carrier.name} literal")
         body = text[pos + 1 : end]
         pos = end + 1
-        return Num(carrier.parse(body))
+        return carrier.parse(body)
 
     try:
         result = parse_value()
@@ -656,8 +647,8 @@ def sample_member(a: AbsValue, rng: random.Random, magnitude: int = 1000) -> Src
             return None
         case Top():
             return random_src_value(rng, 2, magnitude)
-        case Num(num):
-            return SInt(num.sample(rng, magnitude))
+        case SignSet() | Interval():
+            return SInt(a.sample(rng, magnitude))
         case APair(fst, snd):
             left = sample_member(fst, rng, magnitude)
             right = sample_member(snd, rng, magnitude)

@@ -82,8 +82,7 @@ interpreter with superoperators", 1995):
   ``aeq(fst snd fst iabs, eta(0))``).  It spends the steps of the
   primitive and its operands at once and reads both inline when both
   variables hold abstract values.
-* Boxing goes through ``VAbs``'s slot setter, as ``domains._num`` does,
-  which runs no host frame.
+* Boxing goes through ``VAbs``'s slot setter, which runs no host frame.
 
 Which applications are pair calls (:func:`pair_call`) and each match's
 leaf, candidate branches and inline bindings (:func:`match_plan`) are
@@ -270,8 +269,7 @@ PRIMITIVES: dict[PrimOp, Callable[..., MetValue]] = {
     PrimOp.ETA: _eta,
 }
 
-# Boxing through the slot setters, as ``domains._num`` does, runs no host
-# frame.
+# Boxing through the slot setters runs no host frame.
 _new = object.__new__
 _set_abs = VAbs.value.__set__
 _set_fst, _set_snd = VTuple.fst.__set__, VTuple.snd.__set__
@@ -342,7 +340,7 @@ def _compile_tuple(node: Tuple, domain) -> Code:
     return code
 
 
-def _chain(node: MetExpr) -> tuple[MetExpr, tuple[bool, ...]]:
+def chain(node: MetExpr) -> tuple[MetExpr, tuple[bool, ...]]:
     """``(base, path)`` for a chain of projections over ``base``: ``path``
     lists the projections innermost first, True for fst, and is empty when
     ``node`` is not a projection."""
@@ -355,9 +353,9 @@ def _chain(node: MetExpr) -> tuple[MetExpr, tuple[bool, ...]]:
 
 def _leaf(node: MetExpr) -> tuple[str, tuple[bool, ...]] | None:
     """``(name, path)`` for a variable, or a projection path over one, as
-    :func:`_chain` gives it; reading the leaf costs ``len(path) + 1``
+    :func:`chain` gives it; reading the leaf costs ``len(path) + 1``
     steps.  None for any other node."""
-    base, path = _chain(node)
+    base, path = chain(node)
     return (base.name, path) if type(base) is Var else None
 
 
@@ -407,7 +405,7 @@ def _compile_proj(node: Proj1 | Proj2, domain, box: bool = True) -> Code:
     value on, and returns an abstract result boxed if ``box`` and unboxed
     otherwise; any other result is the meta value read.  A level that
     meets any other value is stuck."""
-    base, path = _chain(node)
+    base, path = chain(node)
     name = base.name if type(base) is Var else None
     run = None if name is not None else _COMPILERS[type(base)](base, domain)
     cost = len(path) + (name is not None)

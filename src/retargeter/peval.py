@@ -74,7 +74,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .errors import FuelExhausted, ReifyError, StuckError
-from .met.interp import PRIMITIVES, _Compilers, binder, match_plan, pair_call
+from .met.interp import PRIMITIVES, _Compilers, binder, chain, match_plan, pair_call
 from .met.printer import count_nodes
 from .met.syntax import (
     App,
@@ -311,22 +311,31 @@ def _compile_tuple(node: Tuple) -> Code:
 
 
 def _compile_proj(node: Proj1 | Proj2) -> Code:
-    first = type(node) is Proj1
-    arg = _COMPILERS[type(node.arg)](node.arg)
+    """A chain of projections over any base as one closure, which walks the
+    base's value innermost level first and residualizes the rest of the
+    chain around residual code, with no host frame per level."""
+    base, path = chain(node)
+    arg = _COMPILERS[type(base)](base)
+    levels = tuple(enumerate(path))
 
     def code(env, spec):
         v = arg(env, spec)
-        t = type(v)
-        if t is SplitTuple or t is VTuple:
-            return v.fst if first else v.snd
-        if t is VAbs:
-            # Reached from an abstract static input.  Abstract primitives
-            # (projections included) never run at specialization time,
-            # and residualizing would need a literal.
-            raise ReifyError("projection of an abstract value at specialization time")
-        if isinstance(v, MetExpr):
-            return Proj1(v) if first else Proj2(v)
-        raise StuckError("projection of a non-tuple")
+        for i, first in levels:
+            t = type(v)
+            if t is SplitTuple or t is VTuple:
+                v = v.fst if first else v.snd
+            elif t is VAbs:
+                # Reached from an abstract static input.  Abstract primitives
+                # (projections included) never run at specialization time,
+                # and residualizing would need a literal.
+                raise ReifyError("projection of an abstract value at specialization time")
+            elif isinstance(v, MetExpr):
+                for first in path[i:]:
+                    v = Proj1(v) if first else Proj2(v)
+                return v
+            else:
+                raise StuckError("projection of a non-tuple")
+        return v
     return code
 
 

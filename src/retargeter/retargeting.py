@@ -24,7 +24,7 @@ from .analyzer import (
     check_domain,
     target_argument,
 )
-from .domains import AbsValue, Num, NumericDomain, contains, format_abs, met_value_to_abs
+from .domains import AbsValue, NumericDomain, contains, format_abs, met_value_to_abs
 from .met.interp import apply_met_function
 from .met.syntax import EvalBudget, MetExpr, record
 from .peval import residual_stats, specialize
@@ -72,7 +72,7 @@ def run_specialized(analyzer: RetargetedAnalyzer, p: TgtProgram, i: int,
     """Analyze a program on a concrete input with the residual.  The input
     is its singleton abstraction: the residual abstracts its argument
     before anything else, so both give the same result in the same steps."""
-    return run_specialized_abstract(analyzer, p, Num(analyzer.domain.eta_int(i)), budget)
+    return run_specialized_abstract(analyzer, p, analyzer.domain.eta_int(i), budget)
 
 
 def run_specialized_abstract(analyzer: RetargetedAnalyzer, p: TgtProgram,

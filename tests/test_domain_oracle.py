@@ -50,18 +50,19 @@ ORACLE_DOMAIN = {SIGN: oracle.SIGN, INTERVAL: oracle.INTERVAL}
 # ---------------------------------------------------------------------------
 
 
-def to_oracle(v):
+def to_oracle(v, carrier: bool = False):
     """The oracle's copy of a value or domain of the package; anything
-    that is not one, or does not hold one, is returned as it is."""
+    that is not one, or does not hold one, is returned as it is.  A number
+    of the package is its carrier value, which the oracle boxes in its
+    ``Num``: the copy is that box, or with ``carrier`` (for what a carrier
+    method takes and gives) the oracle's carrier value alone."""
     t = type(v)
     if t is type:
         return ORACLE_DOMAIN.get(v, v)
-    if t is SignSet:
-        return oracle.SignSet(frozenset(oracle.Sign(s.value) for s in v.signs))
-    if t is Interval:
-        return oracle.Interval(v.lo, v.hi)
-    if t is Num:
-        return oracle.Num(to_oracle(v.num))
+    if t is SignSet or t is Interval:
+        n = (oracle.SignSet(frozenset(oracle.Sign(s.value) for s in v.signs))
+             if t is SignSet else oracle.Interval(v.lo, v.hi))
+        return n if carrier else oracle.Num(n)
     if t is APair:
         return oracle.APair(to_oracle(v.fst), to_oracle(v.snd))
     if t is Bot:
@@ -73,7 +74,7 @@ def to_oracle(v):
     if t is VTuple:
         return VTuple(to_oracle(v.fst), to_oracle(v.snd))
     if t is tuple:
-        return tuple(map(to_oracle, v))
+        return tuple(to_oracle(x, carrier) for x in v)
     return v
 
 
@@ -86,10 +87,10 @@ def outcome(fn, *args):
         return type(err), str(err)
 
 
-def same(new, old) -> bool:
+def same(new, old, carrier: bool = False) -> bool:
     """Whether an outcome of the package equals one of the oracle, with
     the same class (so ``True`` is not ``1``)."""
-    new = to_oracle(new)
+    new = to_oracle(new, carrier)
     return type(new) is type(old) and new == old
 
 
@@ -102,8 +103,6 @@ def malformed(v) -> list:
         return [v] if v.lo is not None and v.hi is not None and v.lo > v.hi else []
     if t is SignSet:
         return [] if v.signs else [v]
-    if t is Num:
-        return malformed(v.num)
     if t is APair:
         bot = [v] if type(v.fst) is Bot or type(v.snd) is Bot else []
         return bot + malformed(v.fst) + malformed(v.snd)
@@ -122,8 +121,9 @@ def agree_method(receiver, method: str, *args) -> None:
     """A carrier method and the oracle's copy agree on ``args``."""
     new = outcome(getattr(receiver, method), *args)
     assert not malformed(new), (receiver, method, args, new)
-    old = outcome(getattr(to_oracle(receiver), method), *map(to_oracle, args))
-    assert same(new, old), (receiver, method, args, new, old)
+    old = outcome(getattr(to_oracle(receiver, True), method),
+                  *(to_oracle(a, True) for a in args))
+    assert same(new, old, True), (receiver, method, args, new, old)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from retargeter.domains import (
     APair,
+    AbsValue,
     BOT,
     INTERVAL,
     Interval,
@@ -25,6 +26,7 @@ from retargeter.domains import (
     abs_mul,
     abs_proj,
     abs_proj_path,
+    check_domain,
     contains,
     eta_met_value,
     filter_nonzero,
@@ -172,8 +174,9 @@ class TestExamples:
         assert abs_proj_path(p, (True, True, False, True)) == TOP
         assert abs_proj_path(p, (False, True, True)) == BOT
         assert abs_proj_path(BOT, (True,)) == BOT
+        assert abs_proj_path(Interval(1, 2), (True,)) == BOT
         with pytest.raises(TypeError, match="not an abstract value"):
-            abs_proj_path(Interval(1, 2), (True,))
+            abs_proj_path(7, (True,))
 
     def test_interval_mul_with_infinities(self):
         assert Interval(None, -1).mul(Interval(None, -1)) == Interval(1, None)
@@ -184,6 +187,47 @@ class TestExamples:
         assert make_pair(BOT, TOP) == BOT
         with pytest.raises(ValueError):
             APair(BOT, TOP)
+
+
+class TestCarrierValues:
+    """A number is a value of its domain's carrier class, with no box."""
+
+    def test_carriers_are_abstract_values_and_num_is_the_identity(self):
+        assert issubclass(SignSet, AbsValue) and issubclass(Interval, AbsValue)
+        assert not isinstance(Num, type)
+        for x in (Interval(1, 2), SignSet.of(Sign.POS)):
+            assert Num(x) is x
+
+    def test_parsed_numbers_and_operator_results_are_carrier_values(self):
+        assert type(parse_abs("[1,2]", INTERVAL)) is Interval
+        assert type(parse_abs("{0,+}", SIGN)) is SignSet
+        assert type(abs_add(Interval(1, 2), Interval(3, 3), INTERVAL)) is Interval
+        assert type(eta(SInt(3), SIGN)) is SignSet
+
+    def test_structured_operators_take_bare_carriers(self):
+        iv, pos = Interval(1, 2), SignSet.of(Sign.POS)
+        assert contains(iv, SInt(2)) and not contains(iv, SInt(3))
+        assert not contains(iv, SPair(SInt(1), SInt(1)))
+        assert leq(iv, Interval(0, 5)) and not leq(iv, pos) and not leq(iv, APair(TOP, TOP))
+        assert join(iv, Interval(5, 6)) == Interval(1, 6)
+        assert join(iv, pos) == TOP
+        assert filter_nonzero(iv, pos) is pos and filter_zero(iv, pos) == BOT
+        assert filter_zero(SignSet.of(Sign.ZERO), iv) is iv
+        assert abs_proj(iv, True) == BOT
+        assert abs_proj_path(pos, (False, True)) == BOT
+        assert sample_member(iv, random.Random(0)) in (SInt(1), SInt(2))
+
+    @pytest.mark.parametrize("domain, number, other", [
+        (SIGN, Interval(1, 2), "interval"),
+        (INTERVAL, SignSet.of(Sign.POS), "sign"),
+    ])
+    def test_check_domain_names_both_domains(self, domain, number, other):
+        message = f"of the '{other}' domain but the analysis is of the '{domain.name}' domain"
+        with pytest.raises(ValueError, match=message):
+            check_domain(number, domain)
+        with pytest.raises(ValueError, match=message):
+            check_domain(APair(TOP, number), domain)
+        assert check_domain(number, type(number)) is number
 
 
 class TestValidationAndSharing:
@@ -224,12 +268,12 @@ class TestValidationAndSharing:
         monkeypatch.setattr(SignSet, "__post_init__", refuse)
         monkeypatch.setattr(Interval, "__post_init__", refuse)
         for a, b in itertools.product(values, repeat=2):
-            if type(a.num) is type(b.num):
-                domain = type(a.num)
+            if type(a) is type(b):
+                domain = type(a)
                 for op in (abs_add, abs_mul, abs_eq):
                     op(a, b, domain)
                 join(a, b)
-        assert INTERVAL.eta_int(5) == Num(INTERVAL.eta_int(5)).num
+        assert INTERVAL.eta_int(5) == Num(INTERVAL.eta_int(5))
 
     def test_sign_eta_is_shared(self):
         assert SIGN.eta_int(3) is SIGN.eta_int(9)

@@ -10,7 +10,7 @@ import pytest
 from retargeter.domains import INTERVAL, TOP
 from retargeter.errors import FuelExhausted, ReifyError, StuckError
 from retargeter.met.interp import apply_met_function, eval_met
-from retargeter.met.parser import parse_met
+from retargeter.met.parser import PROJECTION_LIMIT, parse_met
 from retargeter.met.printer import count_nodes, print_met
 from retargeter.met.syntax import (
     EvalBudget,
@@ -239,6 +239,14 @@ class TestDepthAndCache:
         # The tree walk this specializer replaced reached 163 levels.
         residual = specialize(build_abstract_interpreter(), nested_sum(150))
         assert count_nodes(residual)["AADD"] == 150
+
+    def test_a_projection_chain_at_the_parser_limit_specializes(self):
+        # Texts, not trees, are compared: a record's ``==`` recurses once
+        # per level.
+        depth = PROJECTION_LIMIT - 1
+        expr = parse_met("fun p -> aadd(" + "fst " * depth + "(snd p), eta(1))")
+        residual = specialize(expr, VInt(1))
+        assert print_met(residual) == "fun i -> aadd(" + "fst " * depth + "i, eta(1))"
 
     def test_host_depth_is_reported_as_fuel(self):
         with pytest.raises(FuelExhausted, match="host recursion depth"):

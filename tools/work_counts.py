@@ -114,7 +114,7 @@ def counts(programs: int) -> dict:
     sys.path.insert(0, str(SRC))
     from retargeter import cli, retarget
     from retargeter.analyzer import analyze_meta_target, build_abstract_interpreter
-    from retargeter.domains import DOMAINS, INTERVAL, Interval, Num, Sign, SignSet
+    from retargeter.domains import DOMAINS, INTERVAL, Interval, Sign, SignSet
     from retargeter.met import parser
     from retargeter.met.printer import print_met
     from retargeter.peval import specialize
@@ -131,12 +131,12 @@ def counts(programs: int) -> dict:
         if domain is INTERVAL:
             lo, shape = rng.randint(-1000, 1000), rng.random()
             if shape < 0.1:
-                return Num(Interval(None, lo))
+                return Interval(None, lo)
             if shape < 0.2:
-                return Num(Interval(lo, None))
-            return Num(Interval(lo, lo + rng.randint(0, 200)))
+                return Interval(lo, None)
+            return Interval(lo, lo + rng.randint(0, 200))
         signs = [s for s in Sign if rng.random() < 0.5] or [rng.choice(list(Sign))]
-        return Num(SignSet(frozenset(signs)))
+        return SignSet(frozenset(signs))
 
     result = {}
     counter = Counter()
