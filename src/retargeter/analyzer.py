@@ -34,7 +34,7 @@ from .domains import (
 from .errors import FuelExhausted
 from .met.interp import apply_met_function
 from .met.parser import parse_met
-from .met.syntax import EvalBudget, MetExpr, MetValue, VAbs, VConstruct, VTuple
+from .met.syntax import EvalBudget, MetExpr, MetValue, VConstruct, VTuple
 from .srclang import SrcExpr, SrcValue, embed_src_expr, embed_src_value
 from .tgtlang import TgtProgram, encode_tgt_program, interpreter_fixture, target_of
 
@@ -125,8 +125,7 @@ def analyze_meta_abstract(domain: NumericDomain, src_program: SrcExpr,
     ``contains(abstract_input, v)`` and ``eval_src(src_program, v)`` is
     defined, the result contains it.
     """
-    arg = VTuple(_embed(embed_src_expr, src_program),
-                 VAbs(check_domain(abstract_input, domain)))
+    arg = VTuple(_embed(embed_src_expr, src_program), check_domain(abstract_input, domain))
     return _run(domain, arg, budget)
 
 
@@ -162,7 +161,7 @@ def target_argument(program: TgtProgram, abstract_input: AbsValue) -> MetValue:
     residual: the encoded program, embedded, paired with the abstract
     input.  The abstract interpreter abstracts it with ``eta`` first,
     which gives :func:`abstract_target_input`'s value."""
-    return VTuple(embed_src_value(encode_tgt_program(program)), VAbs(abstract_input))
+    return VTuple(embed_src_value(encode_tgt_program(program)), abstract_input)
 
 
 def abstract_target_input(domain: NumericDomain, encoded_program: SrcValue,

@@ -9,7 +9,9 @@ numeric domain is its carrier class, and two ship, sign sets
 of its carrier class, unboxed.  Everything the rest of the package needs
 from a domain (its name, ``eta_int``, ``top``, the lattice and arithmetic
 operators, its literal syntax and sampling) is a method or class
-attribute of the carrier.
+attribute of the carrier.  Every abstract value is a meta-language value
+too (:class:`AbsValue` subclasses ``MetValue``), so the evaluator and
+the specializer hold one as it is, unboxed.
 
 Concretization is exposed as a membership test (:func:`contains`) rather
 than as a set constructor, which is what the soundness harnesses need.
@@ -37,7 +39,7 @@ import random
 from typing import ClassVar
 
 from .errors import ParseError, StuckError
-from .met.syntax import MetValue, VAbs, VInt, VTuple, record
+from .met.syntax import MetValue, VInt, VTuple, record
 from .srclang import SInt, SPair, SrcValue, parse_int, random_src_value
 
 
@@ -46,7 +48,10 @@ from .srclang import SInt, SPair, SrcValue, parse_int, random_src_value
 # ---------------------------------------------------------------------------
 
 
-class AbsValue:
+class AbsValue(MetValue):
+    """Base class of abstract values: ``Bot``, ``Top``, ``APair`` and each
+    domain's carrier.  An abstract value is a meta-language value."""
+
     __slots__ = ()
 
 
@@ -408,8 +413,10 @@ def make_pair(a: AbsValue, b: AbsValue) -> AbsValue:
 
 
 def check_domain(a: AbsValue, domain: NumericDomain) -> AbsValue:
-    """``a``, after checking that every number in it is of ``domain``: the
-    arithmetic operators take a number of another domain for numeric top."""
+    """``a``, after checking that it is an abstract value and that every
+    number in it is of ``domain``: the arithmetic operators take a number
+    of another domain for numeric top, and the evaluator takes any other
+    meta value for concrete data.  Raises ``ValueError`` otherwise."""
     t = type(a)
     if t is APair:
         check_domain(a.fst, domain)
@@ -417,6 +424,8 @@ def check_domain(a: AbsValue, domain: NumericDomain) -> AbsValue:
     elif t is not domain and t in _CARRIERS:
         raise ValueError(f"abstract input is of the {t.name!r} domain "
                          f"but the analysis is of the {domain.name!r} domain")
+    elif not isinstance(a, AbsValue):
+        raise ValueError(f"abstract input {a!r} is not an abstract value")
     return a
 
 
@@ -540,15 +549,14 @@ def abs_proj_path(a: AbsValue, path: tuple[bool, ...]) -> AbsValue:
 def met_value_to_abs(v: MetValue) -> AbsValue:
     """Read an abstract result out of a meta-language value.
 
-    Abstract results are either opaque abstract values or tuples thereof
-    (the abstract interpreter builds pairs with the concrete tuple
-    constructor).
+    Abstract results are either abstract values, which are meta values
+    themselves, or tuples thereof (the abstract interpreter builds pairs
+    with the concrete tuple constructor).
     """
-    t = type(v)
-    if t is VAbs:
-        return v.value
-    if t is VTuple:
+    if type(v) is VTuple:
         return make_pair(met_value_to_abs(v.fst), met_value_to_abs(v.snd))
+    if isinstance(v, AbsValue):
+        return v
     raise StuckError(f"not an abstract result: {v!r}")
 
 
@@ -563,8 +571,8 @@ def eta_met_value(v: MetValue, domain: NumericDomain) -> AbsValue:
         return domain.eta_int(v.value)
     if t is VTuple:
         return make_pair(eta_met_value(v.fst, domain), eta_met_value(v.snd, domain))
-    if t is VAbs:
-        return v.value
+    if isinstance(v, AbsValue):
+        return v
     raise StuckError(f"cannot abstract {v!r}")
 
 

@@ -25,10 +25,10 @@ interpreter with superoperators", 1995):
   argument runs, so it spends its k steps at once (k + 1 over a variable,
   which it reads inline), runs its base, walks the tuples on the path and
   hands the rest of the path, from the first abstract value on, to one
-  ``domains.abs_proj_path`` call, and boxes the result once.  It has no
-  fallback: when fewer steps are left it spends them and raises, as the
-  tree walk does, and it is stuck at the level that meets a value that is
-  neither a tuple nor abstract.
+  ``domains.abs_proj_path`` call.  It has no fallback: when fewer steps
+  are left it spends them and raises, as the tree walk does, and it is
+  stuck at the level that meets a value that is neither a tuple nor
+  abstract.
 * ``eta`` of an integer literal is computed once, when its node is
   compiled, and spends its two steps at once.
 * An application ``f (a, b)`` of a variable to a pair of *leaves*, each a
@@ -37,7 +37,7 @@ interpreter with superoperators", 1995):
   ``Var``, ``Tuple`` and leaf steps at once, reads the leaves inline,
   builds the pair and the call's environment, and enters the body's
   cached code.  An inline leaf read follows tuples only; abstract
-  projection and its boxing stay in the projection chain's closure.
+  projection stays in the projection chain's closure.
 * The pair call is memoized when the budget carries a memo
   (``EvalBudget.memo``, a dict), as "Abstracting Definitional
   Interpreters" (Darais et al., 2017) caches configurations.  The key is
@@ -66,23 +66,18 @@ interpreter with superoperators", 1995):
   wildcards, a value of that tag and arity binds inline: it copies the
   environment once and stores the bindings, without calling the binder.
 * An abstract primitive (``aadd``, ``amul``, ``aeq``, ``ajoin``,
-  ``fne0``, ``feq0``) computes with unboxed operands (Peyton Jones &
-  Launchbury, "Unboxed values as first class citizens", 1991) and calls
-  its domain function itself.  An operand that is an abstract primitive,
-  ``eta`` of a literal or a projection chain returns its abstract value
-  without a ``VAbs`` box; any other operand, a variable included, runs its
-  own code.  The primitive runs
-  both operands, then reads each as an abstract value (a ``VAbs``'s value,
-  or ``domains.met_value_to_abs`` of any other meta value), so an operand
-  that is not abstract is stuck only after the other has run, as in the
-  tree walk.  It boxes its result only where a meta value is needed, that
-  is, anywhere but as another abstract primitive's operand.
+  ``fne0``, ``feq0``) calls its domain function itself.  An abstract
+  value is a meta value, so its operands and its result are unboxed
+  (Peyton Jones & Launchbury, "Unboxed values as first class citizens",
+  1991).  The primitive runs both operands, then reads any that is not an
+  abstract value with ``domains.met_value_to_abs``, so an operand that is
+  not abstract is stuck only after the other has run, as in the tree
+  walk.
 * So is an abstract primitive over two *direct* operands, each ``eta`` of
   a literal, a variable or a projection path over one (a residual's
   ``aeq(fst snd fst iabs, eta(0))``).  It spends the steps of the
   primitive and its operands at once and reads both inline when both
   variables hold abstract values.
-* Boxing goes through ``VAbs``'s slot setter, which runs no host frame.
 
 Which applications are pair calls (:func:`pair_call`) and each match's
 leaf, candidate branches and inline bindings (:func:`match_plan`) are
@@ -99,8 +94,8 @@ Step counts, the step at which the budget runs out and every
 ``StuckError`` are therefore the same as for a direct tree walk.  A
 tracer that rebinds ``domains`` functions sees every domain call made
 while evaluating, with four differences from the tree walk: ``eta`` of
-a literal is computed once, at compile time; an abstract primitive reads
-a ``VAbs`` operand's value inline, without ``met_value_to_abs``; a
+a literal is computed once, at compile time; an abstract primitive calls
+``met_value_to_abs`` only on an operand that is not an abstract value; a
 projection chain asks for its levels on an abstract value in one
 ``abs_proj_path`` call, where the tree walk calls ``abs_proj`` once per
 level; and a memo hit makes no domain call at all.  A hit also nests no
@@ -152,7 +147,6 @@ from .syntax import (
     Proj1,
     Proj2,
     Tuple,
-    VAbs,
     VClosure,
     VConstruct,
     VInt,
@@ -244,7 +238,7 @@ _DOMAIN_FUNCTIONS = vars(domains)
 
 
 def _eta(a, domain):
-    return VAbs(domains.eta_met_value(a, domain))
+    return domains.eta_met_value(a, domain)
 
 
 # Abstract primitive -> the name of the ``domains`` function that computes
@@ -269,9 +263,8 @@ PRIMITIVES: dict[PrimOp, Callable[..., MetValue]] = {
     PrimOp.ETA: _eta,
 }
 
-# Boxing through the slot setters runs no host frame.
+# Building a pair through the slot setters runs no host frame.
 _new = object.__new__
-_set_abs = VAbs.value.__set__
 _set_fst, _set_snd = VTuple.fst.__set__, VTuple.snd.__set__
 
 
@@ -395,16 +388,14 @@ def pair_call(node: App):
     return None
 
 
-def _compile_proj(node: Proj1 | Proj2, domain, box: bool = True) -> Code:
+def _compile_proj(node: Proj1 | Proj2, domain) -> Code:
     """A chain of k projections over any base, such as ``snd (fst (fst x))``
     or ``fst (f (x, y))``, as one closure, with no host frame per level.
     Every projection's step comes before its argument runs, so the closure
     spends the k steps, and the variable's if the base is one, at once,
-    then reads or runs the base.  It walks the tuples on the path, makes
+    then reads or runs the base.  It walks the tuples on the path and makes
     one ``domains.abs_proj_path`` call for the rest from the first abstract
-    value on, and returns an abstract result boxed if ``box`` and unboxed
-    otherwise; any other result is the meta value read.  A level that
-    meets any other value is stuck."""
+    value on.  A level that meets any other value is stuck."""
     base, path = chain(node)
     name = base.name if type(base) is Var else None
     run = None if name is not None else _COMPILERS[type(base)](base, domain)
@@ -424,28 +415,17 @@ def _compile_proj(node: Proj1 | Proj2, domain, box: bool = True) -> Code:
                 raise StuckError(f"unbound variable {name!r}") from None
         else:
             v = run(env, budget)
-        if type(v) is VAbs:
-            a = domains.abs_proj_path(v.value, path)
-        else:
-            i = 0                   # counted by hand: cheaper than enumerate
-            for first in path:
-                t = type(v)
-                if t is VTuple:
-                    v = v.fst if first else v.snd
-                elif t is VAbs:
-                    # Abstract from here on: one call for the rest.
-                    a = domains.abs_proj_path(v.value, path[i:])
-                    break
-                else:
-                    raise StuckError("fst of a non-tuple" if first else "snd of a non-tuple")
-                i += 1
+        i = 0                       # counted by hand: cheaper than enumerate
+        for first in path:
+            if type(v) is VTuple:
+                v = v.fst if first else v.snd
+            elif isinstance(v, AbsValue):
+                # Abstract from here on: one call for the rest.
+                return domains.abs_proj_path(v, path[i:])
             else:
-                return v if box or type(v) is not VAbs else v.value
-        if box:
-            v = _new(VAbs)
-            _set_abs(v, a)
-            return v
-        return a
+                raise StuckError("fst of a non-tuple" if first else "snd of a non-tuple")
+            i += 1
+        return v
     return code
 
 
@@ -607,7 +587,7 @@ def _compile_app(node: App, domain) -> Code:
 def _compile_prim(node: Prim, domain) -> Code:
     op = node.op
     if op in _ABSTRACT:
-        return _compile_abstract(node, domain, True)
+        return _compile_abstract(node, domain)
     try:
         implementation = PRIMITIVES[op]
     except KeyError:
@@ -654,14 +634,11 @@ def _constant(value) -> Code:
     return code
 
 
-def _compile_abstract(node: Prim, domain, box: bool) -> Code:
-    """An abstract primitive, which calls its domain function itself and
-    returns the result boxed if ``box`` and unboxed otherwise.  An operand
-    that is itself an abstract primitive, ``eta`` of a literal or a
-    projection chain gives its abstract value unboxed; any other operand,
-    a variable included, runs its own code.  Both operands
-    run before either is read as an abstract value, as in the walker, so an
-    error in reading the first comes after the second has run.
+def _compile_abstract(node: Prim, domain) -> Code:
+    """An abstract primitive, which calls its domain function itself.  Both
+    operands run before either is read as an abstract value, as in the
+    walker, so an error in reading the first comes after the second has
+    run.
 
     When both operands are *direct*, each ``eta`` of a literal, a variable
     or a projection path over one, the primitive and its operands are one
@@ -669,23 +646,15 @@ def _compile_abstract(node: Prim, domain, box: bool) -> Code:
     inline when both variables hold abstract values; otherwise it runs the
     code above, so no domain function is called twice."""
     function, takes_domain = _ABSTRACT[node.op]
-    operands = []
+    left, right = (_COMPILERS[type(a)](a, domain) for a in node.args)
     direct = []                     # (variable or None, path, constant, cost)
     for a in node.args:
-        t = type(a)
-        if t is Prim and a.op in _ABSTRACT:
-            operands.append(_compile_abstract(a, domain, False))
-        elif t is Prim and _eta_literal(a):
-            value = domains.eta_met_value(VInt(a.args[0].value), domain)
-            operands.append(_constant(value))
-            direct.append((None, (), VAbs(value), 2))
+        if type(a) is Prim and _eta_literal(a):
+            direct.append((None, (), domains.eta_met_value(VInt(a.args[0].value), domain), 2))
         else:
-            operands.append(_compile_proj(a, domain, False) if t is Proj1 or t is Proj2
-                            else _COMPILERS[t](a, domain))
             leaf = _leaf(a)
             if leaf is not None:
                 direct.append((*leaf, None, len(leaf[1]) + 1))
-    left, right = operands
 
     def code(env, budget):
         if budget.steps_used >= budget.fuel:
@@ -694,16 +663,11 @@ def _compile_abstract(node: Prim, domain, box: bool) -> Code:
         a = left(env, budget)
         b = right(env, budget)
         if not isinstance(a, AbsValue):
-            a = a.value if type(a) is VAbs else domains.met_value_to_abs(a)
+            a = domains.met_value_to_abs(a)
         if not isinstance(b, AbsValue):
-            b = b.value if type(b) is VAbs else domains.met_value_to_abs(b)
+            b = domains.met_value_to_abs(b)
         fn = _DOMAIN_FUNCTIONS[function]
-        r = fn(a, b, domain) if takes_domain else fn(a, b)
-        if box:
-            v = _new(VAbs)
-            _set_abs(v, r)
-            return v
-        return r
+        return fn(a, b, domain) if takes_domain else fn(a, b)
 
     if len(direct) < 2:
         return code
@@ -714,18 +678,13 @@ def _compile_abstract(node: Prim, domain, box: bool) -> Code:
         steps = budget.steps_used + cost
         va = aval if an is None else env.get(an)
         vb = bval if bn is None else env.get(bn)
-        if steps > budget.fuel or type(va) is not VAbs or type(vb) is not VAbs:
+        if steps > budget.fuel or not isinstance(va, AbsValue) or not isinstance(vb, AbsValue):
             return code(env, budget)
         budget.steps_used = steps
-        a = domains.abs_proj_path(va.value, apath) if apath else va.value
-        b = domains.abs_proj_path(vb.value, bpath) if bpath else vb.value
+        a = domains.abs_proj_path(va, apath) if apath else va
+        b = domains.abs_proj_path(vb, bpath) if bpath else vb
         fn = _DOMAIN_FUNCTIONS[function]
-        r = fn(a, b, domain) if takes_domain else fn(a, b)
-        if box:
-            v = _new(VAbs)
-            _set_abs(v, r)
-            return v
-        return r
+        return fn(a, b, domain) if takes_domain else fn(a, b)
     return fused
 
 

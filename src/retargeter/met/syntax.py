@@ -5,7 +5,9 @@ pairs, algebraic constructors, pattern matching, ``let``/``let rec``,
 lambdas, and a fixed set of primitive operators.  The primitives come in
 two flavours: concrete integer arithmetic (``+ * =``) and operators over
 an abstract value domain (extraction, abstract arithmetic, join, and the
-two branch filters).
+two branch filters).  An abstract value is a meta value itself: the
+classes of :mod:`retargeter.domains` subclass :class:`MetValue`, so no
+box carries one through evaluation.
 
 Expressions, patterns and values are immutable; structural equality is
 the notion of AST equality used throughout the package.  They, and every
@@ -78,7 +80,7 @@ def record(cls: type[T]) -> type[T]:
     registers the fields and ``__match_args__`` and builds the slotted
     class.  ``__init__``, ``__eq__``, ``__hash__`` and ``__repr__`` are
     compiled once per field signature, the field names and whether the
-    class has ``__post_init__`` (22 signatures for the package's 44
+    class has ``__post_init__`` (21 signatures for the package's 42
     records), and each class makes its own functions from a copy of that
     code over a namespace of its slot setters; their bodies are those
     ``dataclass`` generates, so building, comparing and hashing cost what
@@ -349,6 +351,9 @@ def is_linear(pat: Pattern) -> bool:
 
 
 class MetValue:
+    """Base class of meta-language values, the abstract values of
+    :mod:`retargeter.domains` included."""
+
     __slots__ = ()
 
 
@@ -384,11 +389,10 @@ class VClosure(MetValue):
     self_name: str | None = None
 
 
-@record
-class VAbs(MetValue):
-    """An opaque abstract value, produced by the abstract primitives."""
-
-    value: "AbsValue"
+def VAbs(value: "AbsValue") -> "AbsValue":
+    """``value``: an abstract value is a meta value itself.  Kept for
+    ``perfbench/``, which builds ``syntax.VAbs(…)``, until ROADMAP item 1."""
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from .domains import AbsValue
 from .errors import FuelExhausted, ReifyError, StuckError
 from .met.interp import PRIMITIVES, _Compilers, binder, chain, match_plan, pair_call
 from .met.printer import count_nodes
@@ -97,7 +98,6 @@ from .met.syntax import (
     Proj1,
     Proj2,
     Tuple,
-    VAbs,
     VClosure,
     VConstruct,
     VInt,
@@ -145,7 +145,7 @@ def reify(v: MetValue) -> MetExpr:
         return Construct(v.tag, tuple(reify(a) for a in v.args))
     if cls is VClosure:
         raise ReifyError("a closure has no literal syntax")
-    if cls is VAbs:
+    if isinstance(v, AbsValue):
         raise ReifyError("an abstract value has no literal syntax")
     raise TypeError(f"not a meta-language value: {v!r}")
 
@@ -324,15 +324,15 @@ def _compile_proj(node: Proj1 | Proj2) -> Code:
             t = type(v)
             if t is SplitTuple or t is VTuple:
                 v = v.fst if first else v.snd
-            elif t is VAbs:
-                # Reached from an abstract static input.  Abstract primitives
-                # (projections included) never run at specialization time,
-                # and residualizing would need a literal.
-                raise ReifyError("projection of an abstract value at specialization time")
             elif isinstance(v, MetExpr):
                 for first in path[i:]:
                     v = Proj1(v) if first else Proj2(v)
                 return v
+            elif isinstance(v, AbsValue):
+                # Reached from an abstract static input.  Abstract primitives
+                # (projections included) never run at specialization time,
+                # and residualizing would need a literal.
+                raise ReifyError("projection of an abstract value at specialization time")
             else:
                 raise StuckError("projection of a non-tuple")
         return v

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from retargeter.errors import ParseError, StuckError
-from retargeter.met.syntax import MetValue, VAbs, VInt, VTuple
+from retargeter.met.syntax import MetValue, VInt, VTuple
 from retargeter.srclang import SInt, SPair, SrcValue
 
 
@@ -456,8 +456,8 @@ def met_value_to_abs(v: MetValue) -> AbsValue:
     constructor).
     """
     match v:
-        case VAbs(a):
-            return a
+        case AbsValue():
+            return v
         case VTuple(a, b):
             return make_pair(met_value_to_abs(a), met_value_to_abs(b))
     raise StuckError(f"not an abstract result: {v!r}")
@@ -474,6 +474,6 @@ def eta_met_value(v: MetValue, domain: NumericDomain) -> AbsValue:
             return Num(domain.eta_int(n))
         case VTuple(a, b):
             return make_pair(eta_met_value(a, domain), eta_met_value(b, domain))
-        case VAbs(a):
-            return a
+        case AbsValue():
+            return v
     raise StuckError(f"cannot abstract {v!r}")

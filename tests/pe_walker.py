@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from retargeter.domains import AbsValue
 from retargeter.errors import FuelExhausted, ReifyError, StuckError
 from retargeter.met.syntax import (
     App,
@@ -38,7 +39,6 @@ from retargeter.met.syntax import (
     Proj1,
     Proj2,
     Tuple,
-    VAbs,
     VClosure,
     VConstruct,
     VInt,
@@ -100,7 +100,7 @@ def reify(v: MetValue) -> MetExpr:
             return Construct(tag, tuple(reify(a) for a in args))
         case VClosure():
             raise ReifyError("a closure has no literal syntax")
-        case VAbs():
+        case AbsValue():
             raise ReifyError("an abstract value has no literal syntax")
     raise TypeError(f"not a meta-language value: {v!r}")
 
@@ -186,7 +186,7 @@ class _Specializer:
                 return a if first else b
             case Dynamic(r):
                 return Dynamic(Proj1(r) if first else Proj2(r))
-            case Static(VAbs()):
+            case Static(AbsValue()):
                 # Reached from an abstract static input.  Abstract primitives
                 # (projections included) never run at specialization time,
                 # and residualizing would need a literal.

@@ -30,7 +30,7 @@ from retargeter.domains import (
 )
 from retargeter.errors import FuelExhausted, StuckError
 from retargeter.met.printer import count_nodes
-from retargeter.met.syntax import EvalBudget, Match, VConstruct, VTuple
+from retargeter.met.syntax import EvalBudget, Match, VConstruct, VInt, VTuple
 from retargeter.srclang import (
     Add,
     Mul,
@@ -71,6 +71,10 @@ def _find_match(expr):
         for _, body in getattr(node, "branches", ()):
             stack.append(body)
     return None
+
+
+# Inputs that are not abstract values: the analyses reject each of them.
+NOT_ABSTRACT = ["top", VInt(3), VTuple(VInt(1), VInt(2)), APair(TOP, 7)]
 
 
 class TestInterpreterProgram:
@@ -199,6 +203,13 @@ class TestAnalyzeMetaTarget:
         with pytest.raises(ValueError, match="of the 'interval' domain"):
             analyze_meta_target(SIGN, program, Num(Interval(1, 2)))
 
+    @pytest.mark.parametrize("domain", [SIGN, INTERVAL], ids=["sign", "interval"])
+    @pytest.mark.parametrize("value", NOT_ABSTRACT, ids=repr)
+    def test_an_input_that_is_not_abstract_is_rejected(self, domain, value):
+        # An int is a concrete input here, and is abstracted first.
+        with pytest.raises(ValueError, match="is not an abstract value"):
+            analyze_meta_target(domain, parse_tgt_program("add 1"), value)
+
     def test_one_embedding_per_target(self):
         rng = random.Random(37)
         for target in TARGETS:
@@ -309,6 +320,13 @@ class TestAnalyzeMetaAbstract:
         message = f"of the '{other}' domain but the analysis is of the '{domain.name}' domain"
         with pytest.raises(ValueError, match=message):
             analyze_meta_abstract(domain, X(), abstract_input)
+
+    @pytest.mark.parametrize("domain", [SIGN, INTERVAL], ids=["sign", "interval"])
+    @pytest.mark.parametrize("value", [7, *NOT_ABSTRACT], ids=repr)
+    def test_an_input_that_is_not_abstract_is_rejected(self, domain, value):
+        # Not taken for data, nor blamed on the program as a stuck evaluation.
+        with pytest.raises(ValueError, match="is not an abstract value"):
+            analyze_meta_abstract(domain, X(), value)
 
     def test_soundness_on_small_concretizations(self):
         # Exhaustive membership over bounded intervals.

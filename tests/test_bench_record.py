@@ -114,3 +114,35 @@ def test_the_prefix_keeps_the_standard_library_and_none_of_the_checkout(tmp_path
     assert not (pycache / "stale").exists()
     assert not bench_record.mirror(pycache, checkout).exists()
     assert list((checkout / "perfbench" / "__pycache__").iterdir()) == []
+
+
+def fake_work_counts(checkout, body):
+    (checkout / "tools").mkdir(parents=True)
+    (checkout / "tools" / "work_counts.py").write_text(body)
+
+
+def test_each_side_runs_its_own_work_counts_script(tmp_path):
+    rows = {"single/sign/residual": {"bytecodes": 1490.16, "calls": 71.0}}
+    fake_work_counts(tmp_path / "change", "import json, sys\n"
+                     "assert sys.argv[1:] == ['--json']\n"
+                     "print('table first')\n"
+                     f"print(json.dumps({{'python': 'CPython 3.11.7', 'programs': 50, "
+                     f"'seed': 0, 'per_analysis': {rows!r}}}))\n")
+    fake_work_counts(tmp_path / "broken", "raise SystemExit('no counts')\n")
+    (tmp_path / "parent").mkdir()
+    runs = {side: bench_record.work_counts(tmp_path / side, tmp_path / f"{side}.log",
+                                           tmp_path / "pycache")
+            for side in ("parent", "change", "broken")}
+    # A checkout without the script runs nothing; a failing one is counted.
+    assert runs["parent"] is None
+    assert runs["change"]["exit"] == 0
+    assert (runs["broken"]["exit"], runs["broken"]["result"]) == (1, None)
+    assert "no counts" in (tmp_path / "broken.log").read_text()
+    record = bench_record.work_counts_record(runs)
+    assert record["parent"] is None and record["change"] == rows
+    assert (record["python"], record["programs"], record["seed"]) == ("CPython 3.11.7", 50, 0)
+    assert bench_record.work_counts_record(
+        {"parent": runs["change"], "change": runs["broken"]})["parent"] == rows
+    assert bench_record.work_counts_record({"parent": None, "change": None}) == {
+        "command": record["command"], "python": None, "programs": None, "seed": None,
+        "parent": None, "change": None}

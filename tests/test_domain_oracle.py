@@ -6,7 +6,7 @@ inputs as its copy in the oracle, on both domains: carrier methods on
 sign sets and on intervals with small, huge and missing bounds, and
 structured operators on ``Bot``, ``Top``, numbers, pairs, shapes that do
 not match, and values that are not abstract at all.  The bridges run on
-meta-language values that mix ``VAbs``, ``VTuple`` and ``VInt``.  Each
+meta-language values that mix abstract values, ``VTuple`` and ``VInt``.  Each
 case must give an equal value of the same classes, or the same exception
 class and message.  No result may hold a part that the public
 constructors reject, such as an interval with its bounds the wrong way
@@ -39,7 +39,7 @@ from retargeter.domains import (
     Top,
     make_pair,
 )
-from retargeter.met.syntax import VAbs, VConstruct, VInt, VTuple
+from retargeter.met.syntax import VConstruct, VInt, VTuple
 from retargeter.srclang import SInt, SPair
 
 ORACLE_DOMAIN = {SIGN: oracle.SIGN, INTERVAL: oracle.INTERVAL}
@@ -69,8 +69,6 @@ def to_oracle(v, carrier: bool = False):
         return oracle.Bot()
     if t is Top:
         return oracle.Top()
-    if t is VAbs:
-        return VAbs(to_oracle(v.value))
     if t is VTuple:
         return VTuple(to_oracle(v.fst), to_oracle(v.snd))
     if t is tuple:
@@ -174,7 +172,7 @@ def met_values(domain):
     ``domain`` and, rarely, a constructor (which neither bridge accepts)."""
     leaves = st.one_of(
         st.builds(VInt, integers),
-        st.builds(VAbs, abs_values(CARRIERS[domain])),
+        abs_values(CARRIERS[domain]),
         st.builds(VConstruct, st.just("Nil"), st.just(())),
         st.builds(VConstruct, st.just("Num"), st.tuples(st.builds(VInt, integers))),
     )

@@ -30,6 +30,7 @@ from retargeter import srclang as src
 from retargeter.analyzer import build_abstract_interpreter
 from retargeter.domains import (
     DOMAINS,
+    AbsValue,
     INTERVAL,
     SIGN,
     TOP,
@@ -65,7 +66,6 @@ from retargeter.met.syntax import (
     Proj2,
     Tuple,
     Var,
-    VAbs,
     VConstruct,
     VInt,
     VTuple,
@@ -112,7 +112,7 @@ def random_value(rng: random.Random, domain, depth: int = 2):
     if kind == "int":
         return VInt(rng.choice([0, 1, rng.randint(-99, 99)]))
     if kind == "abs":
-        return VAbs(rng.choice([TOP, Num(domain.eta_int(rng.randint(-9, 9)))]))
+        return rng.choice([TOP, Num(domain.eta_int(rng.randint(-9, 9)))])
     if kind == "nullary":
         return VConstruct("X", ())
     if kind == "tuple":
@@ -158,7 +158,7 @@ class TestAgainstTheWalker:
         if concrete:
             arg = embed_src_value(SPair(program, encode_tgt_value(rng.randint(-1000, 1000))))
         else:
-            arg = VTuple(embed_src_value(program), VAbs(random_abs_input(rng, domain)))
+            arg = VTuple(embed_src_value(program), random_abs_input(rng, domain))
         assert_same_apply(residuals[target, domain_name], arg, domain, fuel)
 
     @given(st.integers(0, 2**32), st.sampled_from(CORPUS), st.one_of(st.just(10**6), FUELS))
@@ -173,7 +173,7 @@ class TestAgainstTheWalker:
         # Exhaustion fires on the same step for every budget up to the
         # run's full length, on the residual and on meta-level analysis.
         program = encode_tgt_program(random_tgt_program(random.Random(3), "seq2"))
-        arg = VTuple(embed_src_value(program), VAbs(Num(Interval(-3, 8))))
+        arg = VTuple(embed_src_value(program), Num(Interval(-3, 8)))
         meta_arg = VTuple(embed_src_expr(interpreter_fixture("seq2")), arg)
         for fn, a in ((residuals["seq2", "interval"], arg),
                       (build_abstract_interpreter(), meta_arg)):
@@ -217,15 +217,14 @@ class TestDepth:
         lets = Var("x")
         for _ in range(depth):
             lets = Let("x", IntLit(1), lets)
-        for expr, env in ((lets, {}), (self.chain(depth, Var("x")), {"x": VAbs(TOP)})):
+        for expr, env in ((lets, {}), (self.chain(depth, Var("x")), {"x": TOP})):
             assert eval_met(expr, env, INTERVAL) == walker.eval_met(expr, env, INTERVAL)
 
     def test_a_projection_chain_runs_in_one_host_frame_at_any_length(self):
         # Beyond the host stack for the tree walk, which runs out of it.
         for base, steps in ((Let("y", Var("x"), Var("y")), 5003), (Var("x"), 5001)):
             budget = EvalBudget()
-            assert eval_met(self.chain(5000, base), {"x": VAbs(TOP)}, INTERVAL,
-                            budget) == VAbs(TOP)
+            assert eval_met(self.chain(5000, base), {"x": TOP}, INTERVAL, budget) == TOP
             assert budget.steps_used == steps
         budget = EvalBudget()
         with pytest.raises(StuckError, match="^fst of a non-tuple$"):
@@ -261,9 +260,9 @@ class TestCompiledForm:
 
     def test_closure_bodies_compile_once(self):
         fn = parse_met("fun v -> aadd(v, eta(1))")
-        apply_met_function(fn, VAbs(TOP), INTERVAL)
+        apply_met_function(fn, TOP, INTERVAL)
         code = compiled(fn.body, INTERVAL)
-        apply_met_function(fn, VAbs(TOP), INTERVAL)
+        apply_met_function(fn, TOP, INTERVAL)
         assert compiled(fn.body, INTERVAL) is code
 
     @pytest.mark.parametrize("function,text,calls", [
@@ -282,7 +281,7 @@ class TestCompiledForm:
                                                         monkeypatch):
         # A tracer rebinds module attributes after code is compiled.
         fn = parse_met(f"fun v -> {text}")
-        arg = VAbs(make_pair(TOP, make_pair(Num(Interval(0, 2)), TOP)))
+        arg = make_pair(TOP, make_pair(Num(Interval(0, 2)), TOP))
         expected = apply_met_function(fn, arg, INTERVAL)
         seen = []
         original = getattr(domains, function)
@@ -358,15 +357,15 @@ class TestSuperoperators:
         def env_of(domain):
             value = {"pair": self.abstract_tree(domain), "top": TOP,
                      "num": Num(domain.eta_int(5)), "bot": domains.BOT}[top]
-            return {"x": VAbs(value)}
+            return {"x": value}
         for expr in self.paths():
             self.assert_same_at_every_fuel(expr, env_of)
 
     def test_paths_over_tuples_of_abstract_values(self):
         for depth in (1, 2, 3):
             def env_of(domain):
-                pairs = [VAbs(self.abstract_tree(domain)), VAbs(TOP),
-                         VAbs(Num(domain.eta_int(-1))), VAbs(domains.BOT)]
+                pairs = [self.abstract_tree(domain), TOP,
+                         Num(domain.eta_int(-1)), domains.BOT]
                 return {"x": self.tuple_tree(depth, lambda i: pairs[i % 4])}
             for expr in self.paths():
                 self.assert_same_at_every_fuel(expr, env_of)
@@ -385,8 +384,8 @@ class TestSuperoperators:
         """Abstract values, tuples of them, and tuples with a non-tuple at
         each level."""
         tree = cls.abstract_tree(domain)
-        pairs = [VAbs(tree), VAbs(TOP), VAbs(Num(domain.eta_int(-1))), VAbs(domains.BOT)]
-        values = [VAbs(tree), VAbs(TOP), cls.tuple_tree(2, lambda i: pairs[i])]
+        pairs = [tree, TOP, Num(domain.eta_int(-1)), domains.BOT]
+        values = [tree, TOP, cls.tuple_tree(2, lambda i: pairs[i])]
         for leaf in (VInt(3), VConstruct("X", ())):
             for stuck_at in range(4):
                 value = leaf
@@ -416,11 +415,11 @@ class TestSuperoperators:
         expr = parse_met("let y = (1, (x, 3)) in snd (fst (snd y))")
         for value in (VTuple(VInt(4), VInt(5)), VInt(4)):
             self.assert_same_at_every_fuel(expr, lambda d: {"x": value})
-        self.assert_same_at_every_fuel(expr, lambda d: {"x": VAbs(self.abstract_tree(d))})
+        self.assert_same_at_every_fuel(expr, lambda d: {"x": self.abstract_tree(d)})
 
     def test_path_in_a_closure_body_applied_twice(self):
         expr = parse_met("let f = fun p -> snd (fst (snd p)) in (f x, f (1, (x, x)))")
-        for env_of in (lambda d: {"x": VAbs(self.abstract_tree(d))},
+        for env_of in (lambda d: {"x": self.abstract_tree(d)},
                        lambda d: {"x": self.tuple_tree(3, VInt)},
                        lambda d: {"x": VInt(7)}):
             self.assert_same_at_every_fuel(expr, env_of)
@@ -429,7 +428,7 @@ class TestSuperoperators:
     def test_eta_of_a_literal(self, n):
         for text in (f"eta({n})", f"aadd(x, eta({n}))", f"(eta({n}), eta({n}))"):
             self.assert_same_at_every_fuel(parse_met(text),
-                                           lambda d: {"x": VAbs(Num(d.eta_int(2)))})
+                                           lambda d: {"x": Num(d.eta_int(2))})
 
 
 class TestMetaSuperoperators:
@@ -482,7 +481,7 @@ class TestMetaSuperoperators:
     def test_applying_a_non_function(self, text):
         # The argument is evaluated, and may get stuck, before the
         # function is tested.
-        for f in (VInt(1), VConstruct("X", ()), VAbs(TOP), VTuple(VInt(1), VInt(2))):
+        for f in (VInt(1), VConstruct("X", ()), TOP, VTuple(VInt(1), VInt(2))):
             self.at_every_fuel(parse_met(text), lambda d: {"f": f, "y": VInt(2)})
 
     @pytest.mark.parametrize("text", ["g 3", "g (fst y)", "(1, g 3)", "f (g 3)"])
@@ -602,9 +601,9 @@ class TestMetaSuperoperators:
     @pytest.mark.parametrize("text", ["fst x", "snd x", "(fst x, snd x)", "fst (snd x)"])
     def test_one_projection(self, text):
         for env_of in (lambda d: {"x": VTuple(VInt(1), VTuple(VInt(2), VInt(3)))},
-                       lambda d: {"x": VAbs(TestSuperoperators.abstract_tree(d))},
-                       lambda d: {"x": VAbs(TOP)},
-                       lambda d: {"x": VAbs(Num(d.eta_int(4)))},
+                       lambda d: {"x": TestSuperoperators.abstract_tree(d)},
+                       lambda d: {"x": TOP},
+                       lambda d: {"x": Num(d.eta_int(4))},
                        lambda d: {"x": VInt(4)},
                        lambda d: {"y": VInt(4)}):
             self.at_every_fuel(parse_met(text), env_of)
@@ -618,9 +617,9 @@ class TestMetaSuperoperators:
         """Values for ``x`` and ``y``: tuples, every kind of abstract value,
         an integer and a constructor."""
         tree = TestSuperoperators.abstract_tree(domain)
-        return (TestSuperoperators.tuple_tree(3, VInt), VAbs(tree), VAbs(TOP),
-                VAbs(Num(domain.eta_int(5))), VAbs(domains.BOT), VInt(3), VConstruct("X", ()),
-                VTuple(VAbs(tree), VTuple(VTuple(VInt(1), VAbs(TOP)), VInt(2))))
+        return (TestSuperoperators.tuple_tree(3, VInt), tree, TOP,
+                Num(domain.eta_int(5)), domains.BOT, VInt(3), VConstruct("X", ()),
+                VTuple(tree, VTuple(VTuple(VInt(1), TOP), VInt(2))))
 
     @pytest.mark.parametrize("a,b", list(itertools.product(LEAVES, repeat=2)))
     def test_applying_a_closure_to_a_pair_of_leaves(self, a, b):
@@ -645,7 +644,7 @@ class TestMetaSuperoperators:
     @pytest.mark.parametrize("text", ["f (x, fst x)", "f (snd (fst (snd x)), y)",
                                       "f (fst x, snd (fst z))"])
     def test_applying_a_non_function_to_a_pair_of_leaves(self, text):
-        for f in (VInt(1), VConstruct("X", ()), VAbs(TOP), VTuple(VInt(1), VInt(2))):
+        for f in (VInt(1), VConstruct("X", ()), TOP, VTuple(VInt(1), VInt(2))):
             for k in range(8):
                 def env_of(d, k=k, f=f):
                     return {"f": f, "x": self.leaf_values(d)[k], "y": VInt(2)}
@@ -681,8 +680,8 @@ class TestMetaSuperoperators:
         expr = parse_met(text)
         for domain in (SIGN, INTERVAL):
             tree = TestSuperoperators.abstract_tree(domain)
-            for x, y in ((VAbs(tree), VInt(1)), (VAbs(TOP), VInt(1)),
-                         (VTuple(VAbs(tree), VAbs(tree)), VAbs(tree))):
+            for x, y in ((tree, VInt(1)), (TOP, VInt(1)),
+                         (VTuple(tree, tree), tree)):
                 env = {"f": identity, "g": VInt(1), "x": x, "y": y}
                 _, full = outcome(walker.eval_met, expr, env, domain, fuel=10**6)
                 for fuel in range(1, full + 2):
@@ -707,7 +706,7 @@ class TestMetaSuperoperators:
                     x = VTuple(x, VInt(0)) if step == "fst" else VTuple(VInt(0), x)
                 assert walker.eval_met(parse_met(on), {"x": x}, SIGN) == value
                 self.at_every_fuel(expr, lambda d, x=x: {"x": x, **(extra or {})})
-            for env_of in (lambda d: {"x": VAbs(TestSuperoperators.abstract_tree(d))},
+            for env_of in (lambda d: {"x": TestSuperoperators.abstract_tree(d)},
                            lambda d: {"y": VInt(1)}, lambda d: {"x": VInt(4)}):
                 self.at_every_fuel(expr, env_of)
 
@@ -773,11 +772,11 @@ class TestMetaSuperoperators:
 
 
 class TestUnboxedOperands:
-    """An abstract primitive computes with its operands' abstract values
-    unboxed and boxes its result only where a meta value is needed.  Every
-    kind of operand, in either position, must agree with the walker at
-    every budget, from one step to the full run plus one, under both
-    domains."""
+    """An abstract primitive computes with its operands' abstract values as
+    they are, and its result is a meta value as it is: an abstract value
+    has no box.  Every kind of operand, in either position, must agree with
+    the walker at every budget, from one step to the full run plus one,
+    under both domains."""
 
     at_every_fuel = staticmethod(TestSuperoperators.assert_same_at_every_fuel)
 
@@ -798,10 +797,10 @@ class TestUnboxedOperands:
         tree = TestSuperoperators.abstract_tree(domain)
 
         def num(n):
-            return VAbs(Num(domain.eta_int(n)))
+            return Num(domain.eta_int(n))
         identity = walker.eval_met(parse_met("fun p -> fst p"), {}, domain)
-        return {"t": VTuple(num(0), VTuple(num(3), VTuple(VAbs(TOP), num(-1)))),
-                "x": VAbs(tree), "m": VTuple(VInt(1), VAbs(tree)), "y": num(2),
+        return {"t": VTuple(num(0), VTuple(num(3), VTuple(TOP, num(-1)))),
+                "x": tree, "m": VTuple(VInt(1), tree), "y": num(2),
                 "f": identity, "n": VInt(3), "c": VConstruct("X", ()), "k": identity}
 
     @pytest.mark.parametrize("op", OPS)
@@ -810,8 +809,8 @@ class TestUnboxedOperands:
             self.at_every_fuel(parse_met(f"{op}({a}, {b})"), self.env_of)
 
     @pytest.mark.parametrize("text", [
-        # A result bound by let, put in a tuple or a constructor, or
-        # returned, is boxed; one used as an operand is not.
+        # A result bound by let, put in a tuple or a constructor, matched,
+        # passed to a function, returned or used as an operand.
         "let p = aeq(fst x, eta(0)) in (p, fne0(p, snd x))",
         "let w = amul(y, snd x) in w",
         "(ajoin(y, eta(1)), Num(amul(y, y)))",
@@ -820,8 +819,15 @@ class TestUnboxedOperands:
         "match aadd(y, eta(1)) with | (a, b) -> a | w -> w",
         "f (aadd(y, y), fne0(y, eta(1)))",
     ])
-    def test_a_result_is_boxed_where_a_meta_value_is_needed(self, text):
+    def test_a_result_is_the_same_meta_value_wherever_it_is_used(self, text):
         self.at_every_fuel(parse_met(text), self.env_of)
+
+    def test_a_result_is_the_abstract_value_itself(self):
+        for domain in (SIGN, INTERVAL):
+            env = self.env_of(domain)
+            for text in ("let w = amul(y, snd x) in w", "fst (ajoin(y, eta(1)), 0)",
+                         "match aadd(y, eta(1)) with | (a, b) -> a | w -> w"):
+                assert isinstance(eval_met(parse_met(text), env, domain), AbsValue)
 
     @pytest.mark.parametrize("op", OPS)
     def test_a_stuck_first_operand_waits_for_the_second(self, op):
@@ -841,11 +847,11 @@ class TestUnboxedOperands:
         budget = EvalBudget()
         tracemalloc.start()
         try:
-            value = eval_met(expr, {"x": VAbs(TOP)}, INTERVAL, budget)
+            value = eval_met(expr, {"x": TOP}, INTERVAL, budget)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert value == VAbs(TOP)
+        assert value == TOP
         assert budget.steps_used == 3001
         assert peak < 10 * 2**20
 
@@ -901,7 +907,7 @@ class TestPairCallMemo:
     def inputs(domain):
         """Abstract inputs, then non-abstract ones, on which ``aadd`` is
         stuck after the first calls have been stored."""
-        return (VAbs(Num(domain.eta_int(3))), VAbs(TOP), VAbs(domains.BOT),
+        return (Num(domain.eta_int(3)), TOP, domains.BOT,
                 VConstruct("X", ()), VInt(2))
 
     def test_repeated_calls_on_the_same_objects(self):
@@ -919,9 +925,9 @@ class TestPairCallMemo:
         expr = parse_met(f"let g = fun q -> aadd(fst q, snd q) in {calls}")
 
         def env_of(d, second):
-            return {"x": VAbs(Num(d.eta_int(1))),
-                    "y": VTuple(VAbs(Num(d.eta_int(5))), second(d))}
-        for second in (lambda d: VAbs(Num(d.eta_int(-7))), lambda d: VAbs(TOP),
+            return {"x": Num(d.eta_int(1)),
+                    "y": VTuple(Num(d.eta_int(5)), second(d))}
+        for second in (lambda d: Num(d.eta_int(-7)), lambda d: TOP,
                        lambda d: VConstruct("X", ()), lambda d: VInt(0)):
             self.at_every_fuel(expr, lambda d, second=second: env_of(d, second))
 
@@ -934,7 +940,7 @@ class TestPairCallMemo:
             return original(a, b, domain)
 
         monkeypatch.setattr(domains, "abs_add", counting)
-        env = {"x": self.shared_tree(), "y": VAbs(TOP)}
+        env = {"x": self.shared_tree(), "y": TOP}
         for run in (walker.eval_met, eval_met):
             # The walker adds at the root, at Add(s, s) and at each of
             # four s; so does the evaluator without a memo.

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from retargeter.domains import INTERVAL, SIGN, Bot, Interval, Num, contains
+from retargeter.domains import INTERVAL, SIGN, AbsValue, Bot, Interval, Num, contains
 from retargeter.errors import FuelExhausted, StuckError
 from retargeter.met.interp import apply_met_function, eval_met
+from retargeter.met import syntax
 from retargeter.met.parser import parse_met
 from retargeter.met.syntax import (
     Construct,
@@ -16,11 +17,11 @@ from retargeter.met.syntax import (
     IntLit,
     Let,
     Match,
+    MetValue,
     PConstruct,
     PVar,
     Prim,
     PrimOp,
-    VAbs,
     VInt,
     Var,
 )
@@ -37,8 +38,8 @@ class TestBasics:
 
     def test_eta_singleton(self):
         result = run("eta(0)")
-        assert result == VAbs(Num(Interval(0, 0)))
-        assert contains(result.value, SInt(0))
+        assert result == Num(Interval(0, 0))
+        assert contains(result, SInt(0))
 
     def test_match_selects_first_applicable_branch(self):
         expr = Match(
@@ -62,7 +63,7 @@ class TestBasics:
     def test_projection_of_abstract_pair(self):
         # Projections pass through abstract values componentwise.
         result = run("fst eta((1, 2))")
-        assert result == VAbs(Num(Interval(1, 1)))
+        assert result == Num(Interval(1, 1))
 
     def test_eta_identity_on_abstract(self):
         assert run("eta(eta(5))") == run("eta(5)")
@@ -70,7 +71,7 @@ class TestBasics:
     def test_abstract_ops_accept_mixed_tuples(self):
         # A concrete tuple of abstract values coerces to an abstract pair.
         result = run("fne0((eta(1), eta(2)), eta(7))")
-        assert result == VAbs(Bot())
+        assert result == Bot()
 
 
 class TestErrors:
@@ -158,11 +159,25 @@ class TestProperties:
         assert eval_met(expr, {}, INTERVAL) == eval_met(expr, {}, INTERVAL)
 
 
+class TestRepresentation:
+    """An abstract value is a meta value itself: no box carries it."""
+
+    def test_an_abstract_value_is_a_meta_value(self):
+        assert issubclass(AbsValue, MetValue)
+
+    def test_the_box_is_the_identity(self):
+        x = Interval(0, 1)
+        assert syntax.VAbs(x) is x
+
+    def test_eta_gives_the_carrier_value_itself(self):
+        assert type(eval_met(parse_met("eta(0)"), {}, INTERVAL)) is Interval
+
+
 class TestApplyFunction:
     def test_apply_with_abstract_argument(self):
         fn = parse_met("fun v -> aadd(v, eta(1))")
-        out = apply_met_function(fn, VAbs(Num(Interval(0, 10))), INTERVAL)
-        assert out == VAbs(Num(Interval(1, 11)))
+        out = apply_met_function(fn, Num(Interval(0, 10)), INTERVAL)
+        assert out == Num(Interval(1, 11))
 
     def test_apply_non_function_fails(self):
         with pytest.raises(StuckError):

@@ -5,8 +5,10 @@ faults and cannot see them.  This reads each oracle's imports with
 ``ast``, without running it, and fails if it names a module it checks,
 or, for an oracle with an allow-list, a package module outside it.
 
-One product rule is read the same way: the specializer imports no private
-name of the evaluator but its compiler table's class.
+Two product rules are read the same way: the specializer imports no
+private name of the evaluator but its compiler table's class, and no
+module of the package or of ``tools/`` uses ``syntax.VAbs`` or
+``domains.Num``, the two identity shims kept for ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -99,6 +101,14 @@ PRODUCT = TESTS.parent / "src" / "retargeter"
 SPECIALIZER_MAY_IMPORT_PRIVATE = {"_Compilers"}
 
 
+def from_module(node: ast.ImportFrom, package: str) -> str:
+    """The module a ``from`` import reads, with a relative import resolved
+    within ``package``."""
+    parts = package.split(".")
+    base = parts[:len(parts) - node.level + 1] if node.level else []
+    return ".".join(base + ([node.module] if node.module else []))
+
+
 def imported_names(source: str, package: str) -> set[str]:
     """Every module an ``import`` names and every ``module.name`` a ``from``
     import takes, with a relative import resolved within ``package``."""
@@ -107,9 +117,7 @@ def imported_names(source: str, package: str) -> set[str]:
         if isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            parts = package.split(".")
-            base = parts[:len(parts) - node.level + 1] if node.level else []
-            module = ".".join(base + ([node.module] if node.module else []))
+            module = from_module(node, package)
             names.update(f"{module}.{alias.name}" for alias in node.names)
     return names
 
@@ -136,3 +144,86 @@ def test_the_specializer_imports_no_private_evaluator_name():
 ])
 def test_the_private_name_rule_sees_an_import(source):
     assert private_names_from_interp(source) - {"retargeter.met.interp._Compilers"}
+
+
+# An abstract value is a meta value and a number its carrier value, so
+# ``syntax.VAbs`` and ``domains.Num`` return their argument; they are kept
+# only for ``perfbench/``, which may not be edited with the package.  No
+# other module uses them, so deleting both needs edits to ``perfbench/``
+# alone.  ``srclang.Num``, the source-language constructor, is another name.
+TOOLS = TESTS.parent / "tools"
+SHIMS = {"retargeter.met.syntax.VAbs", "retargeter.domains.Num"}
+
+
+def shim_uses(source: str, package: str) -> set[str]:
+    """The shims ``source`` imports by name, or reads as an attribute of a
+    module it imports whole, with relative imports resolved within
+    ``package``."""
+    tree = ast.parse(source)
+    used = imported_names(source, package) & SHIMS
+    bound = {}                      # local name -> the module or name it is bound to
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    bound[alias.asname] = alias.name
+                else:
+                    top = alias.name.split(".")[0]
+                    bound[top] = top
+        elif isinstance(node, ast.ImportFrom):
+            module = from_module(node, package)
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{module}.{alias.name}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            attrs = []
+            while isinstance(node, ast.Attribute):
+                attrs.append(node.attr)
+                node = node.value
+            if isinstance(node, ast.Name) and node.id in bound:
+                dotted = ".".join([bound[node.id], *reversed(attrs)])
+                used.update(shim for shim in SHIMS
+                            if dotted == shim or dotted.startswith(shim + "."))
+    return used
+
+
+def product_modules():
+    """``(path, package)`` for every module of the package and of ``tools/``."""
+    for path in sorted(PRODUCT.rglob("*.py")):
+        parts = path.relative_to(PRODUCT.parent).with_suffix("").parts
+        yield path, ".".join(parts[:-1])
+    for path in sorted(TOOLS.glob("*.py")):
+        yield path, "tools"
+
+
+@pytest.mark.parametrize("path, package", list(product_modules()),
+                         ids=lambda v: str(v.relative_to(PRODUCT.parent.parent))
+                         if isinstance(v, Path) else None)
+def test_no_product_module_uses_a_shim(path, package):
+    assert shim_uses(path.read_text(encoding="utf-8"), package) == set()
+
+
+@pytest.mark.parametrize("source, package", [
+    ("from .met.syntax import VAbs", "retargeter"),
+    ("from .syntax import VAbs as box", "retargeter.met"),
+    ("from ..domains import Num", "retargeter.met"),
+    ("from retargeter.domains import INTERVAL, Num", "tools"),
+    ("from retargeter import domains\ndomains.Num(x)", "tools"),
+    ("from . import domains as d\nd.Num(x)", "retargeter"),
+    ("import retargeter.met.syntax as s\ns.VAbs(x)", "tools"),
+    ("import retargeter.domains\nretargeter.domains.Num(x)", "tools"),
+    ("def f():\n    from .met import syntax\n    return syntax.VAbs", "retargeter"),
+])
+def test_the_shim_rule_sees_a_use(source, package):
+    assert shim_uses(source, package)
+
+
+@pytest.mark.parametrize("source, package", [
+    ("from .srclang import Num", "retargeter"),
+    ("from retargeter import srclang\nsrclang.Num(1)", "tools"),
+    ("from .domains import AbsValue, Interval", "retargeter"),
+    ("from ..met.syntax import VInt", "retargeter.met"),
+    ("Num = 1\nx.Num(1)", "retargeter"),
+])
+def test_the_shim_rule_allows_other_names(source, package):
+    assert not shim_uses(source, package)

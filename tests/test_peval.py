@@ -21,7 +21,6 @@ from retargeter.met.syntax import (
     Prim,
     PrimOp,
     Tuple,
-    VAbs,
     VClosure,
     VConstruct,
     VInt,
@@ -63,7 +62,7 @@ class TestReify:
 
     def test_abstract_value_rejected(self):
         with pytest.raises(ReifyError):
-            reify(VAbs(TOP))
+            reify(TOP)
 
 
 class TestSpecializeExamples:
@@ -97,7 +96,7 @@ class TestSpecializeExamples:
         # misattribute the failure.
         expr = parse_met("fun x -> fst (fst x)")
         with pytest.raises(ReifyError):
-            specialize(expr, VAbs(TOP))
+            specialize(expr, TOP)
 
     def test_dynamic_match_residualizes_with_fresh_names(self):
         expr = parse_met("fun x -> match snd x with | 0 -> 1 | n -> n * fst x")

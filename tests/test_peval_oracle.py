@@ -29,7 +29,6 @@ from retargeter.met.syntax import (
     PTuple,
     PVar,
     Tuple,
-    VAbs,
     VClosure,
     VConstruct,
     VInt,
@@ -130,7 +129,7 @@ def random_static(rng: random.Random, depth: int):
     if kind == "closure":
         return VClosure(rng.choice(NAMES), random_met_expr(rng, 2), {},
                         rng.choice([None, rng.choice(NAMES)]))
-    return VAbs(TOP)
+    return TOP
 
 
 def random_program(rng: random.Random):
@@ -242,8 +241,8 @@ def test_later_bindings_win_in_a_static_match():
 # input and ``snd x`` the unknown one.
 PAIR_LEAVES = ["x", "fst x", "snd x", "snd (fst (fst z))", "fst (fst (snd z))",
                "snd (fst (snd x))", "u", "fst u"]
-PAIR_INPUTS = [VTuple(VTuple(VInt(1), VInt(2)), VInt(3)), VTuple(VAbs(TOP), VInt(0)),
-               VAbs(TOP), VInt(4), VConstruct("Num", (VInt(5),))]
+PAIR_INPUTS = [VTuple(VTuple(VInt(1), VInt(2)), VInt(3)), VTuple(TOP, VInt(0)),
+               TOP, VInt(4), VConstruct("Num", (VInt(5),))]
 
 
 @pytest.mark.parametrize("a", PAIR_LEAVES)
@@ -264,7 +263,7 @@ def test_pair_call_leaves(a, b):
     ("fst x", VInt(1), ("StuckError", "application of a non-function")),
     ("fst x", VTuple(VInt(1), VInt(2)), ("StuckError", "application of a non-function")),
     ("fun q -> (snd q, fst q)", VInt(1), ("residual", "fun i -> (i, 2)")),
-    ("fun q -> q", VAbs(TOP), ("residual", "fun i -> (2, i)")),
+    ("fun q -> q", TOP, ("residual", "fun i -> (2, i)")),
 ])
 def test_pair_call_functions(monkeypatch, fun, static_input, expected):
     set_unfold_limit(monkeypatch, 40)
@@ -315,7 +314,7 @@ def test_abstract_primitives(text, expected):
 
 def test_abstract_primitive_arguments_without_literals():
     expr = parse_met("fun x -> aeq(fst x, let y = snd x in y)")
-    assert assert_same(expr, VAbs(TOP)) == ("ReifyError", "an abstract value has no literal syntax")
+    assert assert_same(expr, TOP) == ("ReifyError", "an abstract value has no literal syntax")
     assert assert_same(parse_met("fun x -> eta(fst x)"), VClosure("q", Var("q"), {}))[0] == (
         "ReifyError")
 
@@ -375,7 +374,7 @@ def test_leaf_match_later_binding_wins():
                                        "fst u", "fst (fst x)"])
 def test_leaf_match_that_fails_to_read(scrutinee):
     expr = parse_met(LEAF_MATCH.format(scrutinee=scrutinee))
-    for static_input in [ADD12, VTuple(ADD12, VInt(0)), VAbs(TOP), VInt(1)]:
+    for static_input in [ADD12, VTuple(ADD12, VInt(0)), TOP, VInt(1)]:
         assert_same(expr, static_input)
 
 

@@ -53,7 +53,6 @@ from retargeter.met.syntax import (
     Proj1,
     Proj2,
     Tuple,
-    VAbs,
     VClosure,
     VConstruct,
     VInt,
@@ -79,7 +78,7 @@ EXAMPLES = [
     Lambda("x", _x), App(Var("f"), _x), Prim(PrimOp.ADD, (_x, IntLit(1))),
     PVar("n"), PWild(), PInt(3), PTuple(PVar("a"), PWild()), PConstruct("Pair", (PWild(), PInt(0))),
     VInt(4), VTuple(VInt(1), VInt(2)), VConstruct("Num", (VInt(1),)),
-    VClosure("x", _x, {}), VAbs(_pos),
+    VClosure("x", _x, {}),
     srclang.X(), srclang.Num(5), srclang.Add(srclang.X(), srclang.Num(1)),
     srclang.Mul(srclang.X(), srclang.X()), srclang.Eq(srclang.Num(0), srclang.X()),
     srclang.Pair(srclang.X(), srclang.Num(2)), srclang.Fst(srclang.X()), srclang.Snd(srclang.X()),
@@ -303,7 +302,7 @@ def test_caches_take_no_part_in_equality_hash_or_repr():
 
 def test_copy_and_pickle_round_trip():
     expr = parse_met("fun p -> match p with | Pair(a, b) -> aadd(a, b) | _ -> eta(0)")
-    arg = VConstruct("Pair", (VAbs(_pos), VAbs(_pos)))
+    arg = VConstruct("Pair", (_pos, _pos))
     apply_met_function(expr, arg, SignSet)
     assert hasattr(expr, "_compiled")
     abstract = APair(domains.Num(Interval(0, None)), APair(_pos, TOP))

@@ -20,6 +20,7 @@ from retargeter.domains import (
 )
 from retargeter.met.parser import parse_met
 from retargeter.met.printer import print_met
+from retargeter.met.syntax import VInt, VTuple
 from retargeter.retargeting import (
     Report,
     bench_steps,
@@ -191,6 +192,14 @@ class TestRunSpecializedAbstract:
         message = f"of the '{other}' domain but the analysis is of the '{domain.name}' domain"
         with pytest.raises(ValueError, match=message):
             run_specialized_abstract(analyzer, parse_tgt_program("add 1"), abstract_input)
+
+    @pytest.mark.parametrize("domain", [SIGN, INTERVAL], ids=["sign", "interval"])
+    @pytest.mark.parametrize("value", [7, "top", VInt(3), VTuple(VInt(1), VInt(2)),
+                                       APair(TOP, 7)], ids=repr)
+    def test_an_input_that_is_not_abstract_is_rejected(self, domain, value):
+        analyzer = retarget("single", domain)
+        with pytest.raises(ValueError, match="is not an abstract value"):
+            run_specialized_abstract(analyzer, parse_tgt_program("add 1"), value)
 
     def test_agrees_with_meta_analysis_on_abstract_inputs(self):
         import random

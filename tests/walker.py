@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from retargeter import domains
-from retargeter.domains import NumericDomain
+from retargeter.domains import AbsValue, NumericDomain
 from retargeter.errors import FuelExhausted, StuckError
 from retargeter.met.syntax import (
     App,
@@ -42,7 +42,6 @@ from retargeter.met.syntax import (
     Proj1,
     Proj2,
     Tuple,
-    VAbs,
     VClosure,
     VConstruct,
     VInt,
@@ -99,20 +98,20 @@ def eval_prim(op: PrimOp, args: list[MetValue], domain: NumericDomain) -> MetVal
             return VInt(a.value * b.value)
         return VInt(1 if a.value == b.value else 0)
     if op is PrimOp.ETA:
-        return VAbs(domains.eta_met_value(args[0], domain))
+        return domains.eta_met_value(args[0], domain)
     abs_args = [domains.met_value_to_abs(v) for v in args]
     if op is PrimOp.AADD:
-        return VAbs(domains.abs_add(abs_args[0], abs_args[1], domain))
+        return domains.abs_add(abs_args[0], abs_args[1], domain)
     if op is PrimOp.AMUL:
-        return VAbs(domains.abs_mul(abs_args[0], abs_args[1], domain))
+        return domains.abs_mul(abs_args[0], abs_args[1], domain)
     if op is PrimOp.AEQ:
-        return VAbs(domains.abs_eq(abs_args[0], abs_args[1], domain))
+        return domains.abs_eq(abs_args[0], abs_args[1], domain)
     if op is PrimOp.AJOIN:
-        return VAbs(domains.join(abs_args[0], abs_args[1]))
+        return domains.join(abs_args[0], abs_args[1])
     if op is PrimOp.AFILTER_NE0:
-        return VAbs(domains.filter_nonzero(abs_args[0], abs_args[1]))
+        return domains.filter_nonzero(abs_args[0], abs_args[1])
     if op is PrimOp.AFILTER_EQ0:
-        return VAbs(domains.filter_zero(abs_args[0], abs_args[1]))
+        return domains.filter_zero(abs_args[0], abs_args[1])
     raise TypeError(f"unknown primitive {op!r}")
 
 
@@ -143,15 +142,15 @@ def eval_met(e: MetExpr, env: Env, domain: NumericDomain,
                 v = ev(a, env)
                 if isinstance(v, VTuple):
                     return v.fst
-                if isinstance(v, VAbs):
-                    return VAbs(domains.abs_proj(v.value, True))
+                if isinstance(v, AbsValue):
+                    return domains.abs_proj(v, True)
                 raise StuckError("fst of a non-tuple")
             case Proj2(a):
                 v = ev(a, env)
                 if isinstance(v, VTuple):
                     return v.snd
-                if isinstance(v, VAbs):
-                    return VAbs(domains.abs_proj(v.value, False))
+                if isinstance(v, AbsValue):
+                    return domains.abs_proj(v, False)
                 raise StuckError("snd of a non-tuple")
             case Construct(tag, args):
                 return VConstruct(tag, tuple(ev(a, env) for a in args))

@@ -28,10 +28,15 @@ writing on, and what the probe cached of the checkout is removed; what
 stays is the standard library's bytecode, which an empty prefix would
 make every run compile again.
 
+The record's ``work_counts`` holds each side's deterministic work
+counts: its own ``tools/work_counts.py --json``, run once on its own
+``src/``, or ``null`` for a checkout that has no such script.
+
 Every run's stderr is kept in ``.bench_build/bench_record/<label>/``.
 A run that exits nonzero or prints no JSON line is counted, and named
 in the record's ``failed_runs`` with its exit code and the end of its
-stderr; the script then exits 1, after writing the record.
+stderr; the script then exits 1, after writing the record.  So is a
+work-counts script that fails.
 """
 
 from __future__ import annotations
@@ -138,9 +143,16 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: bo
     """One benchmark run: its metrics, or why it gave none."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "1" if trace else "0"]
+    return run_command(argv, checkout, seconds * 4 + 900, log, pycache)
+
+
+def run_command(argv: list[str], checkout: Path, timeout: float, log: Path,
+                pycache: Path) -> dict:
+    """Run ``argv`` in ``checkout``, keep its stderr in ``log``, and read
+    the JSON object on the last line of its stdout."""
     try:
         proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
-                              env=run_env(pycache), timeout=seconds * 4 + 900)
+                              env=run_env(pycache), timeout=timeout)
         code, stdout, stderr = proc.returncode, proc.stdout, proc.stderr
     except subprocess.TimeoutExpired as exc:
         code, stdout, stderr = None, exc.stdout or "", (exc.stderr or "") + "\n(timed out)"
@@ -156,6 +168,32 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: bo
         except json.JSONDecodeError:
             result = None
     return {"exit": code, "result": result, "stderr": stderr, "log": str(log)}
+
+
+WORK_COUNTS = "tools/work_counts.py"
+
+
+def work_counts(checkout: Path, log: Path, pycache: Path) -> dict | None:
+    """One run of ``checkout``'s own work-counts script, as ``run_command``
+    gives it, or None when the checkout has no such script."""
+    if not (checkout / WORK_COUNTS).is_file():
+        return None
+    return run_command([sys.executable, WORK_COUNTS, "--json"], checkout, 900, log, pycache)
+
+
+def work_counts_record(runs: dict[str, dict | None]) -> dict:
+    """The record's ``work_counts``: each side's rows per analysis, or None
+    where it has no script or its run gave no JSON, with the CPython
+    version, programs and seed that the scripts report."""
+    results = {side: runs[side] and runs[side]["result"] for side in SIDES}
+    reported = results["change"] or results["parent"] or {}
+    return {
+        "command": f"python3 {WORK_COUNTS} --json, each side's own script on its own src",
+        "python": reported.get("python"),
+        "programs": reported.get("programs"),
+        "seed": reported.get("seed"),
+        **{side: result["per_analysis"] if result else None for side, result in results.items()},
+    }
 
 
 def round4(x: float) -> float:
@@ -231,6 +269,18 @@ def cell_record(workload: str, seed: int, pairs: list[dict[str, dict]],
     return cell
 
 
+def failure(name: str, run: dict) -> dict:
+    """The ``failed_runs`` entry of a run that exited nonzero or printed no
+    JSON line."""
+    return {
+        "run": name,
+        "exit": run["exit"],
+        "json_line": run["result"] is not None,
+        "stderr_log": run["log"],
+        "stderr_tail": run["stderr"].splitlines()[-STDERR_TAIL:],
+    }
+
+
 def render(value, depth: int = 0) -> str:
     """JSON with one line per metric, as in the hand-written records."""
     if isinstance(value, dict) and value and depth < 4:
@@ -278,6 +328,9 @@ def main(argv=None) -> int:
                                        "ranges of calibration.slowdown do not overlap, and "
                                        "the cell's metrics then report no gain",
                 "runs_failed": "runs that exited nonzero or printed no JSON line",
+                "work_counts": "each side's own tools/work_counts.py --json, run once on its "
+                               "own src with the same bytecode settings; null for a side "
+                               "without that script",
                 "bytecode": "every run has PYTHONDONTWRITEBYTECODE=1 and its side's own "
                             "PYTHONPYCACHEPREFIX, which holds the standard library's bytecode "
                             "and none of the checkout's, so both sides import their checkout "
@@ -296,6 +349,18 @@ def main(argv=None) -> int:
         prepare_pycache(checkouts[side], pycaches[side], args.workloads)
 
     any_failed = False
+    if "work_counts" not in record:
+        runs = {}
+        for side in SIDES:
+            log = args.log_dir / f"work_counts-{side}.stderr"
+            run = runs[side] = work_counts(checkouts[side], log, pycaches[side])
+            status = ("no script" if run is None
+                      else "ok" if run["exit"] == 0 and run["result"] else "FAILED")
+            print(f"{side} work counts: {status}", file=sys.stderr, flush=True)
+            if status == "FAILED":
+                any_failed = True
+                record["failed_runs"].append(failure(f"{side} work counts", run))
+        record["work_counts"] = work_counts_record(runs)
     for workload in args.workloads:
         for seed in args.seeds:
             cell = f"{workload}/seed{seed}"
@@ -313,13 +378,7 @@ def main(argv=None) -> int:
                     print(f"{name}: exit {run['exit']}, {status}", file=sys.stderr, flush=True)
                     if run["exit"] != 0 or run["result"] is None:
                         any_failed = True
-                        record["failed_runs"].append({
-                            "run": name,
-                            "exit": run["exit"],
-                            "json_line": run["result"] is not None,
-                            "stderr_log": run["log"],
-                            "stderr_tail": run["stderr"].splitlines()[-STDERR_TAIL:],
-                        })
+                        record["failed_runs"].append(failure(name, run))
                 pairs.append(pair)
             record[section][cell] = cell_record(workload, seed, pairs, better)
             # Written after every cell, so an interrupted run keeps what it ran.
